@@ -6,7 +6,14 @@ and finite prefix-free machines with Kraft mass and complexity transport.
 All checking arithmetic is exact; floats never appear.
 """
 
-from .dyadic import DyadicString, dyadic_length, is_dyadic, real_from_set, truncate
+from .dyadic import (
+    DyadicString,
+    canonical_length,
+    dyadic_length,
+    is_dyadic,
+    real_from_set,
+    truncate,
+)
 from .errors import (
     ConfigError,
     ConstructionError,

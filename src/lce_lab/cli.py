@@ -21,7 +21,7 @@ from .machines import check_usch, machine_from_dict, machine_to_dict, measure, u
 from .reals import gallery_from_config
 from .reducibility import check_witness, default_samples, dyadic_samples
 from .speedability import amplify, check_total_speedup, liminf_record, speedup_from_translation, translation_from_speedup
-from .util import atomic_write_text, dump_json, parse_rational, rational_str, worker_count
+from .util import atomic_write_text, dump_json, parse_rational, rational_str
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -76,7 +76,7 @@ def _cmd_check_witness(args) -> int:
         samples = dyadic_samples(beta.limit, args.samples)
     else:
         samples = default_samples(beta, grid_depth=args.grid_depth)
-    report = check_witness(alpha, beta, witness, samples, workers=worker_count())
+    report = check_witness(alpha, beta, witness, samples)
     _emit_json(report.to_json_dict(), args.out)
     return EXIT_PASS if report.passed else EXIT_VIOLATION
 
@@ -163,6 +163,16 @@ def _cmd_cmm_check(args) -> int:
     return EXIT_PASS if report.passed else EXIT_VIOLATION
 
 
+def _amplify_factor(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lce-lab",
@@ -201,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translation", required=True)
     p.add_argument("--rho", required=True)
     p.add_argument("--horizon", type=int, default=10)
-    p.add_argument("--amplify", type=int, default=1)
+    p.add_argument("--amplify", type=_amplify_factor, default=1)
     p.add_argument("--out", help="report path (default stdout)")
     p.set_defaults(func=_cmd_speed_check)
 
@@ -209,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--real", required=True)
     p.add_argument("--speedup", help="convert this speed-up to a translation")
     p.add_argument("--translation", help="convert this translation to a speed-up")
-    p.add_argument("--amplify", type=int, default=1)
+    p.add_argument("--amplify", type=_amplify_factor, default=1)
     p.add_argument("--probes", help="comma-separated rationals for evaluation")
     p.add_argument("--horizon", type=int, default=10)
     p.add_argument("--out", help="report path (default stdout)")
@@ -258,3 +268,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

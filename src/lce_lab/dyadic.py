@@ -71,6 +71,20 @@ def dyadic_length(q: Fraction) -> int:
     return q.denominator.bit_length() - 1
 
 
+def canonical_length(q: Fraction, precision: int = 64) -> int:
+    """|q| for a dyadic q in [0,1); total on every other rational.
+
+    Anything else is first clamped into [0, 1 - 2**-precision] and truncated
+    at ``precision`` bits.  That is mere totality filler for translations
+    that key on |q|; proofs only ever exercise dyadic samples in [0,1).
+    """
+    num, den = q.numerator, q.denominator
+    if not den & (den - 1) and 0 <= num < den:
+        return den.bit_length() - 1
+    top = _ONE - Fraction(1, 1 << precision)
+    return dyadic_length(truncate(min(max(q, _ZERO), top), precision).value)
+
+
 def truncate(x: Fraction, n: int) -> DyadicString:
     """First n binary digits of x in [0,1): the string of floor(x * 2**n) / 2**n.
 

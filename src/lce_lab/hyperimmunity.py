@@ -20,13 +20,13 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
-from .dyadic import dyadic_length, real_from_set, truncate
+from .dyadic import canonical_length, real_from_set
+from .dyadic import truncate  # noqa: F401  module attribute that perfbench/tracer.py wraps
 from .errors import ConfigError, PreconditionError, WitnessDegenerateError
 from .reals import DeskReal
 from .reducibility import TranslationWitness
 from .util import ceil_log2
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -235,15 +235,9 @@ def total_witness_from_majorizer(
     exercise dyadic samples).
     """
     cache: dict[int, Fraction] = {}
-    top = _ONE - Fraction(1, 1 << precision)
 
     def translate(q: Fraction) -> Fraction:
-        num, den = q.numerator, q.denominator
-        if not (den & (den - 1)) and 0 <= num < den:
-            length = den.bit_length() - 1  # canonical dyadic in [0,1)
-        else:
-            q = truncate(min(max(q, _ZERO), top), precision).value
-            length = dyadic_length(q)
+        length = canonical_length(q, precision)
         value = cache.get(length)
         if value is None:
             depth = g(length)

@@ -15,17 +15,15 @@ quantified statement.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .dyadic import dyadic_length, is_dyadic, truncate
+from .dyadic import canonical_length, dyadic_length, is_dyadic, truncate
 from .errors import ConfigError
 from .reals import DeskReal
 from .util import rational_str
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 REASON_UNDEFINED = "undefined"
@@ -101,97 +99,70 @@ def check_witness(
     beta: DeskReal,
     witness: TranslationWitness,
     samples: Iterable[Fraction],
-    workers: int = 1,
 ) -> ViolationReport:
     """Evaluate the witness inequality at every sample below beta's limit.
 
     Samples at or above beta's limit are skipped (and counted).  Order of the
     input does not matter: violations come back sorted by sample value.
+
+    Every comparison runs on cross-multiplied integers; no Fraction is built
+    for a sample unless it is a violation.  With alpha = A/B, beta = C/D,
+    c = P/Q, a sample q = k/h and its translation phi(q) = n/m (all
+    denominators positive):
+
+        skip            k*D >= C*h
+        not below alpha A*m - n*B <= 0
+        gap bound       (A*m - n*B) * Q*D*h  <  (P*(C*h - k*D) + s) * B*m
+
+    where s = Q*D on the weakened variant (the slack 2**-|q| = 1/h) and 0 on
+    the strict one.  The largest ratio (alpha - phi) / (beta - q) stays an
+    integer pair until the end.
     """
-    a_limit, b_limit = alpha.limit, beta.limit
-    c = witness.constant
+    a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
+    b_num, b_den = beta.limit.numerator, beta.limit.denominator
+    c_num, c_den = witness.constant.numerator, witness.constant.denominator
     translate = witness.translate
     weakened = witness.weakened
-    plain_constant = c == 1
-    # 2**-|q| for canonical dyadic q is exactly 1/denominator; cache per
-    # denominator so million-sample sweeps skip repeated construction.
-    slack_cache: dict[int, Fraction] = {}
-
-    def slack_term(q: Fraction) -> Fraction:
-        den = q.denominator
-        value = slack_cache.get(den)
-        if value is None:
-            if den & (den - 1) or q.numerator < 0 or q.numerator >= den:
-                dyadic_length(q)  # raises the proper domain error
-            value = slack_cache[den] = Fraction(1, den)
-        return value
-
-    def eval_one(q: Fraction):
-        # -> (kind, sample, phi, bound, ratio_num, ratio_den)
-        if not q < b_limit:
-            return ("skip", q, None, None, None, None)
-        phi = translate(q)
-        if phi is None:
-            return (REASON_UNDEFINED, q, None, None, None, None)
-        if not phi < a_limit:
-            return (REASON_NOT_BELOW_ALPHA, q, phi, None, None, None)
-        denom = b_limit - q
-        diff = a_limit - phi
-        bound = denom if plain_constant else c * denom
-        if weakened:
-            bound = bound + slack_term(q)
-        kind = "ok" if diff < bound else REASON_GAP_BOUND
-        # Ratio (alpha - phi) / (beta - q), tracked as an int pair (no division).
-        return (kind, q, phi, bound, diff.numerator * denom.denominator, diff.denominator * denom.numerator)
+    qd = c_den * b_den  # Q*D
+    slack = qd if weakened else 0  # s
 
     checked = 0
     skipped = 0
     violations: list[Violation] = []
-    best_num = best_den = None
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(eval_one, samples, chunksize=1024))
-        for kind, q, phi, bound, rnum, rden in rows:
-            if kind == "skip":
-                skipped += 1
-                continue
-            checked += 1
-            if rnum is not None and (best_num is None or rnum * best_den > best_num * rden):
-                best_num, best_den = rnum, rden
-            if kind != "ok":
-                violations.append(Violation(q, kind, phi, bound))
-    else:
-        for q in samples:
-            if not q < b_limit:
-                skipped += 1
-                continue
-            checked += 1
-            phi = translate(q)
-            if phi is None:
-                violations.append(Violation(q, REASON_UNDEFINED, None, None))
-                continue
-            if not phi < a_limit:
-                violations.append(Violation(q, REASON_NOT_BELOW_ALPHA, phi, None))
-                continue
-            denom = b_limit - q
-            diff = a_limit - phi
-            bound = denom if plain_constant else c * denom
-            if weakened:
-                bound = bound + slack_term(q)
-            rnum = diff.numerator * denom.denominator
-            rden = diff.denominator * denom.numerator
-            if best_num is None or rnum * best_den > best_num * rden:
-                best_num, best_den = rnum, rden
-            if not diff < bound:
-                violations.append(Violation(q, REASON_GAP_BOUND, phi, bound))
+    best_num, best_den = 0, 1
+    for q in samples:
+        k, h = q.numerator, q.denominator
+        room = b_num * h - k * b_den  # (beta - q) * D*h
+        if room <= 0:
+            skipped += 1
+            continue
+        checked += 1
+        phi = translate(q)
+        if phi is None:
+            violations.append(Violation(q, REASON_UNDEFINED, None, None))
+            continue
+        n, m = phi.numerator, phi.denominator
+        gap = a_num * m - n * a_den  # (alpha - phi) * B*m
+        if gap <= 0:
+            violations.append(Violation(q, REASON_NOT_BELOW_ALPHA, phi, None))
+            continue
+        if weakened and (h & (h - 1) or k < 0 or k >= h):
+            dyadic_length(q)  # raises the proper domain error
+        bm = a_den * m
+        gap_dh = gap * b_den * h
+        room_bm = room * bm  # (alpha - phi) / (beta - q) = gap_dh / room_bm
+        if gap_dh * best_den > best_num * room_bm:
+            best_num, best_den = gap_dh, room_bm
+        allowed = c_num * room + slack
+        if not gap_dh * c_den < allowed * bm:
+            violations.append(Violation(q, REASON_GAP_BOUND, phi, Fraction(allowed, qd * h)))
     violations.sort(key=lambda v: v.sample)
     return ViolationReport(
         witness=witness.name,
         samples_checked=checked,
         skipped=skipped,
         violations=violations,
-        max_ratio_seen=Fraction(best_num, best_den) if best_num is not None else None,
+        max_ratio_seen=Fraction(best_num, best_den) if best_num else None,
     )
 
 
@@ -244,19 +215,6 @@ def compose_witnesses(outer: TranslationWitness, inner: TranslationWitness) -> T
     )
 
 
-_LEAST_WITNESS_PRECISION = 64
-
-
-def _canonical_dyadic(q: Fraction, precision: int = _LEAST_WITNESS_PRECISION) -> Fraction:
-    """Map any rational to a dyadic in [0,1): identity on such values,
-    truncation at ``precision`` bits elsewhere (mere totality filler)."""
-    if _ZERO <= q < _ONE and is_dyadic(q):
-        return q
-    top = _ONE - Fraction(1, 1 << precision)
-    q = min(max(q, _ZERO), top)
-    return truncate(q, precision).value
-
-
 def computable_least_witness(alpha: DeskReal) -> TranslationWitness:
     """Weakened-variant witness placing a real with known rational limit below
     every other real with constant 1.
@@ -273,11 +231,7 @@ def computable_least_witness(alpha: DeskReal) -> TranslationWitness:
     cache: dict[int, Fraction] = {}
 
     def translate(q: Fraction) -> Fraction:
-        num, den = q.numerator, q.denominator
-        if not (den & (den - 1)) and 0 <= num < den:
-            length = den.bit_length() - 1  # canonical dyadic in [0,1)
-        else:
-            length = dyadic_length(_canonical_dyadic(q))
+        length = canonical_length(q)
         value = cache.get(length)
         if value is None:
             if dyadic_alpha:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import ConfigError
 from .hyperimmunity import builtin_set
 from .machines import machine_from_dict
-from .reals import DeskReal, geometric, omega_toy, periodic_limit, set_real
+from .reals import _PERIODIC_SETS, DeskReal, geometric, omega_toy, periodic_limit, set_real
 from .reducibility import (
     TranslationWitness,
     computable_least_witness,
@@ -32,8 +32,6 @@ from .speedability import (
 )
 from .util import parse_rational
 
-_PERIODIC = {"evens": ("", "10"), "odds": ("", "01"), "naturals": ("", "1")}
-
 
 def parse_real(spec: str) -> DeskReal:
     kind, _, rest = spec.partition(":")
@@ -46,9 +44,9 @@ def parse_real(spec: str) -> DeskReal:
         gap0 = parse_rational(parts[2]) if len(parts) > 2 else None
         return geometric(limit, ratio, gap0, name=spec)
     if kind == "set":
-        if len(parts) != 1 or parts[0] not in _PERIODIC:
-            raise ConfigError(f"set real needs one of {sorted(_PERIODIC)}, got {rest!r}")
-        prefix, period = _PERIODIC[parts[0]]
+        if len(parts) != 1 or parts[0] not in _PERIODIC_SETS:
+            raise ConfigError(f"set real needs one of {sorted(_PERIODIC_SETS)}, got {rest!r}")
+        prefix, period = _PERIODIC_SETS[parts[0]]
         return set_real(builtin_set(parts[0]).contains, periodic_limit(prefix, period), name=spec)
     if kind == "omega":
         if len(parts) != 1:

@@ -1,4 +1,4 @@
-"""Shared plumbing: exact-rational text forms, deterministic reports, worker cap.
+"""Shared plumbing: exact-rational text forms and deterministic reports.
 
 Rationals never pass through floats.  On the wire they are "num/den" strings;
 on input we also accept bare integers, integer strings, and {"num": ..., "den": ...}
@@ -13,8 +13,6 @@ import tempfile
 from fractions import Fraction
 
 from .errors import ConfigError
-
-THREADS_ENV_VAR = "LCE_LAB_THREADS"
 
 
 def parse_rational(value) -> Fraction:
@@ -97,17 +95,3 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def worker_count() -> int:
-    """Worker cap from the environment; absent or "1" means serial."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return n

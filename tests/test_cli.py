@@ -1,9 +1,15 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from lce_lab.cli import main
-from lce_lab.util import THREADS_ENV_VAR, dump_json
+from lce_lab.util import dump_json
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -83,33 +89,28 @@ class TestCheckWitness:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_env_var(self, tmp_path, monkeypatch):
-        out_serial, out_fanned = tmp_path / "s.json", tmp_path / "f.json"
-        args = [
-            "check-witness",
-            "--alpha", "geometric:2/3",
-            "--beta", "geometric:1",
-            "--witness", "least",
-            "--samples", "128",
-        ]
-        assert main(args + ["--out", str(out_serial)]) == 0
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        assert main(args + ["--out", str(out_fanned)]) == 0
-        assert out_serial.read_bytes() == out_fanned.read_bytes()
-
-    def test_bad_worker_env_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv(THREADS_ENV_VAR, "zero")
-        code = main(
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        out = tmp_path / "report.json"
+        path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
             [
+                sys.executable, "-m", "lce_lab",
                 "check-witness",
-                "--alpha", "geometric:1",
-                "--beta", "geometric:1",
+                "--alpha", "geometric:1/2",
+                "--beta", "geometric:1/4",
                 "--witness", "identity",
-                "--samples", "8",
-            ]
+                "--c", "1",
+                "--samples", "16",
+                "--out", str(out),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
         )
-        assert code == 2
-        assert THREADS_ENV_VAR in capsys.readouterr().err
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(out.read_text())["passed"] is False
 
     def test_unknown_witness_spec(self, capsys):
         code = main(
@@ -222,6 +223,19 @@ class TestSpeedCheck:
             ]
         ) == 2
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_amplify_below_one_is_usage_error(self, k, capsys):
+        assert main(
+            [
+                "speed-check",
+                "--real", "geometric:1",
+                "--translation", "affine:1/2",
+                "--rho", "1/2",
+                "--amplify", k,
+            ]
+        ) == 2
+        assert "--amplify" in capsys.readouterr().err
+
 
 class TestConvert:
     def test_speedup_to_translation(self, tmp_path):
@@ -255,6 +269,18 @@ class TestConvert:
 
     def test_needs_exactly_one_direction(self, capsys):
         assert main(["convert", "--real", "geometric:1"]) == 2
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_amplify_below_one_is_usage_error(self, k, capsys):
+        assert main(
+            [
+                "convert",
+                "--real", "geometric:1",
+                "--translation", "affine:1/2",
+                "--amplify", k,
+            ]
+        ) == 2
+        assert "--amplify" in capsys.readouterr().err
 
 
 class TestMachines:

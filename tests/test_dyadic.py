@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lce_lab import DyadicString, dyadic_length, is_dyadic, real_from_set, truncate
+from lce_lab import (
+    DyadicString,
+    canonical_length,
+    dyadic_length,
+    is_dyadic,
+    real_from_set,
+    truncate,
+)
 from lce_lab.errors import DomainError
 
 
@@ -48,6 +55,28 @@ class TestDyadicLength:
     def test_matches_canonical_string_length(self, q):
         sigma = bits_by_long_division(q, 40).rstrip("0")
         assert dyadic_length(q) == len(sigma)
+
+
+class TestCanonicalLength:
+    @given(dyadics)
+    def test_is_dyadic_length_on_unit_dyadics(self, q):
+        assert canonical_length(q) == dyadic_length(q)
+
+    @pytest.mark.parametrize(
+        "q, length",
+        [
+            (Fraction(-5), 0),  # clamped to 0
+            (Fraction(7, 5), 64),  # clamped to 1 - 2**-64: sixty-four ones
+            (Fraction(1, 3), 64),  # 0.0101...01 at 64 bits ends in 1
+            (Fraction(2, 3), 63),  # 0.1010...10 at 64 bits ends in 0
+        ],
+    )
+    def test_filler_truncates_at_64_bits(self, q, length):
+        assert canonical_length(q) == length
+
+    @given(unit_rationals.filter(lambda q: not is_dyadic(q)))
+    def test_filler_is_length_of_the_truncation(self, q):
+        assert canonical_length(q, 12) == len(bits_by_long_division(q, 12).rstrip("0"))
 
 
 class TestTruncate:

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lce_lab import (
@@ -20,16 +20,55 @@ from lce_lab import (
     scaling_witness,
     set_real,
 )
+from lce_lab.dyadic import dyadic_length
 from lce_lab.errors import ConfigError, DomainError
 from lce_lab.reducibility import (
     REASON_GAP_BOUND,
     REASON_NOT_BELOW_ALPHA,
     REASON_UNDEFINED,
+    Violation,
+    ViolationReport,
 )
 
 
 def real(limit, name="r"):
     return geometric(Fraction(limit), name=name)
+
+
+def reference_check_witness(alpha, beta, witness, samples):
+    """The checker as a plain Fraction loop: the oracle for the integer kernel.
+
+    Unlike the per-denominator slack cache it once had, it validates every
+    weakened sample, so an out-of-range dyadic always raises.
+    """
+    a_limit, b_limit = alpha.limit, beta.limit
+    c = witness.constant
+    checked = skipped = 0
+    violations = []
+    best = None
+    for q in samples:
+        if not q < b_limit:
+            skipped += 1
+            continue
+        checked += 1
+        phi = witness.translate(q)
+        if phi is None:
+            violations.append(Violation(q, REASON_UNDEFINED, None, None))
+            continue
+        if not phi < a_limit:
+            violations.append(Violation(q, REASON_NOT_BELOW_ALPHA, phi, None))
+            continue
+        denom = b_limit - q
+        diff = a_limit - phi
+        bound = c * denom
+        if witness.weakened:
+            bound += Fraction(1, 1 << dyadic_length(q))
+        if best is None or diff / denom > best:
+            best = diff / denom
+        if not diff < bound:
+            violations.append(Violation(q, REASON_GAP_BOUND, phi, bound))
+    violations.sort(key=lambda v: v.sample)
+    return ViolationReport(witness.name, checked, skipped, violations, best)
 
 
 class TestCheckWitness:
@@ -94,13 +133,24 @@ class TestCheckWitness:
         )
         assert report.max_ratio_seen == Fraction(1, 2)
 
-    def test_worker_fanout_matches_serial(self):
-        x, y = real("2/3", "a"), real("1", "b")
-        w = scaling_witness(Fraction(2, 3), "forward")
-        samples = dyadic_samples(y.limit, 300)
-        serial = check_witness(x, y, w, samples)
-        fanned = check_witness(x, y, w, samples, workers=4)
-        assert serial.to_json_dict() == fanned.to_json_dict()
+    @given(st.randoms(use_true_random=False))
+    def test_report_ignores_sample_order(self, rng):
+        # identity with c = 2 holds for q < 1/3 and fails on [1/3, 1/2)
+        x, y = real("2/3", "a"), real("1/2", "b")
+        w = identity_witness(Fraction(2))
+        samples = dyadic_grid(7, Fraction(1))
+        shuffled = list(samples)
+        rng.shuffle(shuffled)
+        assert check_witness(x, y, w, shuffled).to_json_dict() == check_witness(
+            x, y, w, samples
+        ).to_json_dict()
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_weakened_rejects_out_of_range_dyadic_in_any_order(self, order):
+        w = TranslationWitness("wk", lambda q: Fraction(0), Fraction(1), weakened=True)
+        samples = [Fraction(1, 4), Fraction(-1, 4)][::order]
+        with pytest.raises(DomainError, match="0 <= q < 1, got -1/4"):
+            check_witness(real("1/2"), real("1"), w, samples)
 
     def test_violations_sorted_by_sample(self):
         w = identity_witness(Fraction(1))
@@ -260,6 +310,50 @@ class TestCheckerAgainstReference:
         assert report.passed == (not expect)
         if report.passed and report.samples_checked:
             assert report.max_ratio_seen < c
+
+
+@st.composite
+def checker_cases(draw):
+    """Random limits, constants and witness shapes that reach every verdict:
+    skips, passes, all three violation reasons and non-dyadic samples."""
+    limit = st.fractions(min_value="1/16", max_value=3, max_denominator=48)
+    alpha, beta = geometric(draw(limit), name="a"), geometric(draw(limit), name="b")
+    constant = draw(
+        st.just(Fraction(1)) | st.fractions(min_value="1/8", max_value=8, max_denominator=48)
+    )
+    u = draw(st.fractions(min_value=-1, max_value=3, max_denominator=48))
+    v = draw(st.fractions(min_value=-2, max_value=2, max_denominator=48))
+    translate = draw(
+        st.sampled_from(
+            [
+                lambda q: u + v * q,
+                lambda q: None if q.numerator % 3 == 0 else u + v * q,
+                lambda q: int(u),
+                computable_least_witness(alpha).translate,
+            ]
+        )
+    )
+    witness = TranslationWitness("w", translate, constant, weakened=draw(st.booleans()))
+    sample = st.one_of(
+        st.builds(Fraction, st.integers(-8, 100), st.sampled_from([1, 2, 4, 8, 16, 32])),
+        st.integers(-2, 3),
+        st.fractions(min_value=-1, max_value=3, max_denominator=24),
+    )
+    return alpha, beta, witness, draw(st.lists(sample, max_size=30))
+
+
+def _outcome(checker, *args):
+    try:
+        return checker(*args).to_json_dict()
+    except DomainError as e:
+        return ("DomainError", str(e))
+
+
+class TestIntegerKernelAgainstFractionLoop:
+    @settings(max_examples=400)
+    @given(checker_cases())
+    def test_reports_match(self, case):
+        assert _outcome(check_witness, *case) == _outcome(reference_check_witness, *case)
 
 
 class TestReportSerialization:
