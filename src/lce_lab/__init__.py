@@ -73,6 +73,7 @@ from .reals import (
     staircase,
 )
 from .reducibility import (
+    DyadicGrid,
     TranslationWitness,
     ViolationReport,
     check_witness,

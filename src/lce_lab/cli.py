@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import registry
-from .errors import LabError
+from .errors import ConfigError, LabError
 from .machines import check_usch, machine_from_dict, machine_to_dict, measure, uniformize
 from .reals import gallery_from_config
 from .reducibility import check_witness, default_samples, dyadic_samples
@@ -44,10 +44,16 @@ def _load_machine(path: str):
         return machine_from_dict(json.load(fh))
 
 
+def _check_horizon(horizon: int) -> int:
+    if horizon < 1:
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    return horizon
+
+
 def _cmd_gallery(args) -> int:
+    horizon = _check_horizon(args.horizon)
     with open(args.config) as fh:
         reals = gallery_from_config(json.load(fh))
-    horizon = args.horizon
     entries = []
     for x in reals:
         values = [x.approx(n) for n in range(horizon + 1)]
@@ -72,7 +78,7 @@ def _cmd_check_witness(args) -> int:
     beta = registry.parse_real(args.beta)
     constant = parse_rational(args.c) if args.c else Fraction(2)
     witness = registry.parse_witness(args.witness, constant, alpha)
-    if args.samples:
+    if args.samples is not None:
         samples = dyadic_samples(beta.limit, args.samples)
     else:
         samples = default_samples(beta, grid_depth=args.grid_depth)
@@ -107,7 +113,7 @@ def _cmd_convert(args) -> int:
         translation = translation_from_speedup(real, speedup)
         probes = [parse_rational(p) for p in (args.probes.split(",") if args.probes else [])]
         if not probes:
-            probes = [real.approx(i) for i in range(args.horizon + 1)]
+            probes = [real.approx(i) for i in range(_check_horizon(args.horizon) + 1)]
         mappings = []
         for q in probes:
             value = translation.evaluate(q)
@@ -117,11 +123,12 @@ def _cmd_convert(args) -> int:
         _emit_json({"direction": "speedup-to-translation", "mappings": mappings}, args.out)
         return EXIT_PASS
     if args.translation:
+        horizon = _check_horizon(args.horizon)
         translation = registry.parse_translation(args.translation, real)
         if args.amplify > 1:
             translation = amplify(translation, args.amplify)
         speedup = speedup_from_translation(real, translation)
-        mappings = [{"i": i, "f_i": speedup.evaluate(i)} for i in range(args.horizon + 1)]
+        mappings = [{"i": i, "f_i": speedup.evaluate(i)} for i in range(horizon + 1)]
         _emit_json({"direction": "translation-to-speedup", "mappings": mappings}, args.out)
         return EXIT_PASS
     raise LabError("convert needs --speedup or --translation")

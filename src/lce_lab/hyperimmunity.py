@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
-from .dyadic import canonical_length, real_from_set
+from .dyadic import canonical_length, dyadic_length, real_from_set
 from .dyadic import truncate  # noqa: F401  module attribute that perfbench/tracer.py wraps
 from .errors import ConfigError, PreconditionError, WitnessDegenerateError
 from .reals import DeskReal
@@ -236,8 +236,7 @@ def total_witness_from_majorizer(
     """
     cache: dict[int, Fraction] = {}
 
-    def translate(q: Fraction) -> Fraction:
-        length = canonical_length(q, precision)
+    def at_length(length: int) -> Fraction:
         value = cache.get(length)
         if value is None:
             depth = g(length)
@@ -249,9 +248,10 @@ def total_witness_from_majorizer(
 
     return TranslationWitness(
         name=f"bits({a.name})/majorized",
-        translate=translate,
+        translate=lambda q: at_length(canonical_length(q, precision)),
         constant=_ONE,
         total=True,
+        at_length=at_length,
     )
 
 
@@ -272,6 +272,12 @@ def k_bound_from_witness(
     strings; a genuine witness forces m(n) < c * 2**-(k(n)-1), so
     d + ceil(log2(1/m(n))) dominates k(n) once d covers the constant
     (default d = ceil(log2 c) + 1).
+
+    A witness with ``at_length`` takes one value per canonical length, so
+    the minimum is taken over the lengths 0..n instead of the 2**n strings.
+    They are visited in the order ascending k first reaches them (0 at q = 0,
+    then j = n, n-1, ..., 1 at q = 2**-j), so errors match the full
+    enumeration's.
     """
     if n < 0 or n > max_bits:
         raise PreconditionError(
@@ -282,12 +288,17 @@ def k_bound_from_witness(
     if d is None:
         d = ceil_log2(witness.constant) + 1
     a = alpha.limit
-    den = 1 << n
+    if witness.at_length is None:
+        samples = (Fraction(k, 1 << n) for k in range(1 << n))
+        translate = witness.translate
+    else:
+        samples = [Fraction(0)] + [Fraction(1, 1 << j) for j in range(n, 0, -1)]
+        translate = lambda q: witness.at_length(dyadic_length(q))
     best: Optional[Fraction] = None
-    for k in range(den):
-        phi = witness.translate(Fraction(k, den))
+    for q in samples:
+        phi = translate(q)
         if phi is None:
-            raise PreconditionError(f"total witness undefined at {Fraction(k, den)}")
+            raise PreconditionError(f"total witness undefined at {q}")
         residual = a - phi
         if residual > 0 and (best is None or residual < best):
             best = residual

@@ -15,8 +15,11 @@ quantified statement.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from numbers import Rational
 from typing import Callable, Iterable, Optional
 
 from .dyadic import canonical_length, dyadic_length, is_dyadic, truncate
@@ -38,6 +41,12 @@ class TranslationWitness:
     ``total`` promises a value for every rational input; partial witnesses may
     return None (undefined).  ``weakened`` switches the checker to the variant
     with the 2**-|q| slack.
+
+    ``at_length`` is set on witnesses whose value at a dyadic sample depends on
+    the sample's canonical length alone.  Its contract: for every dyadic q in
+    [0,1), ``translate(q) == at_length(|q|)``.  The witnesses built here derive
+    ``translate`` from ``at_length``, so the contract holds by construction;
+    the checker then translates once per length instead of once per sample.
     """
 
     name: str
@@ -45,6 +54,7 @@ class TranslationWitness:
     constant: Fraction
     total: bool = True
     weakened: bool = False
+    at_length: Optional[Callable[[int], Optional[Fraction]]] = None
 
     def __post_init__(self):
         if self.constant <= 0:
@@ -105,10 +115,9 @@ def check_witness(
     Samples at or above beta's limit are skipped (and counted).  Order of the
     input does not matter: violations come back sorted by sample value.
 
-    Every comparison runs on cross-multiplied integers; no Fraction is built
-    for a sample unless it is a violation.  With alpha = A/B, beta = C/D,
-    c = P/Q, a sample q = k/h and its translation phi(q) = n/m (all
-    denominators positive):
+    Every comparison runs on cross-multiplied integers.  With alpha = A/B,
+    beta = C/D, c = P/Q, a sample q = k/h in lowest terms and its translation
+    phi(q) = n/m (all denominators positive):
 
         skip            k*D >= C*h
         not below alpha A*m - n*B <= 0
@@ -117,45 +126,87 @@ def check_witness(
     where s = Q*D on the weakened variant (the slack 2**-|q| = 1/h) and 0 on
     the strict one.  The largest ratio (alpha - phi) / (beta - q) stays an
     integer pair until the end.
+
+    The loop runs over the pairs (k, h).  Any iterable of rationals gives
+    ``q.numerator, q.denominator``.  A ``DyadicGrid`` checked against a
+    witness with ``at_length`` is read by index instead: grid index j at
+    depth d reduces to (j/low, 2**d/low) with low = j & -j, so no Fraction
+    and no gcd is spent on a sample.  When the witness has ``at_length`` and
+    q is a dyadic in [0,1), phi and its integer terms (A*m - n*B, B*m,
+    (A*m - n*B)*D*h and that times Q) are computed once per length h and
+    reused; every other sample goes through ``translate(q)``.  Each sample
+    still gets its own skip, not-below and gap-bound verdict.  A Fraction is
+    built for q only for a ``translate`` call, a violation row or a domain
+    error.
     """
     a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
     c_num, c_den = witness.constant.numerator, witness.constant.denominator
-    translate = witness.translate
+    translate, at_length = witness.translate, witness.at_length
     weakened = witness.weakened
     qd = c_den * b_den  # Q*D
     slack = qd if weakened else 0  # s
+    # A grid inside [0,1) is read by index when the witness has at_length, so
+    # no sample needs a Fraction for translate; any other grid hands out its
+    # Fractions one at a time.
+    grid_den = 0
+    if at_length is not None and isinstance(samples, DyadicGrid) and len(samples) <= samples.denominator:
+        grid_den = samples.denominator
+    by_length: dict[int, tuple] = {}  # h -> length_terms(h)
+
+    def length_terms(h: int) -> tuple:
+        """phi at length log2(h) and the terms the loop below computes from it."""
+        phi = at_length(h.bit_length() - 1)
+        if phi is None:
+            return None, 0, 0, 0, 0
+        n, m = phi.numerator, phi.denominator
+        gap = a_num * m - n * a_den
+        gap_dh = gap * b_den * h
+        return phi, gap, a_den * m, gap_dh, gap_dh * c_den
 
     checked = 0
     skipped = 0
     violations: list[Violation] = []
     best_num, best_den = 0, 1
-    for q in samples:
-        k, h = q.numerator, q.denominator
+    for q in range(len(samples)) if grid_den else samples:
+        if grid_den:
+            low = q & -q or grid_den  # index 0 is 0/1
+            k, h, q = q // low, grid_den // low, None
+        else:
+            k, h = q.numerator, q.denominator
         room = b_num * h - k * b_den  # (beta - q) * D*h
         if room <= 0:
             skipped += 1
             continue
         checked += 1
-        phi = translate(q)
+        if at_length is not None and not h & (h - 1) and 0 <= k < h:
+            terms = by_length.get(h)
+            if terms is None:
+                terms = by_length[h] = length_terms(h)
+            phi, gap, bm, gap_dh, gap_dhq = terms
+        else:
+            phi = translate(q)
+            if phi is not None:
+                n, m = phi.numerator, phi.denominator
+                gap = a_num * m - n * a_den  # (alpha - phi) * B*m
+                bm = a_den * m
+                gap_dh = gap * b_den * h
+                gap_dhq = gap_dh * c_den
         if phi is None:
-            violations.append(Violation(q, REASON_UNDEFINED, None, None))
-            continue
-        n, m = phi.numerator, phi.denominator
-        gap = a_num * m - n * a_den  # (alpha - phi) * B*m
-        if gap <= 0:
-            violations.append(Violation(q, REASON_NOT_BELOW_ALPHA, phi, None))
-            continue
-        if weakened and (h & (h - 1) or k < 0 or k >= h):
-            dyadic_length(q)  # raises the proper domain error
-        bm = a_den * m
-        gap_dh = gap * b_den * h
-        room_bm = room * bm  # (alpha - phi) / (beta - q) = gap_dh / room_bm
-        if gap_dh * best_den > best_num * room_bm:
-            best_num, best_den = gap_dh, room_bm
-        allowed = c_num * room + slack
-        if not gap_dh * c_den < allowed * bm:
-            violations.append(Violation(q, REASON_GAP_BOUND, phi, Fraction(allowed, qd * h)))
+            reason, bound = REASON_UNDEFINED, None
+        elif gap <= 0:
+            reason, bound = REASON_NOT_BELOW_ALPHA, None
+        else:
+            if weakened and (h & (h - 1) or k < 0 or k >= h):
+                dyadic_length(q)  # raises the proper domain error
+            room_bm = room * bm  # (alpha - phi) / (beta - q) = gap_dh / room_bm
+            if gap_dh * best_den > best_num * room_bm:
+                best_num, best_den = gap_dh, room_bm
+            allowed = c_num * room + slack
+            if gap_dhq < allowed * bm:
+                continue
+            reason, bound = REASON_GAP_BOUND, Fraction(allowed, qd * h)
+        violations.append(Violation(Fraction(k, h) if q is None else q, reason, phi, bound))
     violations.sort(key=lambda v: v.sample)
     return ViolationReport(
         witness=witness.name,
@@ -230,8 +281,7 @@ def computable_least_witness(alpha: DeskReal) -> TranslationWitness:
     dyadic_alpha = is_dyadic(frac_part)
     cache: dict[int, Fraction] = {}
 
-    def translate(q: Fraction) -> Fraction:
-        length = canonical_length(q)
+    def at_length(length: int) -> Fraction:
         value = cache.get(length)
         if value is None:
             if dyadic_alpha:
@@ -243,10 +293,11 @@ def computable_least_witness(alpha: DeskReal) -> TranslationWitness:
 
     return TranslationWitness(
         name=f"least({alpha.name})",
-        translate=translate,
+        translate=lambda q: at_length(canonical_length(q)),
         constant=_ONE,
         total=True,
         weakened=True,
+        at_length=at_length,
     )
 
 
@@ -254,18 +305,73 @@ def computable_least_witness(alpha: DeskReal) -> TranslationWitness:
 # Sample schedules
 
 
-def dyadic_grid(depth: int, below: Fraction) -> list[Fraction]:
+@dataclass(frozen=True, eq=False)
+class DyadicGrid(Sequence):
+    """The dyadic rationals k/2**depth for 0 <= k < size, ascending.
+
+    An immutable sequence of Fractions that stores only its two integers:
+    samples are built when indexed or iterated, so a grid of any size takes
+    constant memory.  It compares equal to any sequence with the same
+    elements, e.g. ``DyadicGrid(3, 4) == [Fraction(k, 8) for k in range(4)]``.
+    """
+
+    depth: int
+    size: int
+
+    def __post_init__(self):
+        if self.depth < 0:
+            raise ConfigError(f"grid depth must be >= 0, got {self.depth}")
+        if self.size < 0:
+            raise ConfigError(f"grid size must be >= 0, got {self.size}")
+
+    @property
+    def denominator(self) -> int:
+        return 1 << self.depth
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index):
+        try:
+            ks = range(self.size)[index]
+        except IndexError:
+            raise IndexError(f"grid index {index} out of range for size {self.size}") from None
+        if isinstance(ks, range):
+            return [Fraction(k, self.denominator) for k in ks]
+        return Fraction(ks, self.denominator)
+
+    def __iter__(self):
+        return map(Fraction, range(self.size), repeat(self.denominator))
+
+    def __contains__(self, value) -> bool:
+        if not isinstance(value, Rational):
+            return super().__contains__(value)
+        num, den = value.numerator, value.denominator
+        if den & (den - 1) or den > self.denominator:
+            return False
+        return 0 <= num * (self.denominator // den) < self.size
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence):
+            return len(other) == self.size and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
+def _count_below(depth: int, below: Fraction) -> int:
+    """How many multiples of 2**-depth lie in [0, below)."""
+    # ceil gives the right count whether or not the bound lands on the grid
+    # (strict inequality either way).
+    return max(-(-(below.numerator << depth) // below.denominator), 0)
+
+
+def dyadic_grid(depth: int, below: Fraction) -> DyadicGrid:
     """All multiples of 2**-depth in [0, below), ascending."""
     if depth < 0:
         raise ConfigError(f"grid depth must be >= 0, got {depth}")
-    den = 1 << depth
-    # k ranges over 0 <= k < below * den; ceil gives the right count whether
-    # or not the bound lands on the grid (strict inequality either way).
-    count = -(-(below.numerator * den) // below.denominator)
-    return [Fraction(k, den) for k in range(max(count, 0))]
+    return DyadicGrid(depth, _count_below(depth, below))
 
 
-def dyadic_samples(below: Fraction, count: int) -> list[Fraction]:
+def dyadic_samples(below: Fraction, count: int) -> DyadicGrid:
     """The first ``count`` dyadic rationals below the bound, from the shallowest
     grid that holds that many."""
     if below <= 0:
@@ -273,11 +379,9 @@ def dyadic_samples(below: Fraction, count: int) -> list[Fraction]:
     if count < 1:
         raise ConfigError(f"sample count must be positive, got {count}")
     depth = 0
-    while True:
-        grid = dyadic_grid(depth, below)
-        if len(grid) >= count:
-            return grid[:count]
+    while _count_below(depth, below) < count:
         depth += 1
+    return DyadicGrid(depth, count)
 
 
 def default_samples(

@@ -112,6 +112,20 @@ class TestCheckWitness:
         assert proc.returncode == 1, proc.stderr
         assert json.loads(out.read_text())["passed"] is False
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_nonpositive_sample_count_is_usage_error(self, count, capsys):
+        code = main(
+            [
+                "check-witness",
+                "--alpha", "geometric:1",
+                "--beta", "geometric:1",
+                "--witness", "identity",
+                "--samples", count,
+            ]
+        )
+        assert code == 2
+        assert f"sample count must be positive, got {count}" in capsys.readouterr().err
+
     def test_unknown_witness_spec(self, capsys):
         code = main(
             [
@@ -270,6 +284,18 @@ class TestConvert:
     def test_needs_exactly_one_direction(self, capsys):
         assert main(["convert", "--real", "geometric:1"]) == 2
 
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    @pytest.mark.parametrize("direction", [["--translation", "affine:1/2"], ["--speedup", "linear:2"]])
+    def test_horizon_below_one_is_usage_error(self, direction, horizon, capsys):
+        assert main(["convert", "--real", "geometric:1", *direction, "--horizon", horizon]) == 2
+        assert f"horizon must be >= 1, got {horizon}" in capsys.readouterr().err
+
+    def test_probes_make_the_horizon_unused(self, tmp_path):
+        out = tmp_path / "conv.json"
+        argv = ["convert", "--real", "geometric:1", "--speedup", "linear:2", "--probes", "1/2"]
+        assert main(argv + ["--horizon", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["mappings"] == [{"q": "1/2", "g_q": "3/4"}]
+
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_amplify_below_one_is_usage_error(self, k, capsys):
         assert main(
@@ -365,6 +391,15 @@ class TestGallery:
         )
         assert main(["gallery", "--config", str(config)]) == 2
         assert "entry 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_horizon_below_one_is_usage_error(self, tmp_path, horizon, capsys):
+        config = tmp_path / "gallery.json"
+        config.write_text(dump_json([{"name": "g1", "kind": "geometric", "parameters": {"limit": "1"}}]))
+        out = tmp_path / "report.json"
+        assert main(["gallery", "--config", str(config), "--horizon", horizon, "--out", str(out)]) == 2
+        assert f"horizon must be >= 1, got {horizon}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_without_subcommand(self):
         assert main([]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,8 @@ from lce_lab import (
     squares,
     total_witness_from_majorizer,
 )
-from lce_lab.errors import PreconditionError, WitnessDegenerateError
+from lce_lab.dyadic import canonical_length
+from lce_lab.errors import LabError, PreconditionError, WitnessDegenerateError
 from lce_lab.hyperimmunity import NaturalSet, _next_member
 
 
@@ -163,6 +165,19 @@ class TestTotalWitnessFromMajorizer:
         report = check_witness(alpha, beta, w, samples)
         assert report.passed and report.samples_checked == 17
 
+    @given(
+        st.sampled_from(["evens", "odds", "squares", "powers"]),
+        st.integers(0, 3),
+        st.integers(8, 64),
+        st.one_of(
+            st.builds(Fraction, st.integers(0, 255), st.sampled_from([1, 2, 4, 64, 256])),
+            st.fractions(min_value=-2, max_value=3, max_denominator=50),
+        ),
+    )
+    def test_translate_is_at_length_of_canonical_length(self, kind, b, precision, q):
+        w = total_witness_from_majorizer(set_from_config({"kind": kind}), lambda n: n + b, precision)
+        assert w.translate(q) == w.at_length(canonical_length(q, precision))
+
     def test_non_dyadic_inputs_get_truncated(self):
         w = total_witness_from_majorizer(evens(), lambda n: n + 1)
         assert w.translate(Fraction(1, 3)) < Fraction(2, 3)
@@ -198,6 +213,51 @@ class TestKBoundFromWitness:
     def test_enumeration_cap(self):
         with pytest.raises(PreconditionError):
             k_bound_from_witness(self.witness, self.alpha, 21)
+
+    @pytest.mark.parametrize("kind", ["evens", "odds", "squares", "powers"])
+    @pytest.mark.parametrize(
+        "g", [lambda n: n, lambda n: n + 3, lambda n: 2 * n + 1, lambda n: n * n // 3]
+    )
+    def test_per_length_bound_matches_full_enumeration(self, kind, g):
+        a = set_from_config({"kind": kind})
+        alpha = geometric(Fraction(2, 3), name="two-thirds")
+        for n in range(13):
+            keyed = total_witness_from_majorizer(a, g)
+            enumerated = dataclasses.replace(total_witness_from_majorizer(a, g), at_length=None)
+            assert self._outcome(keyed, alpha, n) == self._outcome(enumerated, alpha, n), n
+
+    @pytest.mark.parametrize(
+        "at_length",
+        [
+            lambda j: None if j in (2, 5) else Fraction(1, 4),  # undefined at 1/4 or 1/32
+            lambda j: None if j == 0 else Fraction(1, 4),  # undefined at 0
+            lambda j: Fraction(1, 2),  # no positive residual below 1/3
+            lambda j: Fraction(1, 3) - Fraction(j + 1, 1 << (2 * j + 3)),
+        ],
+    )
+    def test_per_length_errors_match_full_enumeration(self, at_length):
+        keyed = TranslationWitness(
+            "keyed", lambda q: at_length(canonical_length(q)), Fraction(1), at_length=at_length
+        )
+        enumerated = dataclasses.replace(keyed, at_length=None)
+        for n in range(9):
+            expect = self._outcome(enumerated, self.alpha, n)
+            assert self._outcome(keyed, self.alpha, n) == expect, n
+
+    def test_bad_majorizer_value_raises_at_the_same_length(self):
+        g = lambda n: -1 if n in (3, 6) else n + 2
+        keyed = total_witness_from_majorizer(evens(), g)
+        enumerated = dataclasses.replace(total_witness_from_majorizer(evens(), g), at_length=None)
+        expect = "majorizer value g(6) = -1 is not a natural"
+        assert self._outcome(keyed, self.alpha, 8) == ("PreconditionError", expect)
+        assert self._outcome(enumerated, self.alpha, 8) == ("PreconditionError", expect)
+
+    @staticmethod
+    def _outcome(witness, alpha, n):
+        try:
+            return k_bound_from_witness(witness, alpha, n)
+        except LabError as e:
+            return (type(e).__name__, str(e))
 
     def test_degenerate_witness_detected(self):
         w = TranslationWitness("above", lambda q: Fraction(1), Fraction(1))

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lce_lab import (
+    DyadicGrid,
     TranslationWitness,
     check_witness,
     compose_witnesses,
@@ -14,14 +18,16 @@ from lce_lab import (
     default_samples,
     dyadic_grid,
     dyadic_samples,
+    evens,
     geometric,
     identity_witness,
     scale,
     scaling_witness,
     set_real,
 )
-from lce_lab.dyadic import dyadic_length
-from lce_lab.errors import ConfigError, DomainError
+from lce_lab.dyadic import canonical_length, dyadic_length
+from lce_lab.errors import ConfigError, DomainError, LabError
+from lce_lab.hyperimmunity import total_witness_from_majorizer
 from lce_lab.reducibility import (
     REASON_GAP_BOUND,
     REASON_NOT_BELOW_ALPHA,
@@ -255,6 +261,17 @@ class TestLeastWitness:
             value = w.translate(q)
             assert value < Fraction(2, 3)
 
+    @given(
+        st.fractions(min_value="1/32", max_value=3, max_denominator=40),
+        st.one_of(
+            st.builds(Fraction, st.integers(0, 255), st.sampled_from([1, 2, 4, 64, 256])),
+            st.fractions(min_value=-2, max_value=3, max_denominator=50),
+        ),
+    )
+    def test_translate_is_at_length_of_canonical_length(self, limit, q):
+        w = computable_least_witness(real(limit))
+        assert w.translate(q) == w.at_length(canonical_length(q))
+
 
 class TestSampleSchedules:
     def test_grid_is_every_multiple_below(self):
@@ -270,11 +287,81 @@ class TestSampleSchedules:
         assert all(q < Fraction(2, 3) for q in samples)
         assert samples == sorted(set(samples))
 
+    def test_dyadic_samples_is_a_grid_prefix(self):
+        # 2/3 holds 6 multiples of 1/8: the shallowest grid with 5 samples.
+        assert dyadic_samples(Fraction(2, 3), 5) == DyadicGrid(3, 5)
+        assert dyadic_samples(Fraction(2, 3), 5) == dyadic_grid(3, Fraction(2, 3))[:5]
+
+    def test_huge_sample_count_is_lazy(self):
+        samples = dyadic_samples(Fraction(1), 10**9)
+        assert isinstance(samples, DyadicGrid)
+        assert len(samples) == 10**9
+        assert samples[-1] == Fraction(10**9 - 1, 1 << 30)
+
     def test_default_samples_include_approximations(self):
         beta = real("1")
         samples = default_samples(beta, approx_count=8, grid_depth=4)
         assert beta.approx(5) in samples
         assert all(q < beta.limit for q in samples)
+
+
+class TestDyadicGrid:
+    GRID = DyadicGrid(3, 6)
+    LIST = [Fraction(k, 8) for k in range(6)]
+
+    def test_is_an_immutable_sequence(self):
+        assert isinstance(self.GRID, Sequence)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.GRID.size = 7
+        with pytest.raises(TypeError):
+            self.GRID[0] = Fraction(0)
+
+    def test_rejects_negative_shape(self):
+        with pytest.raises(ConfigError, match="depth"):
+            DyadicGrid(-1, 3)
+        with pytest.raises(ConfigError, match="size"):
+            DyadicGrid(2, -1)
+
+    def test_len_iteration_and_reversal(self):
+        assert len(self.GRID) == 6 and len(DyadicGrid(5, 0)) == 0
+        assert list(self.GRID) == self.LIST
+        assert list(reversed(self.GRID)) == self.LIST[::-1]
+        assert all(type(q) is Fraction for q in self.GRID)
+
+    @given(st.integers(-8, 7))
+    def test_indexing_like_a_list(self, i):
+        if -6 <= i < 6:
+            assert self.GRID[i] == self.LIST[i]
+        else:
+            with pytest.raises(IndexError):
+                self.GRID[i]
+
+    @given(st.slices(10))
+    def test_slicing_like_a_list(self, s):
+        assert self.GRID[s] == self.LIST[s]
+
+    @given(
+        st.one_of(
+            st.fractions(min_value=-1, max_value=2, max_denominator=32),
+            st.integers(-2, 2),
+            st.sampled_from([0.25, 0.3, 1.0, float("nan"), "1/8", None]),
+        )
+    )
+    def test_membership_like_a_list(self, value):
+        assert (value in self.GRID) == (value in self.LIST)
+
+    def test_equality_against_sequences(self):
+        assert self.GRID == self.LIST and self.LIST == self.GRID
+        assert self.GRID == tuple(self.LIST)
+        assert self.GRID != self.LIST[:-1] and self.GRID != self.LIST[::-1]
+        assert self.GRID != DyadicGrid(4, 6) and self.GRID == DyadicGrid(3, 6)
+        assert DyadicGrid(2, 1) == DyadicGrid(7, 1) == [Fraction(0)]
+        assert DyadicGrid(2, 0) == DyadicGrid(7, 0) == []
+        assert self.GRID != {"a": 1} and self.GRID != 3
+
+    def test_index_and_count(self):
+        assert self.GRID.index(Fraction(3, 8)) == 3
+        assert self.GRID.count(Fraction(1, 4)) == 1 and self.GRID.count(Fraction(7, 8)) == 0
 
 
 class TestCheckerAgainstReference:
@@ -312,6 +399,48 @@ class TestCheckerAgainstReference:
             assert report.max_ratio_seen < c
 
 
+def length_keyed(u, v):
+    """A length-keyed translation that is undefined on every third length."""
+
+    def at_length(length):
+        return None if length % 3 == 2 else u + v * Fraction(1, 1 << length)
+
+    return at_length
+
+
+@st.composite
+def witnesses(draw, alpha, constant, u, v):
+    """Witness shapes with and without ``at_length``, strict and weakened."""
+    least = computable_least_witness(alpha)
+    bits = total_witness_from_majorizer(evens(), lambda n: n + draw(st.integers(0, 3)))
+    at_length = length_keyed(u, v)
+    weakened = draw(st.booleans())
+    return draw(
+        st.sampled_from(
+            [
+                TranslationWitness("affine", lambda q: u + v * q, constant, weakened=weakened),
+                TranslationWitness(
+                    "partial",
+                    lambda q: None if q.numerator % 3 == 0 else u + v * q,
+                    constant,
+                    weakened=weakened,
+                ),
+                TranslationWitness("int", lambda q: int(u), constant, weakened=weakened),
+                dataclasses.replace(least, constant=constant, weakened=weakened),
+                dataclasses.replace(least, constant=constant, weakened=weakened, at_length=None),
+                dataclasses.replace(bits, constant=constant, weakened=weakened),
+                TranslationWitness(
+                    "keyed",
+                    lambda q: at_length(canonical_length(q)),
+                    constant,
+                    weakened=weakened,
+                    at_length=at_length,
+                ),
+            ]
+        )
+    )
+
+
 @st.composite
 def checker_cases(draw):
     """Random limits, constants and witness shapes that reach every verdict:
@@ -323,17 +452,7 @@ def checker_cases(draw):
     )
     u = draw(st.fractions(min_value=-1, max_value=3, max_denominator=48))
     v = draw(st.fractions(min_value=-2, max_value=2, max_denominator=48))
-    translate = draw(
-        st.sampled_from(
-            [
-                lambda q: u + v * q,
-                lambda q: None if q.numerator % 3 == 0 else u + v * q,
-                lambda q: int(u),
-                computable_least_witness(alpha).translate,
-            ]
-        )
-    )
-    witness = TranslationWitness("w", translate, constant, weakened=draw(st.booleans()))
+    witness = draw(witnesses(alpha, constant, u, v))
     sample = st.one_of(
         st.builds(Fraction, st.integers(-8, 100), st.sampled_from([1, 2, 4, 8, 16, 32])),
         st.integers(-2, 3),
@@ -342,11 +461,27 @@ def checker_cases(draw):
     return alpha, beta, witness, draw(st.lists(sample, max_size=30))
 
 
+@st.composite
+def grid_cases(draw):
+    """checker_cases over a lazy grid k/2**d for 0 <= k < b * 2**d; b > 1
+    puts samples at or above 1 on the grid."""
+    limit = st.fractions(min_value="1/16", max_value=3, max_denominator=48)
+    alpha, beta = geometric(draw(limit), name="a"), geometric(draw(limit), name="b")
+    constant = draw(
+        st.just(Fraction(1)) | st.fractions(min_value="1/8", max_value=8, max_denominator=48)
+    )
+    u = draw(st.fractions(min_value=-1, max_value=3, max_denominator=48))
+    v = draw(st.fractions(min_value=-2, max_value=2, max_denominator=48))
+    witness = draw(witnesses(alpha, constant, u, v))
+    grid = dyadic_grid(draw(st.integers(0, 7)), draw(limit))
+    return alpha, beta, witness, grid
+
+
 def _outcome(checker, *args):
     try:
         return checker(*args).to_json_dict()
-    except DomainError as e:
-        return ("DomainError", str(e))
+    except LabError as e:
+        return (type(e).__name__, str(e))
 
 
 class TestIntegerKernelAgainstFractionLoop:
@@ -354,6 +489,51 @@ class TestIntegerKernelAgainstFractionLoop:
     @given(checker_cases())
     def test_reports_match(self, case):
         assert _outcome(check_witness, *case) == _outcome(reference_check_witness, *case)
+
+    @settings(max_examples=400)
+    @given(grid_cases())
+    def test_grid_reports_match(self, case):
+        alpha, beta, witness, grid = case
+        assert isinstance(grid, DyadicGrid)
+        expect = _outcome(reference_check_witness, alpha, beta, witness, list(grid))
+        assert _outcome(check_witness, alpha, beta, witness, grid) == expect
+
+    def test_weakened_grid_beyond_one_raises_like_the_oracle(self):
+        alpha, beta = real("2/3"), real("3")
+        w = computable_least_witness(alpha)
+        grid = dyadic_grid(3, Fraction(3, 2))
+        with pytest.raises(DomainError) as got:
+            check_witness(alpha, beta, w, grid)
+        with pytest.raises(DomainError) as expect:
+            reference_check_witness(alpha, beta, w, list(grid))
+        assert str(got.value) == str(expect.value) == "dyadic_length needs 0 <= q < 1, got 1"
+
+    def test_at_length_replaces_per_sample_translate(self):
+        calls = []
+        least = computable_least_witness(real("2/3"))
+
+        def counted(q):
+            calls.append(q)
+            return least.translate(q)
+
+        w = dataclasses.replace(least, translate=counted)
+        report = check_witness(real("2/3"), real("1"), w, dyadic_grid(12, Fraction(1)))
+        assert report.passed and report.samples_checked == 1 << 12
+        assert calls == []
+
+    def test_grid_sweep_runs_in_constant_memory(self):
+        # The 2**16 samples as a list of Fractions would take about 7.5 MB.
+        # Depth 16 rather than 20 because tracing slows the loop ~45-fold.
+        alpha, beta = real("2/3"), real("1")
+        w = computable_least_witness(alpha)
+        tracemalloc.start()
+        try:
+            report = check_witness(alpha, beta, w, dyadic_grid(16, Fraction(1)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.samples_checked == 1 << 16
+        assert peak < 1 << 20
 
 
 class TestReportSerialization:
