@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import registry
+from .dyadic import is_dyadic
 from .errors import ConfigError, LabError
 from .machines import check_usch, machine_from_dict, machine_to_dict, measure, uniformize
 from .reals import gallery_from_config
@@ -82,6 +83,10 @@ def _cmd_check_witness(args) -> int:
         samples = dyadic_samples(beta.limit, args.samples)
     else:
         samples = default_samples(beta, grid_depth=args.grid_depth)
+        if witness.weakened:
+            # The weakened check is defined on dyadic samples only; beta's
+            # approximation points need not be dyadic.
+            samples = [q for q in samples if is_dyadic(q)]
     report = check_witness(alpha, beta, witness, samples)
     _emit_json(report.to_json_dict(), args.out)
     return EXIT_PASS if report.passed else EXIT_VIOLATION

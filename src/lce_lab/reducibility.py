@@ -84,6 +84,19 @@ class ViolationReport:
         return not self.violations
 
     def to_json_dict(self) -> dict:
+        # One row per violation, so rational_str is inlined: each Fraction's
+        # numerator and denominator are read once, as a pair.
+        rows = []
+        for v in self.violations:
+            n, d = v.sample.as_integer_ratio()
+            row = {"q": f"{n}/{d}" if d != 1 else str(n), "reason": v.reason, "phi_q": None, "bound": None}
+            if v.phi is not None:
+                n, d = v.phi.as_integer_ratio()
+                row["phi_q"] = f"{n}/{d}" if d != 1 else str(n)
+            if v.bound is not None:
+                n, d = v.bound.as_integer_ratio()
+                row["bound"] = f"{n}/{d}" if d != 1 else str(n)
+            rows.append(row)
         return {
             "witness": self.witness,
             "passed": self.passed,
@@ -92,15 +105,7 @@ class ViolationReport:
             "max_ratio_seen": (
                 rational_str(self.max_ratio_seen) if self.max_ratio_seen is not None else None
             ),
-            "violations": [
-                {
-                    "q": rational_str(v.sample),
-                    "reason": v.reason,
-                    "phi_q": rational_str(v.phi) if v.phi is not None else None,
-                    "bound": rational_str(v.bound) if v.bound is not None else None,
-                }
-                for v in self.violations
-            ],
+            "violations": rows,
         }
 
 
@@ -113,7 +118,8 @@ def check_witness(
     """Evaluate the witness inequality at every sample below beta's limit.
 
     Samples at or above beta's limit are skipped (and counted).  Order of the
-    input does not matter: violations come back sorted by sample value.
+    input does not matter: violations come back sorted by sample value (a
+    ``DyadicGrid`` is ascending, so only other iterables are sorted).
 
     Every comparison runs on cross-multiplied integers.  With alpha = A/B,
     beta = C/D, c = P/Q, a sample q = k/h in lowest terms and its translation
@@ -207,7 +213,8 @@ def check_witness(
                 continue
             reason, bound = REASON_GAP_BOUND, Fraction(allowed, qd * h)
         violations.append(Violation(Fraction(k, h) if q is None else q, reason, phi, bound))
-    violations.sort(key=lambda v: v.sample)
+    if not isinstance(samples, DyadicGrid):  # a grid is ascending already
+        violations.sort(key=lambda v: v.sample)
     return ViolationReport(
         witness=witness.name,
         samples_checked=checked,

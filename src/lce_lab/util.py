@@ -11,6 +11,9 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 
 from .errors import ConfigError
 
@@ -79,8 +82,96 @@ def ceil_log2(x: Fraction) -> int:
 
 
 def dump_json(obj) -> str:
-    """Deterministic JSON: sorted keys, stable indentation, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON: sorted keys, two-space indentation, trailing newline.
+
+    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
+    of the running Python, byte for byte.  Before 3.14 that call never uses
+    the C encoder once ``indent`` is set, so documents built from dicts with
+    str keys, lists, str, int, bool and None (exact types) go through a small
+    writer here instead: strings through the C ``encode_basestring_ascii``,
+    ints through ``int.__repr__``, and a list of flat dicts sharing one key set
+    (violation rows, machine entries) through fixed row pieces joined once
+    per item.  Any other value or key type, a float, a tuple, a subclass, hands
+    the whole document to that ``json.dumps`` call, as does a recursion too
+    deep for the writer, so such documents get the stdlib's output or error.
+    """
+    try:
+        return _json_value(obj, "\n") + "\n"
+    except (_Unsupported, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class _Unsupported(Exception):
+    """A value or key the writer leaves to ``json.dumps``."""
+
+
+_SCALAR_TYPES = frozenset((str, int, bool, type(None)))
+
+
+def _json_scalar(value) -> str:
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise _Unsupported
+
+
+def _json_value(value, indent: str) -> str:
+    """``value`` as JSON; ``indent`` is the newline and indentation of its line."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        if any(type(key) is not str for key in value):
+            raise _Unsupported
+        inner = indent + "  "
+        items = [_json_str(key) + ": " + _json_value(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = _json_rows(value, inner) or [_json_value(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return _json_scalar(value)
+
+
+def _json_rows(items: list, indent: str):
+    """The items of a list of flat dicts with one key set, or None for any other list.
+
+    Each column is encoded in one pass, and each row is one join of those
+    values between fixed pieces ('{', the indented keys, '}') built once.
+    """
+    first = items[0]
+    if type(first) is not dict or not first:
+        return None
+    width = len(first)
+    if set(map(type, items)) != {dict} or set(map(len, items)) != {width}:
+        return None
+    if set(map(type, chain.from_iterable(items))) != {str}:
+        return None
+    inner = indent + "  "
+    pieces = []
+    for key in sorted(first):
+        try:
+            column = list(map(itemgetter(key), items))
+        except KeyError:
+            return None
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            encoded = map(_json_str, column)
+        elif kinds <= _SCALAR_TYPES:
+            encoded = map(_json_scalar, column)
+        else:
+            return None
+        pieces += [repeat(("," if pieces else "{") + inner + _json_str(key) + ": "), encoded]
+    pieces.append(repeat(indent + "}"))
+    return list(map("".join, zip(*pieces)))
 
 
 def atomic_write_text(path: str, text: str) -> None:

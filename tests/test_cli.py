@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from lce_lab import check_witness, computable_least_witness, default_samples
 from lce_lab.cli import main
+from lce_lab.registry import parse_real
 from lce_lab.util import dump_json
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -111,6 +113,33 @@ class TestCheckWitness:
         )
         assert proc.returncode == 1, proc.stderr
         assert json.loads(out.read_text())["passed"] is False
+
+    def test_weakened_default_schedule_drops_non_dyadic_points(self, tmp_path):
+        # geometric:7/9 approximates through non-dyadic points such as 7/18
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "check-witness",
+                "--alpha", "geometric:5/8",
+                "--beta", "geometric:7/9",
+                "--witness", "least",
+                "--out", str(out),
+            ]
+        )
+        assert code in (0, 1)
+        doc = json.loads(out.read_text())
+        assert doc["samples_checked"] > 0 and doc["witness"] == "least(geometric:5/8)"
+
+    def test_weakened_default_schedule_keeps_dyadic_beta_points(self, tmp_path):
+        # geometric:1 approximates through dyadics only, so nothing is dropped
+        out = tmp_path / "report.json"
+        code = main(
+            ["check-witness", "--alpha", "set:evens", "--beta", "geometric:1", "--witness", "least", "--out", str(out)]
+        )
+        alpha, beta = parse_real("set:evens"), parse_real("geometric:1")
+        report = check_witness(alpha, beta, computable_least_witness(alpha), default_samples(beta))
+        assert code == 0
+        assert out.read_text() == dump_json(report.to_json_dict())
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_nonpositive_sample_count_is_usage_error(self, count, capsys):
@@ -403,3 +432,66 @@ class TestGallery:
 
     def test_usage_error_without_subcommand(self):
         assert main([]) == 2
+
+
+def stdlib_form(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+class TestDeterministicReports:
+    """The same inputs give byte-identical report files, in json.dumps's layout."""
+
+    @pytest.fixture
+    def wide_machine_file(self, tmp_path):
+        # all 2**7 codes of width 7; the first ones code prefixes of set:evens
+        entries = [
+            {"code": format(j, "07b"), "output": ("10" * 8)[: j + 1] if j < 16 else format(j * 37 % 101, "b")}
+            for j in range(1 << 7)
+        ]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"name": "wide", "entries": entries}))
+        return str(path)
+
+    def run_twice(self, tmp_path, name, argv, expect):
+        texts = []
+        for attempt in (1, 2):
+            out = tmp_path / f"{name}-{attempt}.json"
+            assert main(argv + ["--out", str(out)]) == expect
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        text = texts[0].decode("ascii")
+        assert text == stdlib_form(text)
+        return tmp_path / f"{name}-1.json", json.loads(text)
+
+    def test_violating_check_witness(self, tmp_path):
+        argv = [
+            "check-witness",
+            "--alpha", "geometric:11/8",
+            "--beta", "geometric:1",
+            "--witness", "identity",
+            "--c", "3/2",
+            "--samples", "600",
+        ]
+        _, doc = self.run_twice(tmp_path, "check", argv, expect=1)
+        assert len(doc["violations"]) > 300
+
+    def test_cmm_build_and_check(self, tmp_path, wide_machine_file):
+        built, doc = self.run_twice(
+            tmp_path, "build", ["cmm-build", "--B", wide_machine_file, "--witness", "identity", "--c", "3"], expect=0
+        )
+        assert len(doc["entries"]) == 4 << 7
+        _, doc = self.run_twice(
+            tmp_path,
+            "check",
+            [
+                "cmm-check",
+                "--A", str(built),
+                "--B", wide_machine_file,
+                "--alpha", "set:evens",
+                "--beta", "set:evens",
+                "--c", "2",
+                "--n-max", "16",
+            ],
+            expect=0,
+        )
+        assert len(doc["rows"]) == 16

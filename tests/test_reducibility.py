@@ -139,17 +139,31 @@ class TestCheckWitness:
         )
         assert report.max_ratio_seen == Fraction(1, 2)
 
+    def test_least_witness_rejects_non_dyadic_sample(self):
+        x = real("5/8")
+        with pytest.raises(DomainError, match="dyadic_length needs a dyadic rational, got 7/18"):
+            check_witness(x, real("7/9"), computable_least_witness(x), [Fraction(1, 4), Fraction(7, 18)])
+
     @given(st.randoms(use_true_random=False))
     def test_report_ignores_sample_order(self, rng):
-        # identity with c = 2 holds for q < 1/3 and fails on [1/3, 1/2)
-        x, y = real("2/3", "a"), real("1/2", "b")
-        w = identity_witness(Fraction(2))
-        samples = dyadic_grid(7, Fraction(1))
-        shuffled = list(samples)
-        rng.shuffle(shuffled)
-        assert check_witness(x, y, w, shuffled).to_json_dict() == check_witness(
-            x, y, w, samples
-        ).to_json_dict()
+        # A grid's violations are left in grid order; any other input is sorted.
+        cases = [
+            # a Fraction per grid sample: identity with c = 2 fails on [1/3, 1/2)
+            ("2/3", "1/2", identity_witness(Fraction(2))),
+            # read by index: least(3/4), strict and with c = 1/64, fails near q = 1/2
+            ("3/4", "1/2", dataclasses.replace(
+                computable_least_witness(real("3/4")), weakened=False, constant=Fraction(1, 64)
+            )),
+        ]
+        samples = dyadic_grid(9, Fraction(1))
+        for alpha, beta, w in cases:
+            x, y = real(alpha, "a"), real(beta, "b")
+            report = check_witness(x, y, w, samples).to_json_dict()
+            assert len(report["violations"]) > 40
+            shuffled = list(samples)
+            rng.shuffle(shuffled)
+            for reordered in (shuffled, list(samples)[::-1]):
+                assert check_witness(x, y, w, reordered).to_json_dict() == report
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_weakened_rejects_out_of_range_dyadic_in_any_order(self, order):
@@ -546,6 +560,25 @@ class TestReportSerialization:
         ]
         assert doc["passed"] is False
         assert json.dumps(doc, sort_keys=True) == json.dumps(report.to_json_dict(), sort_keys=True)
+
+    def test_integer_values_drop_the_denominator(self):
+        report = ViolationReport(
+            "w",
+            3,
+            0,
+            [
+                Violation(Fraction(0), REASON_GAP_BOUND, Fraction(2), Fraction(1, 3)),
+                Violation(Fraction(1, 4), REASON_NOT_BELOW_ALPHA, Fraction(-3), None),
+                Violation(Fraction(1, 2), REASON_UNDEFINED, None, None),
+                Violation(Fraction(3, 4), REASON_GAP_BOUND, Fraction(5, 8), Fraction(1)),
+            ],
+        )
+        assert report.to_json_dict()["violations"] == [
+            {"q": "0", "reason": REASON_GAP_BOUND, "phi_q": "2", "bound": "1/3"},
+            {"q": "1/4", "reason": REASON_NOT_BELOW_ALPHA, "phi_q": "-3", "bound": None},
+            {"q": "1/2", "reason": REASON_UNDEFINED, "phi_q": None, "bound": None},
+            {"q": "3/4", "reason": REASON_GAP_BOUND, "phi_q": "5/8", "bound": "1"},
+        ]
 
     def test_empty_violations_on_pass(self):
         w = identity_witness()

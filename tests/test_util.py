@@ -1,10 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lce_lab.errors import ConfigError
+from lce_lab import util
 from lce_lab.util import ceil_log2, dump_json, parse_rational, rational_str
 
 
@@ -64,8 +66,129 @@ class TestCeilLog2:
             ceil_log2(Fraction(0))
 
 
+def stdlib_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# Quotes, backslashes, control characters, '%', non-ASCII, astral and
+# lone-surrogate characters, next to arbitrary ones.
+_special_chars = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "%", "é", "\u2028", "\U0001F600", "\ud800"]
+)
+_text = st.text(st.one_of(_special_chars, st.characters()), max_size=6)
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(10**60), 10**60), _text)
+
+
+@st.composite
+def _row_lists(draw):
+    """Flat dicts sharing one key set, sometimes with a ragged row mixed in."""
+    key_text = st.one_of(_text, st.sampled_from(["%", "%s", "a%%b", "q"]))
+    keys = draw(st.lists(key_text, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({key: _scalars for key in keys}), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        ragged = draw(st.dictionaries(_text, _scalars, max_size=4))
+        rows.insert(draw(st.integers(0, len(rows))), ragged)
+    return rows
+
+
+_documents = st.recursive(
+    st.one_of(_scalars, _row_lists()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+class IntSubclass(int):
+    pass
+
+
 class TestDumpJson:
+    """dump_json writes exactly the bytes of json.dumps(sort_keys=True, indent=2)."""
+
     def test_sorted_keys_and_newline(self):
         text = dump_json({"b": 1, "a": 2})
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
+
+    @settings(max_examples=400)
+    @given(_documents)
+    def test_matches_stdlib(self, doc):
+        assert dump_json(doc) == stdlib_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [{}], "d": [[]]},
+            [{"a": 1}, {"a": [1]}],
+            [{"a": 1}, {"b": 1}],
+            [{"a": 1}, {"a": 2, "b": 3}],
+            [{"%s": "%", "%%": None, "k%d": True}, {"%s": "x", "%%": -5, "k%d": False}],
+            {"rows": [{"n": 10**100, "m": -(10**100)}]},
+        ],
+    )
+    def test_edge_shapes(self, doc):
+        assert dump_json(doc) == stdlib_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"x": 1.5},
+            [{"a": 0.25}, {"a": 1}],
+            (1, "a"),
+            {"t": (1, 2)},
+            {1: "a", 2: "b"},
+            [{1: "a"}, {1: "b"}],
+            {"n": IntSubclass(3)},
+            [{"n": IntSubclass(3)}, {"n": 4}],
+            {True: 1, False: 2},
+        ],
+    )
+    def test_other_types_get_the_stdlib_output(self, doc):
+        assert dump_json(doc) == stdlib_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {1: "a", "b": 2},
+            [{1: "a", "b": 2}],
+            {True: 1, None: 2},
+            {"x": object()},
+            {"x": {1, 2}},
+        ],
+    )
+    def test_other_types_raise_the_stdlib_error(self, doc):
+        with pytest.raises(TypeError) as stdlib_error:
+            stdlib_json(doc)
+        with pytest.raises(TypeError) as ours:
+            dump_json(doc)
+        assert str(ours.value) == str(stdlib_error.value)
+
+    def test_circular_document_raises_the_stdlib_error(self):
+        doc: dict = {"a": []}
+        doc["a"].append(doc)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            dump_json(doc)
+
+    def test_report_shapes_skip_the_stdlib_encoder(self, monkeypatch):
+        docs = [
+            {
+                "max_ratio_seen": "3/2",
+                "passed": False,
+                "violations": [
+                    {"q": "1/2", "reason": "gap_bound_failed", "phi_q": "1/2", "bound": "1/4"},
+                    {"q": "3/4", "reason": "not_below_alpha", "phi_q": "3/4", "bound": None},
+                ],
+                "witness": "identity",
+            },
+            {"name": "B", "entries": [{"code": "0", "output": "1"}], "pad_length": 1},
+            {"rows": [{"n": 1, "bound": None, "ok": True}, {"n": 2, "bound": 3, "ok": False}]},
+        ]
+        expected = [stdlib_json(doc) for doc in docs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fell back to json.dumps")
+
+        monkeypatch.setattr(util.json, "dumps", refuse)
+        assert [dump_json(doc) for doc in docs] == expected
