@@ -59,11 +59,7 @@ from .machines import (
 )
 from .reals import (
     DeskReal,
-    GalleryEntry,
     approx_at,
-    build_gallery,
-    default_gallery,
-    gallery_from_config,
     gap,
     geometric,
     omega_toy,
@@ -84,6 +80,13 @@ from .reducibility import (
     dyadic_samples,
     identity_witness,
     scaling_witness,
+)
+from .registry import (
+    GalleryEntry,
+    build_gallery,
+    build_real,
+    default_gallery,
+    gallery_from_config,
 )
 from .speedability import (
     RatioTrace,

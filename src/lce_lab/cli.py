@@ -19,8 +19,8 @@ from . import registry
 from .dyadic import is_dyadic
 from .errors import ConfigError, LabError
 from .machines import check_usch, machine_from_dict, machine_to_dict, measure, uniformize
-from .reals import gallery_from_config
 from .reducibility import check_witness, default_samples, dyadic_samples
+from .registry import gallery_from_config
 from .speedability import amplify, check_total_speedup, liminf_record, speedup_from_translation, translation_from_speedup
 from .util import atomic_write_text, dump_json, parse_rational, rational_str
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
@@ -234,17 +235,13 @@ def total_witness_from_majorizer(
     truncated to ``precision`` bits (totality filler; proofs only ever
     exercise dyadic samples).
     """
-    cache: dict[int, Fraction] = {}
 
+    @cache
     def at_length(length: int) -> Fraction:
-        value = cache.get(length)
-        if value is None:
-            depth = g(length)
-            if not isinstance(depth, int) or depth < 0:
-                raise PreconditionError(f"majorizer value g({length}) = {depth!r} is not a natural")
-            value = real_from_set(a.contains, depth + 1)
-            cache[length] = value
-        return value
+        depth = g(length)
+        if not isinstance(depth, int) or depth < 0:
+            raise PreconditionError(f"majorizer value g({length}) = {depth!r} is not a natural")
+        return real_from_set(a.contains, depth + 1)
 
     return TranslationWitness(
         name=f"bits({a.name})/majorized",

@@ -258,11 +258,9 @@ def machine_from_dict(doc: dict) -> PrefixMachine:
             raise MachineFormatError(f"duplicate code {code!r}")
         table[code] = entry["output"]
     pad = doc.get("pad_length")
-    return PrefixMachine(
-        name=str(doc.get("name", "machine")),
-        table=table,
-        pad_length=int(pad) if pad is not None else None,
-    )
+    if pad is not None and (type(pad) is not int or pad < 0):
+        raise MachineFormatError(f"pad_length must be an integer >= 0, got {pad!r}")
+    return PrefixMachine(name=str(doc.get("name", "machine")), table=table, pad_length=pad)
 
 
 def machine_to_dict(machine: PrefixMachine) -> dict:

@@ -7,7 +7,8 @@ only checkers and reporters may.  That discipline is by convention, not
 enforcement, and is what lets finite experiments mirror statements about
 non-computable truth.
 
-Gallery kinds:
+Kinds of desk real (``registry`` maps gallery entries and spec strings onto
+these constructors):
 
 * ``geometric``   a_n = limit - gap0 * ratio**n
 * ``set_real``    a_n = n-bit partial sum of 0.A(0)A(1)... for an infinite,
@@ -23,16 +24,15 @@ Gallery kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .dyadic import real_from_set
 from .errors import ConfigError, DegenerateApproximationError, DomainError
-from .util import parse_rational
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -70,23 +70,6 @@ def gap(x: DeskReal, n: int) -> Fraction:
     return g
 
 
-def _cached(fn: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
-    """Memoize a pure int->Fraction map.
-
-    Dict writes are idempotent here (fn is pure), so concurrent callers at
-    worst recompute a value; they never observe a wrong one.
-    """
-    cache: dict[int, Fraction] = {}
-
-    def wrapped(n: int) -> Fraction:
-        value = cache.get(n)
-        if value is None:
-            value = cache[n] = fn(n)
-        return value
-
-    return wrapped
-
-
 def geometric(
     limit: Fraction,
     ratio: Fraction = _HALF,
@@ -105,7 +88,7 @@ def geometric(
 
     return DeskReal(
         name=name or f"geometric({limit})",
-        approx=_cached(a),
+        approx=cache(a),
         limit=limit,
         gap_bound=lambda n: g0 * ratio**n,
     )
@@ -139,7 +122,7 @@ def set_real(
     """
     return DeskReal(
         name=name,
-        approx=_cached(lambda n: real_from_set(membership, n)),
+        approx=cache(lambda n: real_from_set(membership, n)),
         limit=limit,
         gap_bound=lambda n: Fraction(1, 1 << n),
     )
@@ -168,7 +151,7 @@ def staircase(
         prev = g
     return DeskReal(
         name=name,
-        approx=_cached(lambda n: limit - gaps(n)),
+        approx=cache(lambda n: limit - gaps(n)),
         limit=limit,
         gap_bound=gaps,
     )
@@ -193,20 +176,17 @@ def schedule_from_list(head: Sequence[Fraction], tail_ratio: Fraction) -> Callab
 def omega_toy(machine, stages: Optional[dict[str, int]] = None, name: Optional[str] = None) -> DeskReal:
     """Halting-mass real of a finite prefix-free machine.
 
-    a_s sums 2**-|code| over the codes that have halted by stage s; the final
-    stage equals the machine's full Kraft mass, so the limit is attained there.
-    Stage defaults to the code length (each code "runs" about as long as it is).
+    a_s sums 2**-|code| over the codes that have halted by stage s; the last
+    stage sums every code, which is the machine's full Kraft mass, so the
+    limit is attained there.  Stage defaults to the code length (each code
+    "runs" about as long as it is); a given stage must be an int >= 1.
     """
-    from .machines import measure  # local import; machines also imports dyadic
-
-    codes = sorted(machine.table)
     stage_of = {}
-    for code in codes:
+    for code in sorted(machine.table):
         s = (stages or {}).get(code, max(len(code), 1))
-        if s < 1:
-            raise ConfigError(f"halting stage for code {code!r} must be >= 1, got {s}")
+        if type(s) is not int or s < 1:
+            raise ConfigError(f"halting stage for code {code!r} must be an integer >= 1, got {s!r}")
         stage_of[code] = s
-    limit = measure(machine)
     last = max(stage_of.values(), default=0)
 
     def a(s: int) -> Fraction:
@@ -218,8 +198,8 @@ def omega_toy(machine, stages: Optional[dict[str, int]] = None, name: Optional[s
 
     return DeskReal(
         name=name or f"omega({machine.name})",
-        approx=_cached(a),
-        limit=limit,
+        approx=cache(a),
+        limit=a(last),
         attains_at=last,
     )
 
@@ -237,115 +217,8 @@ def scale(x: DeskReal, r: Fraction) -> DeskReal:
     )
 
 
-# ---------------------------------------------------------------------------
-# Gallery configuration
-
-
-@dataclass(frozen=True)
-class GalleryEntry:
-    """One configured real: name, kind, and kind-specific parameters."""
-
-    name: str
-    kind: str
-    parameters: dict = field(default_factory=dict)
-
-
-# Membership patterns with exact rational limits (infinite, periodic digits).
-_PERIODIC_SETS = {
-    "evens": ("", "10"),
-    "odds": ("", "01"),
-    "naturals": ("", "1"),
-}
-
-
-def _build_entry(entry: GalleryEntry) -> DeskReal:
-    kind, params = entry.kind, dict(entry.parameters)
-    if kind == "geometric":
-        return geometric(
-            limit=parse_rational(params["limit"]),
-            ratio=parse_rational(params.get("ratio", _HALF)),
-            gap0=parse_rational(params["gap0"]) if "gap0" in params else None,
-            name=entry.name,
-        )
-    if kind == "set_real":
-        set_kind = params.get("set", "evens")
-        if isinstance(set_kind, dict):
-            set_kind = set_kind.get("kind")
-        if set_kind not in _PERIODIC_SETS:
-            raise ConfigError(
-                f"set_real supports the infinite periodic sets {sorted(_PERIODIC_SETS)}; "
-                f"got {set_kind!r} (aperiodic sets have irrational limits, finite sets "
-                f"attain theirs)"
-            )
-        from .hyperimmunity import builtin_set
-
-        prefix, period = _PERIODIC_SETS[set_kind]
-        return set_real(
-            builtin_set(set_kind).contains,
-            periodic_limit(prefix, period),
-            name=entry.name,
-        )
-    if kind == "staircase":
-        gaps = schedule_from_list(
-            [parse_rational(g) for g in params["gaps"]],
-            parse_rational(params.get("tail_ratio", _HALF)),
-        )
-        return staircase(parse_rational(params["limit"]), gaps, name=entry.name)
-    if kind == "omega_toy":
-        from .machines import machine_from_dict
-
-        machine = machine_from_dict(params["machine"])
-        stages = {str(k): int(v) for k, v in params.get("stages", {}).items()}
-        return omega_toy(machine, stages or None, name=entry.name)
-    raise ConfigError(f"unknown gallery kind {kind!r}")
-
-
-def build_gallery(entries: Sequence[GalleryEntry]) -> list[DeskReal]:
-    """Build every entry, reporting the failing entry index on bad config."""
-    reals = []
-    for i, entry in enumerate(entries):
-        try:
-            reals.append(_build_entry(entry))
-        except (ConfigError, KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"gallery entry {i} ({entry.name!r}): {e}") from e
-    return reals
-
-
-def gallery_from_config(config) -> list[DeskReal]:
-    """Parse a JSON-shaped gallery document: a list of {name, kind, parameters}."""
-    if not isinstance(config, list):
-        raise ConfigError("gallery config must be a list of entries")
-    entries = []
-    for i, raw in enumerate(config):
-        if not isinstance(raw, dict) or "kind" not in raw:
-            raise ConfigError(f"gallery entry {i}: need an object with a kind")
-        entries.append(
-            GalleryEntry(
-                name=str(raw.get("name", f"entry{i}")),
-                kind=str(raw["kind"]),
-                parameters=raw.get("parameters", {}),
-            )
-        )
-    return build_gallery(entries)
-
-
 def alternating_gaps(n: int) -> Fraction:
     """G(2k) = 4**-k, G(2k+1) = 4**-k / 3: ratio steps alternate 1/3 and 3/4."""
     k, odd = divmod(n, 2)
     base = Fraction(1, 1 << (2 * k))
     return base / 3 if odd else base
-
-
-def default_gallery() -> list[DeskReal]:
-    """One real of each kind, used by tests and as the CLI default."""
-    from .machines import PrefixMachine
-
-    three_code = PrefixMachine(
-        name="three-code", table={"0": "1", "10": "10", "11": "101"}
-    )
-    return [
-        geometric(_ONE, name="geometric1"),
-        set_real(lambda i: i % 2 == 0, Fraction(2, 3), name="evens_real"),
-        staircase(_ONE, alternating_gaps, name="staircase_alt"),
-        omega_toy(three_code, {"0": 1, "10": 2, "11": 3}, name="omega3"),
-    ]

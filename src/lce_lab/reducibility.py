@@ -18,9 +18,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from numbers import Rational
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .dyadic import canonical_length, dyadic_length, is_dyadic, truncate
 from .errors import ConfigError
@@ -61,8 +62,7 @@ class TranslationWitness:
             raise ConfigError(f"witness constant must be positive, got {self.constant}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     sample: Fraction
     reason: str
     phi: Optional[Fraction]
@@ -286,17 +286,12 @@ def computable_least_witness(alpha: DeskReal) -> TranslationWitness:
     whole = a.numerator // a.denominator
     frac_part = a - whole
     dyadic_alpha = is_dyadic(frac_part)
-    cache: dict[int, Fraction] = {}
 
+    @cache
     def at_length(length: int) -> Fraction:
-        value = cache.get(length)
-        if value is None:
-            if dyadic_alpha:
-                value = a - Fraction(1, 1 << (length + 2))
-            else:
-                value = whole + truncate(frac_part, length + 1).value
-            cache[length] = value
-        return value
+        if dyadic_alpha:
+            return a - Fraction(1, 1 << (length + 2))
+        return whole + truncate(frac_part, length + 1).value
 
     return TranslationWitness(
         name=f"least({alpha.name})",

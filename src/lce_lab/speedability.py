@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Optional
 
 from .errors import ConfigError, PreconditionError, SearchExhaustedError
@@ -170,20 +171,28 @@ def liminf_record(x: DeskReal, f: SpeedUp, horizon: int) -> RatioTrace:
     return trace
 
 
-def _index_at_or_above(x: DeskReal, q: Fraction, cap: int) -> int:
-    """Least i with a_i >= q, by exponential search then bisection."""
-    if x.approx(0) >= q:
-        return 0
-    lo, hi = 0, 1
-    while x.approx(hi) < q:
-        if hi > cap:
-            raise SearchExhaustedError(
-                f"{x.name}: no index up to {cap} reaches {q}"
-            )
-        lo, hi = hi, hi * 2
+def _least_index(
+    x: DeskReal, start: int, reached: Callable[[Fraction], bool], cap: int, goal: str
+) -> int:
+    """Least n >= start with reached(a_n), by exponential search then bisection.
+
+    ``reached`` must stay true once true along the nondecreasing a_n.  The
+    search probes start, start+1, start+2, start+4, ... and raises
+    SearchExhaustedError when a probed index above ``cap`` still falls
+    short: every answer up to ``cap`` is found, and nothing past the first
+    probe above ``cap`` is approximated.
+    """
+    if reached(x.approx(start)):
+        return start
+    lo, step = start, 1
+    while not reached(x.approx(start + step)):
+        if start + step > cap:
+            raise SearchExhaustedError(f"{x.name}: no index up to {cap} {goal}")
+        lo, step = start + step, step * 2
+    hi = start + step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if x.approx(mid) >= q:
+        if reached(x.approx(mid)):
             hi = mid
         else:
             lo = mid
@@ -198,13 +207,14 @@ def translation_from_speedup(
     Defined on rationals below the limit and undefined elsewhere; the domain
     test is the one place the oracle limit is read (deciding q < limit is not
     an approximation-side question).  On the approximation points themselves
-    the map satisfies g(a_i) = a_{f(i)} whenever the a_i are distinct.
+    the map satisfies g(a_i) = a_{f(i)} whenever the a_i are distinct.  The
+    index search follows ``_least_index``'s cap rule.
     """
 
     def evaluate(q: Fraction) -> Optional[Fraction]:
         if q >= x.limit:
             return None
-        i = _index_at_or_above(x, q, search_cap)
+        i = _least_index(x, 0, lambda a: a >= q, search_cap, f"reaches {q}")
         return x.approx(_speedup_value(f, i))
 
     return TranslationMap(name=f"{f.name}@{x.name}", evaluate=evaluate, total=False)
@@ -215,31 +225,21 @@ def speedup_from_translation(
 ) -> SpeedUp:
     """Index-level form of a rational acceleration map.
 
-    f(i) is the least index n > i with a_n strictly above g(a_{i+1}); a cap
-    bounds the search, and exhausting it signals that g pushed the value too
-    close to the limit for the horizon.  Results are cached so repeated
-    queries stay cheap and consistent.
+    f(i) is the least index n > i with a_n strictly above g(a_{i+1}), found
+    under ``_least_index``'s cap rule; exhausting the cap signals that g
+    pushed the value too close to the limit for the horizon.  Results are
+    cached so repeated queries stay cheap and consistent.
     """
-    cache: dict[int, int] = {}
 
+    @cache
     def evaluate(i: int) -> int:
         if i < 0:
             raise PreconditionError(f"speed-up index must be >= 0, got {i}")
-        hit = cache.get(i)
-        if hit is not None:
-            return hit
         target = g.evaluate(x.approx(i + 1))
         if target is None:
             raise PreconditionError(f"{g.name} undefined at a_{i + 1}")
-        n = i + 1
-        while x.approx(n) <= target:
-            n += 1
-            if n > search_cap:
-                raise SearchExhaustedError(
-                    f"{x.name}: no index up to {search_cap} climbs above {g.name}(a_{i + 1})"
-                )
-        cache[i] = n
-        return n
+        goal = f"climbs above {g.name}(a_{i + 1})"
+        return _least_index(x, i + 1, lambda a: a > target, search_cap, goal)
 
     return SpeedUp(name=f"{g.name}@{x.name}", evaluate=evaluate)
 

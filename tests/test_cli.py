@@ -168,6 +168,48 @@ class TestCheckWitness:
         assert "witness" in capsys.readouterr().err
 
 
+class TestSpecFieldCounts:
+    """Every spec kind checks its field count; a bad spec is a usage error."""
+
+    COMMANDS = {
+        "real": ["speed-trace", "--speedup", "identity", "--real"],
+        "witness": ["check-witness", "--alpha", "geometric:1", "--beta", "geometric:1", "--witness"],
+        "speed-up": ["speed-trace", "--real", "geometric:1", "--speedup"],
+        "translation": ["speed-check", "--real", "geometric:1", "--rho", "1/2", "--translation"],
+    }
+
+    @pytest.mark.parametrize(
+        "what, spec",
+        [
+            ("real", "geometric"),
+            ("real", "geometric:1:1/2:1:junk"),
+            ("real", "set:squares"),
+            ("real", "set:evens:x"),
+            ("real", "omega:"),
+            ("real", "omega:a:b"),
+            ("real", "zeta:1"),
+            ("witness", "identity:junk"),
+            ("witness", "least:x"),
+            ("witness", "scaling:2"),
+            ("speed-up", "identity:9"),
+            ("speed-up", "linear:"),
+            ("translation", "affine:"),
+            ("translation", "identity:x"),
+        ],
+    )
+    def test_bad_spec_exits_two(self, what, spec, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(self.COMMANDS[what] + [spec, "--out", str(out)]) == 2
+        assert "usage:" not in capsys.readouterr().err  # the spec failed, not the command line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "what, spec", [("real", "geometric:1"), ("witness", "identity"), ("speed-up", "linear:2"), ("translation", "affine:1/2")]
+    )
+    def test_good_spec_runs(self, what, spec, tmp_path):
+        assert main(self.COMMANDS[what] + [spec, "--out", str(tmp_path / "report.json")]) in (0, 1)
+
+
 class TestSpeedTrace:
     def test_csv_trace_and_exit(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -377,6 +419,14 @@ class TestMachines:
         assert code == 2
         assert "prefix violation (0, 01)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pad", [2.7, 1.0, True, "1", -3])
+    def test_non_natural_pad_length_is_usage_error(self, pad, tmp_path, three_code_file, capsys):
+        padded = tmp_path / "padded.json"
+        padded.write_text(json.dumps({"entries": [{"code": "0", "output": "1"}], "pad_length": pad}))
+        argv = ["cmm-check", "--A", str(padded), "--B", three_code_file, "--alpha", "set:evens", "--beta", "set:evens"]
+        assert main(argv) == 2
+        assert "pad_length must be an integer >= 0" in capsys.readouterr().err
+
     def test_failing_complexity_bound_exits_one(self, tmp_path, three_code_file):
         empty = tmp_path / "empty.json"
         empty.write_text(dump_json({"entries": []}))
@@ -417,6 +467,25 @@ class TestGallery:
         config = tmp_path / "gallery.json"
         config.write_text(
             dump_json([{"name": "bad", "kind": "geometric", "parameters": {"limit": "1", "ratio": "3/2"}}])
+        )
+        assert main(["gallery", "--config", str(config)]) == 2
+        assert "entry 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", [1.9, 2.7, True, "2", 0])
+    def test_non_integer_halting_stage_is_usage_error(self, stage, tmp_path, capsys):
+        config = tmp_path / "gallery.json"
+        machine = {"entries": [{"code": "0", "output": "1"}, {"code": "10", "output": "1"}]}
+        config.write_text(
+            json.dumps([{"name": "o", "kind": "omega_toy", "parameters": {"machine": machine, "stages": {"0": stage}}}])
+        )
+        assert main(["gallery", "--config", str(config)]) == 2
+        assert "halting stage for code '0' must be an integer >= 1" in capsys.readouterr().err
+
+    def test_stages_must_be_an_object(self, tmp_path, capsys):
+        config = tmp_path / "gallery.json"
+        machine = {"entries": [{"code": "0", "output": "1"}]}
+        config.write_text(
+            json.dumps([{"name": "o", "kind": "omega_toy", "parameters": {"machine": machine, "stages": [1]}}])
         )
         assert main(["gallery", "--config", str(config)]) == 2
         assert "entry 0" in capsys.readouterr().err

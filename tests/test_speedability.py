@@ -162,6 +162,15 @@ class TestSpeedupFromTranslation:
             expect = brute_first_index_above(x, g.evaluate(x.approx(i + 1)), i)
             assert f.evaluate(i) == expect == i + 2
 
+    def test_slow_convergence_matches_linear_scan(self):
+        # gaps shrink by 99/100 per index, so halving one takes 70 steps
+        x = geometric(Fraction(1), Fraction(99, 100))
+        g = affine_toward(x.limit, Fraction(1, 2))
+        f = speedup_from_translation(x, g)
+        for i in range(40):
+            expect = brute_first_index_above(x, g.evaluate(x.approx(i + 1)), i)
+            assert f.evaluate(i) == expect == i + 70
+
     def test_search_cap_exhaustion_signaled(self):
         # Map everything to just below the limit; no small index climbs above.
         g = TranslationMap("top", lambda q: Fraction(1) - Fraction(1, 1 << 40))
