@@ -79,6 +79,9 @@ def _cmd_check_witness(args) -> int:
     beta = registry.parse_real(args.beta)
     constant = parse_rational(args.c) if args.c else Fraction(2)
     witness = registry.parse_witness(args.witness, constant, alpha)
+    kind = args.witness.partition(":")[0]
+    if args.c is not None and kind != "identity":
+        raise ConfigError(f"--c sets the identity witness's constant; {kind} fixes its own")
     if args.samples is not None:
         samples = dyadic_samples(beta.limit, args.samples)
     else:
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True, help="real spec for the reduced side")
     p.add_argument("--beta", required=True, help="real spec for the target side")
     p.add_argument("--witness", required=True, help="witness spec")
-    p.add_argument("--c", help="witness constant for identity (num/den)")
+    p.add_argument("--c", help="witness constant for identity (num/den), default 2")
     p.add_argument("--samples", type=int, help="use exactly this many dyadic samples")
     p.add_argument("--grid-depth", type=int, default=10)
     p.add_argument("--out", help="report path (default stdout)")

@@ -274,9 +274,10 @@ def k_bound_from_witness(
     the minimum is taken over the lengths 0..n instead of the 2**n strings.
     They are visited in the order ascending k first reaches them (0 at q = 0,
     then j = n, n-1, ..., 1 at q = 2**-j), so errors match the full
-    enumeration's.
+    enumeration's.  That path is O(n), so ``max_bits`` caps only the
+    enumeration.
     """
-    if n < 0 or n > max_bits:
+    if n < 0 or n > max_bits and witness.at_length is None:
         raise PreconditionError(
             f"enumeration of 2**{n} strings refused (cap {max_bits})"
         )

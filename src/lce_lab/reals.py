@@ -179,8 +179,12 @@ def omega_toy(machine, stages: Optional[dict[str, int]] = None, name: Optional[s
     a_s sums 2**-|code| over the codes that have halted by stage s; the last
     stage sums every code, which is the machine's full Kraft mass, so the
     limit is attained there.  Stage defaults to the code length (each code
-    "runs" about as long as it is); a given stage must be an int >= 1.
+    "runs" about as long as it is); a given stage must be an int >= 1, and
+    only the machine's codes can have one.
     """
+    strays = sorted(set(stages or {}).difference(machine.table))
+    if strays:
+        raise ConfigError(f"halting stage given for code {strays[0]!r}, which machine {machine.name!r} lacks")
     stage_of = {}
     for code in sorted(machine.table):
         s = (stages or {}).get(code, max(len(code), 1))

@@ -15,6 +15,7 @@ quantified statement.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -133,18 +134,22 @@ def check_witness(
     the strict one.  The largest ratio (alpha - phi) / (beta - q) stays an
     integer pair until the end.
 
-    The loop runs over the pairs (k, h).  Any iterable of rationals gives
-    ``q.numerator, q.denominator``.  A ``DyadicGrid`` checked against a
-    witness with ``at_length`` is read by index instead: grid index j at
-    depth d reduces to (j/low, 2**d/low) with low = j & -j, so no Fraction
-    and no gcd is spent on a sample.  When the witness has ``at_length`` and
-    q is a dyadic in [0,1), phi and its integer terms (A*m - n*B, B*m,
-    (A*m - n*B)*D*h and that times Q) are computed once per length h and
-    reused; every other sample goes through ``translate(q)``.  Each sample
-    still gets its own skip, not-below and gap-bound verdict.  A Fraction is
-    built for q only for a ``translate`` call, a violation row or a domain
-    error.
+    There are two paths, with the same report for the same samples.  A
+    ``DyadicGrid`` inside [0,1) checked against a witness with ``at_length``
+    is decided one canonical length at a time (``_check_grid_by_length``):
+    phi is one value per length, so each test above is one threshold in k
+    and no sample is visited unless it is a violation row.  Every other input
+    runs the loop over the pairs (k, h) = (q.numerator, q.denominator).  In
+    the loop, phi and its integer terms are computed once per length h for a
+    witness with ``at_length`` and a dyadic q in [0,1); every other sample
+    goes through ``translate(q)``.
     """
+    if (
+        witness.at_length is not None
+        and isinstance(samples, DyadicGrid)
+        and samples.size <= samples.denominator
+    ):
+        return _check_grid_by_length(alpha, beta, witness, samples)
     a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
     c_num, c_den = witness.constant.numerator, witness.constant.denominator
@@ -152,12 +157,6 @@ def check_witness(
     weakened = witness.weakened
     qd = c_den * b_den  # Q*D
     slack = qd if weakened else 0  # s
-    # A grid inside [0,1) is read by index when the witness has at_length, so
-    # no sample needs a Fraction for translate; any other grid hands out its
-    # Fractions one at a time.
-    grid_den = 0
-    if at_length is not None and isinstance(samples, DyadicGrid) and len(samples) <= samples.denominator:
-        grid_den = samples.denominator
     by_length: dict[int, tuple] = {}  # h -> length_terms(h)
 
     def length_terms(h: int) -> tuple:
@@ -174,12 +173,8 @@ def check_witness(
     skipped = 0
     violations: list[Violation] = []
     best_num, best_den = 0, 1
-    for q in range(len(samples)) if grid_den else samples:
-        if grid_den:
-            low = q & -q or grid_den  # index 0 is 0/1
-            k, h, q = q // low, grid_den // low, None
-        else:
-            k, h = q.numerator, q.denominator
+    for q in samples:
+        k, h = q.numerator, q.denominator
         room = b_num * h - k * b_den  # (beta - q) * D*h
         if room <= 0:
             skipped += 1
@@ -212,7 +207,7 @@ def check_witness(
             if gap_dhq < allowed * bm:
                 continue
             reason, bound = REASON_GAP_BOUND, Fraction(allowed, qd * h)
-        violations.append(Violation(Fraction(k, h) if q is None else q, reason, phi, bound))
+        violations.append(Violation(q, reason, phi, bound))
     if not isinstance(samples, DyadicGrid):  # a grid is ascending already
         violations.sort(key=lambda v: v.sample)
     return ViolationReport(
@@ -220,6 +215,88 @@ def check_witness(
         samples_checked=checked,
         skipped=skipped,
         violations=violations,
+        max_ratio_seen=Fraction(best_num, best_den) if best_num else None,
+    )
+
+
+def _length_rows(ks: range, step: int, h: int, reason: str, phi, bound_terms=None):
+    """(grid index, violation) for each k in ks: the rows of one length.
+
+    A gap-bound row's bound is (top - slope*k) / den with
+    ``bound_terms = (top, slope, den)``; other rows have none.
+    """
+    top, slope, den = bound_terms or (0, 0, 1)
+    for k in ks:
+        bound = Fraction(top - slope * k, den) if bound_terms else None
+        yield k * step, Violation(Fraction(k, h), reason, phi, bound)
+
+
+def _check_grid_by_length(
+    alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, grid: "DyadicGrid"
+) -> ViolationReport:
+    """``check_witness`` for a grid inside [0,1) and a witness with ``at_length``.
+
+    The samples of canonical length l are k/h with h = 2**l, at grid index
+    k * 2**(depth-l): k = 0 at l = 0 and odd k otherwise.  phi is one value
+    per length, so at a fixed length each test of ``check_witness`` flips
+    once as k grows:
+
+        checked         k*step < size and k < ceil(C*h / D)
+        gap bound fails k >= ceil(((P*C*h + s)*B*m - gap*D*h*Q) / (D*P*B*m))
+
+    with gap = A*m - n*B.  An undefined phi or gap <= 0 makes every checked k
+    a row.  The ratio (alpha - phi) / (beta - q) grows with k, so its largest
+    value at a length is at the largest checked k.  Counts are closed forms
+    (a ``len(range(...))`` overflows at depth 64), and ``at_length`` is
+    called once per length with a checked sample, in the order ascending
+    grid index first reaches the lengths (0, depth, depth-1, ..., 1), so an
+    error it raises is the one the loop would raise.  Each length yields its
+    rows lazily and ``heapq.merge`` keeps them ascending by grid index.
+    """
+    a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
+    b_num, b_den = beta.limit.numerator, beta.limit.denominator
+    c_num, c_den = witness.constant.numerator, witness.constant.denominator
+    qd = c_den * b_den  # Q*D
+    slack = qd if witness.weakened else 0  # s
+    depth, size = grid.depth, grid.size
+    checked = 0
+    best_num, best_den = 0, 1
+    rows = []
+    for length in (0, *range(depth, 0, -1)):
+        h, step = 1 << length, 1 << (depth - length)
+        first = 1 if length else 0  # the least k of this length
+        top = min(-(-size // step), -(-b_num * h // b_den))  # checked: k < top
+        count = max(top - first + 1, 0) // 2
+        if not count:
+            continue
+        checked += count
+        phi = witness.at_length(length)
+        if phi is None:
+            rows.append(_length_rows(range(first, top, 2), step, h, REASON_UNDEFINED, None))
+            continue
+        n, m = phi.numerator, phi.denominator
+        gap = a_num * m - n * a_den
+        if gap <= 0:
+            rows.append(_length_rows(range(first, top, 2), step, h, REASON_NOT_BELOW_ALPHA, phi))
+            continue
+        bm = a_den * m
+        gap_dh = gap * b_den * h
+        last = first + 2 * (count - 1)
+        room_bm = (b_num * h - last * b_den) * bm
+        if gap_dh * best_den > best_num * room_bm:
+            best_num, best_den = gap_dh, room_bm
+        top_allowed = c_num * b_num * h + slack  # P*C*h + s
+        t_gap = -((gap_dh * c_den - top_allowed * bm) // (b_den * c_num * bm))
+        start = max(t_gap, first)
+        start += (start - first) & 1  # same parity as the lengths' k
+        if start < top:
+            bound_terms = (top_allowed, c_num * b_den, qd * h)
+            rows.append(_length_rows(range(start, top, 2), step, h, REASON_GAP_BOUND, phi, bound_terms))
+    return ViolationReport(
+        witness=witness.name,
+        samples_checked=checked,
+        skipped=size - checked,
+        violations=[v for _, v in heapq.merge(*rows)],
         max_ratio_seen=Fraction(best_num, best_den) if best_num else None,
     )
 

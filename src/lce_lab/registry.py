@@ -73,6 +73,14 @@ _PERIODIC_SETS = {
     "naturals": ("", "1"),
 }
 
+# Gallery kind -> the parameter names it reads; any other name is a ConfigError.
+_PARAMETERS = {
+    "geometric": ("limit", "ratio", "gap0"),
+    "set_real": ("set",),
+    "staircase": ("limit", "gaps", "tail_ratio"),
+    "omega_toy": ("machine", "stages"),
+}
+
 # Real spec kind -> (gallery kind, its parameters in spec order, how many are required).
 _REAL_SPECS = {
     "geometric": ("geometric", ("limit", "ratio", "gap0"), 1),
@@ -84,7 +92,15 @@ _REAL_ARITY = {kind: (required, len(names)) for kind, (_, names, required) in _R
 
 def build_real(kind: str, parameters: dict, name: str) -> DeskReal:
     """The real of one gallery kind; gallery entries and real specs both land here."""
+    if kind not in _PARAMETERS:
+        raise ConfigError(f"unknown gallery kind {kind!r}")
     params = dict(parameters)
+    unknown = sorted(set(params).difference(_PARAMETERS[kind]))
+    if unknown:
+        raise ConfigError(
+            f"{kind} has no parameter {', '.join(map(repr, unknown))}; "
+            f"it takes {', '.join(_PARAMETERS[kind])}"
+        )
     if kind == "geometric":
         optional = {key: parse_rational(params[key]) for key in ("ratio", "gap0") if key in params}
         return geometric(parse_rational(params["limit"]), name=name, **optional)
@@ -106,12 +122,10 @@ def build_real(kind: str, parameters: dict, name: str) -> DeskReal:
             parse_rational(params.get("tail_ratio", "1/2")),
         )
         return staircase(parse_rational(params["limit"]), gaps, name=name)
-    if kind == "omega_toy":
-        stages = params.get("stages", {})
-        if not isinstance(stages, dict):
-            raise ConfigError(f"omega_toy stages must be an object of code -> stage, got {stages!r}")
-        return omega_toy(machine_from_dict(params["machine"]), stages or None, name=name)
-    raise ConfigError(f"unknown gallery kind {kind!r}")
+    stages = params.get("stages", {})  # omega_toy
+    if not isinstance(stages, dict):
+        raise ConfigError(f"omega_toy stages must be an object of code -> stage, got {stages!r}")
+    return omega_toy(machine_from_dict(params["machine"]), stages or None, name=name)
 
 
 def build_gallery(entries: Sequence[GalleryEntry]) -> list[DeskReal]:

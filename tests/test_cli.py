@@ -155,6 +155,40 @@ class TestCheckWitness:
         assert code == 2
         assert f"sample count must be positive, got {count}" in capsys.readouterr().err
 
+    def test_huge_grid_with_least_is_decided_per_length(self, tmp_path):
+        # 2**40 samples: the per-sample loop would run for days.
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "check-witness",
+                "--alpha", "geometric:5/8",
+                "--beta", "geometric:1",
+                "--witness", "least",
+                "--samples", "1099511627776",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["samples_checked"] == 1 << 40 and doc["skipped"] == 0
+
+    @pytest.mark.parametrize("witness", ["scaling:2:forward", "least"])
+    def test_constant_for_a_witness_that_fixes_its_own_is_usage_error(self, witness, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "check-witness",
+                "--alpha", "geometric:1",
+                "--beta", "geometric:1",
+                "--witness", witness,
+                "--c", "7",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "--c sets the identity witness's constant" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_witness_spec(self, capsys):
         code = main(
             [
@@ -480,6 +514,28 @@ class TestGallery:
         )
         assert main(["gallery", "--config", str(config)]) == 2
         assert "halting stage for code '0' must be an integer >= 1" in capsys.readouterr().err
+
+    def test_stage_for_a_missing_code_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "gallery.json"
+        machine = {"entries": [{"code": "0", "output": "1"}, {"code": "10", "output": "1"}]}
+        config.write_text(
+            json.dumps([{"name": "o", "kind": "omega_toy", "parameters": {"machine": machine, "stages": {"0": 1, "11": 2}}}])
+        )
+        assert main(["gallery", "--config", str(config)]) == 2
+        assert "entry 0 ('o'): halting stage given for code '11'" in capsys.readouterr().err
+
+    def test_unknown_parameter_name_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "gallery.json"
+        config.write_text(
+            dump_json(
+                [
+                    {"name": "g1", "kind": "geometric", "parameters": {"limit": "1"}},
+                    {"name": "g2", "kind": "geometric", "parameters": {"limit": "1", "ratoi": "3/4"}},
+                ]
+            )
+        )
+        assert main(["gallery", "--config", str(config)]) == 2
+        assert "entry 1 ('g2'): geometric has no parameter 'ratoi'" in capsys.readouterr().err
 
     def test_stages_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "gallery.json"

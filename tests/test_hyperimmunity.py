@@ -211,8 +211,17 @@ class TestKBoundFromWitness:
             assert k_bound_from_witness(w, alpha, n) >= least_beyond(naturals(), n)
 
     def test_enumeration_cap(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"enumeration of 2\*\*21 strings refused \(cap 20\)"):
             k_bound_from_witness(self.witness, self.alpha, 21)
+
+    def test_per_length_path_has_no_cap(self):
+        # g(64) + 1 = 68 bits of 0.1010...: the residual is (2/3) * 2**-68, so
+        # the bound is d + ceil(log2(3 * 2**67)) = 1 + 69.
+        w = total_witness_from_majorizer(evens(), lambda n: n + 3)
+        alpha = set_real(evens().contains, Fraction(2, 3), name="evens_real")
+        assert k_bound_from_witness(w, alpha, 64) == 70 >= least_beyond(naturals(), 64)
+        with pytest.raises(PreconditionError, match=r"2\*\*21 strings refused"):
+            k_bound_from_witness(dataclasses.replace(w, at_length=None), alpha, 21)
 
     @pytest.mark.parametrize("kind", ["evens", "odds", "squares", "powers"])
     @pytest.mark.parametrize(

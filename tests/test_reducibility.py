@@ -34,6 +34,7 @@ from lce_lab.reducibility import (
     REASON_UNDEFINED,
     Violation,
     ViolationReport,
+    _count_below,
 )
 
 
@@ -150,7 +151,7 @@ class TestCheckWitness:
         cases = [
             # a Fraction per grid sample: identity with c = 2 fails on [1/3, 1/2)
             ("2/3", "1/2", identity_witness(Fraction(2))),
-            # read by index: least(3/4), strict and with c = 1/64, fails near q = 1/2
+            # decided per length: least(3/4), strict and with c = 1/64, fails near q = 1/2
             ("3/4", "1/2", dataclasses.replace(
                 computable_least_witness(real("3/4")), weakened=False, constant=Fraction(1, 64)
             )),
@@ -429,6 +430,11 @@ def witnesses(draw, alpha, constant, u, v):
     bits = total_witness_from_majorizer(evens(), lambda n: n + draw(st.integers(0, 3)))
     at_length = length_keyed(u, v)
     weakened = draw(st.booleans())
+    # A drawn value per length: undefined lengths, and values at or above
+    # alpha, so that whole lengths fail not_below_alpha.
+    value = st.none() | st.just(alpha.limit) | st.fractions(min_value=-1, max_value=3, max_denominator=48)
+    table = draw(st.lists(value, min_size=1, max_size=12))
+    at_table = lambda length: table[length % len(table)]
     return draw(
         st.sampled_from(
             [
@@ -449,6 +455,13 @@ def witnesses(draw, alpha, constant, u, v):
                     constant,
                     weakened=weakened,
                     at_length=at_length,
+                ),
+                TranslationWitness(
+                    "table",
+                    lambda q: at_table(canonical_length(q)),
+                    constant,
+                    weakened=weakened,
+                    at_length=at_table,
                 ),
             ]
         )
@@ -477,8 +490,9 @@ def checker_cases(draw):
 
 @st.composite
 def grid_cases(draw):
-    """checker_cases over a lazy grid k/2**d for 0 <= k < b * 2**d; b > 1
-    puts samples at or above 1 on the grid."""
+    """checker_cases over a lazy grid k/2**d for 0 <= k < size.  A size up
+    to 2**d keeps the grid inside [0,1), where a witness with at_length is
+    decided per length; a larger one puts samples at or above 1 on it."""
     limit = st.fractions(min_value="1/16", max_value=3, max_denominator=48)
     alpha, beta = geometric(draw(limit), name="a"), geometric(draw(limit), name="b")
     constant = draw(
@@ -487,8 +501,9 @@ def grid_cases(draw):
     u = draw(st.fractions(min_value=-1, max_value=3, max_denominator=48))
     v = draw(st.fractions(min_value=-2, max_value=2, max_denominator=48))
     witness = draw(witnesses(alpha, constant, u, v))
-    grid = dyadic_grid(draw(st.integers(0, 7)), draw(limit))
-    return alpha, beta, witness, grid
+    depth = draw(st.integers(0, 10))
+    size = draw(st.integers(0, 1 << depth) | st.just(1 << depth) | st.integers(0, 3 << depth))
+    return alpha, beta, witness, DyadicGrid(depth, size)
 
 
 def _outcome(checker, *args):
@@ -538,8 +553,9 @@ class TestIntegerKernelAgainstFractionLoop:
     def test_grid_sweep_runs_in_constant_memory(self):
         # The 2**16 samples as a list of Fractions would take about 7.5 MB.
         # Depth 16 rather than 20 because tracing slows the loop ~45-fold.
+        # Without at_length the grid runs the per-sample loop.
         alpha, beta = real("2/3"), real("1")
-        w = computable_least_witness(alpha)
+        w = dataclasses.replace(computable_least_witness(alpha), at_length=None)
         tracemalloc.start()
         try:
             report = check_witness(alpha, beta, w, dyadic_grid(16, Fraction(1)))
@@ -548,6 +564,50 @@ class TestIntegerKernelAgainstFractionLoop:
             tracemalloc.stop()
         assert report.passed and report.samples_checked == 1 << 16
         assert peak < 1 << 20
+
+
+class TestPerLengthGrid:
+    """A grid inside [0,1) against a witness with at_length is decided one
+    canonical length at a time, so its cost does not grow with the grid."""
+
+    ALPHAS = {
+        "odds_real": set_real(lambda i: i % 2 == 1, Fraction(1, 3), name="odds_real"),
+        "evens_real": set_real(lambda i: i % 2 == 0, Fraction(2, 3), name="evens_real"),
+        "geo58": geometric(Fraction(5, 8), name="geo58"),
+    }
+
+    @pytest.mark.parametrize("alpha", ALPHAS.values(), ids=ALPHAS)
+    def test_depth_64_is_decided_per_length(self, alpha):
+        least = computable_least_witness(alpha)
+        lengths = []
+
+        def at_length(length):
+            lengths.append(length)
+            return least.at_length(length)
+
+        def translate(q):
+            raise AssertionError(f"translate({q}) called")
+
+        w = dataclasses.replace(least, translate=translate, at_length=at_length)
+        for beta in default_gallery():
+            lengths.clear()
+            report = check_witness(alpha, beta, w, dyadic_grid(64, Fraction(1)))
+            assert report.passed, beta.name
+            assert report.samples_checked == _count_below(64, beta.limit)
+            assert report.samples_checked + report.skipped == 1 << 64
+            assert lengths == [0, *range(64, 0, -1)]
+
+    @pytest.mark.parametrize("alpha", ALPHAS.values(), ids=ALPHAS)
+    def test_depth_12_matches_the_loop(self, alpha):
+        variants = [
+            computable_least_witness(alpha),
+            # strict, with a constant that fails whole ranges of k per length
+            dataclasses.replace(computable_least_witness(alpha), weakened=False, constant=Fraction(1, 64)),
+        ]
+        for w in variants:
+            for beta in default_gallery():
+                grid = dyadic_grid(12, beta.limit)
+                assert check_witness(alpha, beta, w, grid) == check_witness(alpha, beta, w, list(grid))
 
 
 class TestReportSerialization:
