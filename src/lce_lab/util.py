@@ -175,12 +175,26 @@ def _json_rows(items: list, indent: str):
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial output."""
+    """Write via a sibling temp file and rename, so readers never see partial output.
+
+    A file that already holds exactly these bytes is left as it is.  Writing
+    it again would change only its mtime, and on ext4 a rename over an
+    existing file forces the new data to disk (``auto_da_alloc``): rewriting
+    an unchanged report cost more, and varied far more from run to run, than
+    building it.
+    """
+    data = text.encode()
+    try:
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size == len(data) and fh.read() == data:
+                return
+    except OSError:
+        pass
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lce-lab-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -192,3 +192,34 @@ class TestDumpJson:
 
         monkeypatch.setattr(util.json, "dumps", refuse)
         assert [dump_json(doc) for doc in docs] == expected
+
+
+class TestAtomicWriteText:
+    def test_creates_and_replaces(self, tmp_path):
+        path = tmp_path / "report.json"
+        util.atomic_write_text(str(path), "one\n")
+        assert path.read_bytes() == b"one\n"
+        util.atomic_write_text(str(path), "two\n")
+        assert path.read_bytes() == b"two\n"
+        util.atomic_write_text(str(path), "two")  # a prefix of the old bytes
+        assert path.read_bytes() == b"two"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_identical_file_is_left_alone(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        util.atomic_write_text(str(path), '{"a": 1}\n')
+        before = path.stat()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rewrote an identical file")
+
+        monkeypatch.setattr(util.tempfile, "mkstemp", refuse)
+        util.atomic_write_text(str(path), '{"a": 1}\n')
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_same_size_other_bytes_are_replaced(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"\r\n")
+        util.atomic_write_text(str(path), "\n\n")
+        assert path.read_bytes() == b"\n\n"
