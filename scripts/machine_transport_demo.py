@@ -33,7 +33,7 @@ def main():
     witness = TranslationWitness("halve", lambda q: q / 2, Fraction(1))
 
     table = {
-        "1" * (n - 1) + "0": truncate(beta.limit, n).bits
+        "1" * (n - 1) + "0": format(truncate(beta.limit, n), f"0{n}b")
         for n in range(1, args.depth + 1)
     }
     source = PrefixMachine("codes-evens", table)

@@ -7,9 +7,9 @@ All checking arithmetic is exact; floats never appear.
 """
 
 from .dyadic import (
-    DyadicString,
     canonical_length,
     dyadic_length,
+    is_binary,
     is_dyadic,
     real_from_set,
     truncate,

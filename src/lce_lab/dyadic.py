@@ -1,4 +1,5 @@
-"""Exact dyadic-string arithmetic over arbitrary-precision rationals.
+"""Exact dyadic arithmetic over arbitrary-precision rationals, and the one
+test of whether a string is binary.
 
 Every value in a checking path is a ``fractions.Fraction``; floats never
 appear.  A dyadic rational q in [0,1) is identified with the finite binary
@@ -10,7 +11,6 @@ additive slack 2**-|q| loosest exactly at q = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -20,36 +20,13 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class DyadicString:
-    """A finite binary string sigma together with its value 0.sigma in [0,1).
+def is_binary(s) -> bool:
+    """True when s is a str of the digits 0 and 1 only; the empty string is one.
 
-    ``bits`` may carry trailing zeros (an n-bit truncation keeps its width);
-    ``canonical()`` strips them so the length function is well defined.
+    ``int(s, 2)`` is safe only behind this test: int also takes "0_1", " 1"
+    and "\uff11" (a fullwidth one).
     """
-
-    bits: str
-
-    def __post_init__(self):
-        if any(c not in "01" for c in self.bits):
-            raise DomainError(f"not a binary string: {self.bits!r}")
-
-    @property
-    def value(self) -> Fraction:
-        if not self.bits:
-            return _ZERO
-        return Fraction(int(self.bits, 2), 1 << len(self.bits))
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def canonical(self) -> "DyadicString":
-        return DyadicString(self.bits.rstrip("0"))
-
-    @classmethod
-    def from_rational(cls, q: Fraction) -> "DyadicString":
-        """Canonical string of a dyadic rational in [0,1): ends in 1, or empty for 0."""
-        return truncate(q, dyadic_length(q))
+    return isinstance(s, str) and not s.strip("01")
 
 
 def is_dyadic(q: Fraction) -> bool:
@@ -82,22 +59,20 @@ def canonical_length(q: Fraction, precision: int = 64) -> int:
     if not den & (den - 1) and 0 <= num < den:
         return den.bit_length() - 1
     top = _ONE - Fraction(1, 1 << precision)
-    return dyadic_length(truncate(min(max(q, _ZERO), top), precision).value)
+    return dyadic_length(Fraction(truncate(min(max(q, _ZERO), top), precision), 1 << precision))
 
 
-def truncate(x: Fraction, n: int) -> DyadicString:
-    """First n binary digits of x in [0,1): the string of floor(x * 2**n) / 2**n.
+def truncate(x: Fraction, n: int) -> int:
+    """The first n binary digits of x in [0,1) as an int: floor(x * 2**n).
 
-    Monotone in x for fixed n, and 0 <= x - value < 2**-n.
+    Monotone in x for fixed n, and 0 <= x - truncate(x, n) / 2**n < 2**-n;
+    ``format(truncate(x, n), f"0{n}b")`` spells the digits for n >= 1.
     """
     if not _ZERO <= x < _ONE:
         raise DomainError(f"truncate needs 0 <= x < 1, got {x}")
     if n < 0:
         raise DomainError(f"truncate needs n >= 0, got {n}")
-    if n == 0:
-        return DyadicString("")
-    m = (x.numerator << n) // x.denominator
-    return DyadicString(format(m, f"0{n}b"))
+    return (x.numerator << n) // x.denominator
 
 
 def real_from_set(membership: Callable[[int], bool], n_bits: int) -> Fraction:

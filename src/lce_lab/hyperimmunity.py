@@ -260,7 +260,6 @@ def k_bound_from_witness(
     alpha: DeskReal,
     n: int,
     d: Optional[int] = None,
-    max_bits: int = MAX_ENUMERATION_BITS,
 ) -> int:
     """Computable upper bound for the target's gap function at n, extracted
     from a passing total witness by exhausting all 2**n strings of length n.
@@ -274,12 +273,12 @@ def k_bound_from_witness(
     the minimum is taken over the lengths 0..n instead of the 2**n strings.
     They are visited in the order ascending k first reaches them (0 at q = 0,
     then j = n, n-1, ..., 1 at q = 2**-j), so errors match the full
-    enumeration's.  That path is O(n), so ``max_bits`` caps only the
-    enumeration.
+    enumeration's.  That path is O(n), so ``MAX_ENUMERATION_BITS`` caps only
+    the enumeration.
     """
-    if n < 0 or n > max_bits and witness.at_length is None:
+    if n < 0 or n > MAX_ENUMERATION_BITS and witness.at_length is None:
         raise PreconditionError(
-            f"enumeration of 2**{n} strings refused (cap {max_bits})"
+            f"enumeration of 2**{n} strings refused (cap {MAX_ENUMERATION_BITS})"
         )
     if not witness.total:
         raise PreconditionError("k-bound extraction needs a total witness")

@@ -4,12 +4,13 @@ outputs to another's.
 
 Machines here are finite code -> output tables over binary strings.  The
 domain must be prefix-free, so the mass sum(2**-|code|) obeys the Kraft bound,
-and complexity of a string is the length of its shortest code.
+and complexity of a string is the length of its shortest code.  Only
+``PrefixMachine`` checks that codes and outputs are binary strings.
 
 ``uniformize`` realizes the machine transport: every code x with output sigma
 of length n spawns 2**L padded codes x.w (|w| = L derived from the witness
-constant), mapping to the n-bit value of the translated-and-truncated output
-shifted by the pad's integer value.  Pads that would overflow the n-bit range
+constant), mapping to the n-bit int floor(phi(0.sigma) * 2**n) shifted by the
+pad's integer value.  Pads that would overflow the n-bit range
 saturate at the all-ones string by default, which is what keeps the domain
 mass exactly equal to the source machine's.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .dyadic import DyadicString, truncate
+from .dyadic import is_binary, truncate
 from .errors import (
     ConfigError,
     ConstructionError,
@@ -39,7 +40,7 @@ OVERFLOW_ERROR = "error"
 
 
 def _check_binary(s: str, what: str) -> None:
-    if not isinstance(s, str) or any(c not in "01" for c in s):
+    if not is_binary(s):
         raise MachineFormatError(f"{what} must be a binary string, got {s!r}")
 
 
@@ -129,11 +130,11 @@ def uniformize(
     for code in sorted(source.table):
         sigma = source.table[code]
         n = len(sigma)
-        value = witness.translate(DyadicString(sigma).value)
+        value = witness.translate(Fraction(int(sigma, 2) if n else 0, 1 << n))
         if value is None or not (_ZERO <= value < _ONE):
             bad_codes.append(code)
             continue
-        base = int(truncate(value, n).bits, 2) if n else 0
+        base = truncate(value, n)
         for w in range(1 << width):
             shifted = base + w
             if shifted < (1 << n):
@@ -219,11 +220,11 @@ def check_usch(
         raise ConfigError(f"constant must be >= 0, got {constant}")
     report = UschReport(constant=constant)
     for n in range(1, n_max + 1):
-        beta_bits = truncate(beta.limit, n).bits
+        beta_bits = format(truncate(beta.limit, n), f"0{n}b")
         k_beta = complexity(b_machine, beta_bits)
         if k_beta is None:
             continue
-        alpha_bits = truncate(alpha.limit, n).bits
+        alpha_bits = format(truncate(alpha.limit, n), f"0{n}b")
         k_alpha = complexity(a_machine, alpha_bits)
         report.rows.append(
             UschRow(
@@ -241,7 +242,10 @@ def check_usch(
 
 
 def machine_from_dict(doc: dict) -> PrefixMachine:
-    """{"name"?, "pad_length"?, "entries": [{"code", "output"}, ...]}"""
+    """{"name"?, "pad_length"?, "entries": [{"code", "output"}, ...]}
+
+    Checks the document's shape; ``PrefixMachine`` checks the strings.
+    """
     if not isinstance(doc, dict) or "entries" not in doc:
         raise MachineFormatError("machine document needs an entries list")
     entries = doc["entries"]
@@ -252,10 +256,11 @@ def machine_from_dict(doc: dict) -> PrefixMachine:
         if not isinstance(entry, dict) or "code" not in entry or "output" not in entry:
             raise MachineFormatError(f"entry {i} needs code and output")
         code = entry["code"]
-        _check_binary(code, f"entry {i} code")
-        _check_binary(entry["output"], f"entry {i} output")
-        if code in table:
-            raise MachineFormatError(f"duplicate code {code!r}")
+        try:
+            if code in table:
+                raise MachineFormatError(f"duplicate code {code!r}")
+        except TypeError:  # unhashable, so not a string either
+            raise MachineFormatError(f"entry {i} code must be a binary string, got {code!r}") from None
         table[code] = entry["output"]
     pad = doc.get("pad_length")
     if pad is not None and (type(pad) is not int or pad < 0):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional, Sequence
 
-from .dyadic import real_from_set
+from .dyadic import is_binary, real_from_set
 from .errors import ConfigError, DegenerateApproximationError, DomainError
 
 _ZERO = Fraction(0)
@@ -46,8 +46,6 @@ class DeskReal:
     # Stage at which the approximation attains the limit, if it ever does
     # (only omega_toy reals do); gap() raises from that stage on.
     attains_at: Optional[int] = None
-    # Optional certified upper bound on limit - a_n, where a closed form exists.
-    gap_bound: Optional[Callable[[int], Fraction]] = None
 
     def __repr__(self):
         return f"DeskReal({self.name!r}, limit={self.limit})"
@@ -90,7 +88,6 @@ def geometric(
         name=name or f"geometric({limit})",
         approx=cache(a),
         limit=limit,
-        gap_bound=lambda n: g0 * ratio**n,
     )
 
 
@@ -100,7 +97,7 @@ def periodic_limit(prefix: str, period: str) -> Fraction:
     The period must contain a 1; otherwise the expansion terminates and the
     partial sums would attain the value.
     """
-    if any(c not in "01" for c in prefix + period) or not period:
+    if not (is_binary(prefix) and is_binary(period) and period):
         raise ConfigError(f"bad periodic pattern ({prefix!r}, {period!r})")
     if "1" not in period:
         raise ConfigError("period must contain a 1 (terminating expansions attain)")
@@ -124,7 +121,6 @@ def set_real(
         name=name,
         approx=cache(lambda n: real_from_set(membership, n)),
         limit=limit,
-        gap_bound=lambda n: Fraction(1, 1 << n),
     )
 
 
@@ -153,7 +149,6 @@ def staircase(
         name=name,
         approx=cache(lambda n: limit - gaps(n)),
         limit=limit,
-        gap_bound=gaps,
     )
 
 
@@ -217,7 +212,6 @@ def scale(x: DeskReal, r: Fraction) -> DeskReal:
         approx=lambda n: r * x.approx(n),
         limit=r * x.limit,
         attains_at=x.attains_at,
-        gap_bound=(lambda n: r * x.gap_bound(n)) if x.gap_bound else None,
     )
 
 

@@ -368,7 +368,7 @@ def computable_least_witness(alpha: DeskReal) -> TranslationWitness:
     def at_length(length: int) -> Fraction:
         if dyadic_alpha:
             return a - Fraction(1, 1 << (length + 2))
-        return whole + truncate(frac_part, length + 1).value
+        return whole + Fraction(truncate(frac_part, length + 1), 1 << (length + 1))
 
     return TranslationWitness(
         name=f"least({alpha.name})",
@@ -422,13 +422,27 @@ class DyadicGrid(Sequence):
     def __iter__(self):
         return map(Fraction, range(self.size), repeat(self.denominator))
 
-    def __contains__(self, value) -> bool:
-        if not isinstance(value, Rational):
-            return super().__contains__(value)
+    def _find(self, value) -> Optional[int]:
+        """The index of value in the grid, or None; arithmetic, O(1), for a rational."""
+        if not isinstance(value, Rational):  # a float, say: the Sequence mixin's scan
+            return next((k for k, q in enumerate(self) if q is value or q == value), None)
         num, den = value.numerator, value.denominator
         if den & (den - 1) or den > self.denominator:
-            return False
-        return 0 <= num * (self.denominator // den) < self.size
+            return None
+        k = num * (self.denominator // den)
+        return k if 0 <= k < self.size else None
+
+    def __contains__(self, value) -> bool:
+        return self._find(value) is not None
+
+    def count(self, value) -> int:
+        return int(self._find(value) is not None)
+
+    def index(self, value, start=0, stop=None) -> int:
+        k = self._find(value)
+        if k is None or k not in range(self.size)[start:stop]:
+            raise ValueError(f"{value!r} is not in the grid")
+        return k
 
     def __eq__(self, other):
         if isinstance(other, Sequence):

@@ -293,7 +293,6 @@ def check_total_speedup(
     rho: Fraction,
     horizon: int,
     probes: Optional[Iterable[Fraction]] = None,
-    include_approx_points: bool = True,
 ) -> TotalSpeedupReport:
     """Validate a candidate total speed-up map on a probe schedule and trace
     its exact ratios (limit - g(q)) / (limit - q).
@@ -308,8 +307,7 @@ def check_total_speedup(
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     schedule = set(probes) if probes is not None else set(default_probes(x, horizon))
-    if include_approx_points:
-        schedule.update(x.approx(i) for i in range(horizon + 1))
+    schedule.update(x.approx(i) for i in range(horizon + 1))
     ordered = sorted(schedule)
 
     limit = x.limit

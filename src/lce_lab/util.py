@@ -182,6 +182,8 @@ def atomic_write_text(path: str, text: str) -> None:
     existing file forces the new data to disk (``auto_da_alloc``): rewriting
     an unchanged report cost more, and varied far more from run to run, than
     building it.
+
+    The file gets the mode ``open(path, "w")`` would give it: 0666 less the umask.
     """
     data = text.encode()
     try:
@@ -192,8 +194,11 @@ def atomic_write_text(path: str, text: str) -> None:
         pass
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lce-lab-")
+    umask = os.umask(0)  # umask has no getter: read it by setting it, then restore it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -453,6 +453,15 @@ class TestMachines:
         assert code == 2
         assert "prefix violation (0, 01)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["code", "output"])
+    @pytest.mark.parametrize("bad", ["012", "0_1", " 1", "\uff11", 1, [0, 1], None])
+    def test_non_binary_code_or_output_is_usage_error(self, field, bad, tmp_path, three_code_file, capsys):
+        machine = tmp_path / "A.json"
+        machine.write_text(json.dumps({"entries": [{"code": "0", "output": "1", field: bad}]}))
+        argv = ["cmm-check", "--A", str(machine), "--B", three_code_file, "--alpha", "set:evens", "--beta", "set:evens"]
+        assert main(argv) == 2
+        assert f"{field} must be a binary string" in capsys.readouterr().err
+
     @pytest.mark.parametrize("pad", [2.7, 1.0, True, "1", -3])
     def test_non_natural_pad_length_is_usage_error(self, pad, tmp_path, three_code_file, capsys):
         padded = tmp_path / "padded.json"

@@ -5,9 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lce_lab import (
-    DyadicString,
     canonical_length,
     dyadic_length,
+    is_binary,
     is_dyadic,
     real_from_set,
     truncate,
@@ -81,49 +81,57 @@ class TestCanonicalLength:
 
 class TestTruncate:
     def test_two_thirds_four_bits(self):
-        t = truncate(Fraction(2, 3), 4)
-        assert t.bits == "1010"
-        assert t.value == Fraction(5, 8)
+        assert truncate(Fraction(2, 3), 4) == 0b1010
 
     def test_one_half_one_bit(self):
-        assert truncate(Fraction(1, 2), 1).bits == "1"
+        assert truncate(Fraction(1, 2), 1) == 1
 
     def test_zero_bits(self):
-        t = truncate(Fraction(7, 9), 0)
-        assert t.bits == "" and t.value == 0
+        assert truncate(Fraction(7, 9), 0) == 0
 
-    @given(unit_rationals, st.integers(min_value=0, max_value=48))
+    @pytest.mark.parametrize("x, n", [(Fraction(1), 3), (Fraction(-1, 8), 3), (Fraction(1, 2), -1)])
+    def test_rejects_out_of_range(self, x, n):
+        with pytest.raises(DomainError):
+            truncate(x, n)
+
+    @given(unit_rationals, st.integers(min_value=1, max_value=48))
     def test_matches_long_division(self, x, n):
-        assert truncate(x, n).bits == bits_by_long_division(x, n)
+        assert format(truncate(x, n), f"0{n}b") == bits_by_long_division(x, n)
 
     @given(unit_rationals, st.integers(min_value=0, max_value=48))
     def test_error_below_one_ulp(self, x, n):
-        v = truncate(x, n).value
+        v = Fraction(truncate(x, n), 1 << n)
         assert 0 <= x - v < Fraction(1, 1 << n)
 
     @given(unit_rationals, unit_rationals, st.integers(min_value=0, max_value=32))
     def test_monotone(self, x, y, n):
         lo, hi = sorted((x, y))
-        assert truncate(lo, n).value <= truncate(hi, n).value
+        assert truncate(lo, n) <= truncate(hi, n)
 
     @given(dyadics.filter(lambda q: q > 0))
     def test_round_trip_at_canonical_length(self, q):
-        assert truncate(q, dyadic_length(q)).value == q
+        n = dyadic_length(q)
+        assert Fraction(truncate(q, n), 1 << n) == q
 
 
-class TestDyadicString:
-    def test_value(self):
-        assert DyadicString("101").value == Fraction(5, 8)
+class TestIsBinary:
+    @pytest.mark.parametrize("s", ["", "0", "1", "0110", "1" * 1000])
+    def test_accepts_binary_strings(self, s):
+        assert is_binary(s)
 
-    def test_canonical_strips_trailing_zeros(self):
-        assert DyadicString("10100").canonical().bits == "101"
+    # int(s, 2) takes every string here but "012" and "2", so each must fail
+    # this test before any int() call sees it.
+    @pytest.mark.parametrize("s", ["012", "2", "0_1", " 1", "1 ", "1\n", "\uff11", "0\u0661"])
+    def test_rejects_other_strings(self, s):
+        assert not is_binary(s)
 
-    def test_from_rational(self):
-        assert DyadicString.from_rational(Fraction(5, 8)).bits == "101"
+    @pytest.mark.parametrize("s", [1, 0, None, ["0"], b"01", ("0",)])
+    def test_rejects_non_strings(self, s):
+        assert not is_binary(s)
 
-    def test_rejects_non_binary(self):
-        with pytest.raises(DomainError):
-            DyadicString("012")
+    @given(st.text(max_size=8))
+    def test_matches_a_character_scan(self, s):
+        assert is_binary(s) == all(c in "01" for c in s)
 
 
 class TestRealFromSet:

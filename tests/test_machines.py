@@ -32,6 +32,9 @@ def three_code():
 
 binary = st.text(alphabet="01", min_size=0, max_size=6)
 
+# Neither codes nor outputs; int(s, 2) would take the strings after "012".
+NOT_BINARY = ["012", "0_1", " 1", "\uff11", 1, [0, 1], None]
+
 
 @st.composite
 def prefix_free_codes(draw):
@@ -174,7 +177,7 @@ class TestCheckUsch:
 
         table = {}
         for n in range(1, 33):
-            table["1" * (n - 1) + "0"] = truncate(beta.limit, n).bits
+            table["1" * (n - 1) + "0"] = format(truncate(beta.limit, n), f"0{n}b")
         b = PrefixMachine("codes-evens", table)
         a = uniformize(b, witness)
         report = check_usch(a, b, alpha, beta, 1, 32)
@@ -223,3 +226,10 @@ class TestMachineFiles:
         for doc in ({}, {"entries": "x"}, {"entries": [{"code": "0"}]}):
             with pytest.raises(MachineFormatError):
                 machine_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["code", "output"])
+    @pytest.mark.parametrize("bad", NOT_BINARY)
+    def test_non_binary_code_or_output_rejected(self, field, bad):
+        entry = {"code": "10", "output": "1", field: bad}
+        with pytest.raises(MachineFormatError, match="must be a binary string"):
+            machine_from_dict({"entries": [{"code": "0", "output": "1"}, entry]})

@@ -98,12 +98,10 @@ class TestGalleryReals:
         assert periodic_limit("", "1") == 1
         assert periodic_limit("101", "01") == Fraction(5, 8) + Fraction(1, 8) / 3
 
-    def test_certified_gap_bounds_hold(self):
-        for x in default_gallery():
-            if x.gap_bound is None:
-                continue
-            for n in range(50):
-                assert gap(x, n) <= x.gap_bound(n), (x.name, n)
+    @pytest.mark.parametrize("prefix, period", [("", "2"), ("2", "1"), ("0_1", "1"), ("", "0_1"), ("", ""), (1, "1")])
+    def test_periodic_limit_rejects_non_binary_patterns(self, prefix, period):
+        with pytest.raises(ConfigError, match="bad periodic pattern"):
+            periodic_limit(prefix, period)
 
 
 class TestGalleryConfig:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import signal
 import tracemalloc
 from collections.abc import Sequence
 from fractions import Fraction
@@ -377,6 +378,46 @@ class TestDyadicGrid:
     def test_index_and_count(self):
         assert self.GRID.index(Fraction(3, 8)) == 3
         assert self.GRID.count(Fraction(1, 4)) == 1 and self.GRID.count(Fraction(7, 8)) == 0
+
+    @given(
+        st.one_of(
+            st.fractions(min_value=-1, max_value=2, max_denominator=32),
+            st.integers(-2, 2),
+            st.sampled_from([0.25, 0.3, float("nan"), "1/8", None]),
+        ),
+        st.integers(-8, 8),
+        st.one_of(st.none(), st.integers(-8, 8)),
+    )
+    def test_index_and_count_like_a_list(self, value, start, stop):
+        assert self.GRID.count(value) == self.LIST.count(value)
+        try:
+            expected = self.LIST.index(value, start, len(self.LIST) if stop is None else stop)
+        except ValueError:
+            with pytest.raises(ValueError):
+                self.GRID.index(value, start, stop)
+        else:
+            assert self.GRID.index(value, start, stop) == expected
+
+    def test_index_and_count_are_arithmetic_at_depth_64(self):
+        # A scan of 2**64 samples never ends, so the alarm turns one into a failure.
+        def scanned(signum, frame):
+            raise AssertionError("a lookup scanned the grid")
+
+        grid = dyadic_grid(64, Fraction(1))
+        previous = signal.signal(signal.SIGALRM, scanned)
+        signal.alarm(5)
+        try:
+            assert grid.index(Fraction(1, 2)) == 1 << 63
+            assert grid.index(Fraction(1, 2), -(1 << 63)) == 1 << 63
+            assert grid.count(Fraction(1, 2)) == 1 and grid.count(Fraction(1, 3)) == 0
+            assert Fraction(3, 4) in grid and Fraction(1, 3) not in grid
+            with pytest.raises(ValueError):
+                grid.index(Fraction(1, 3))
+            with pytest.raises(ValueError):
+                grid.index(Fraction(1, 2), 0, 1 << 63)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestCheckerAgainstReference:

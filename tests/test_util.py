@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -217,6 +219,21 @@ class TestAtomicWriteText:
         util.atomic_write_text(str(path), '{"a": 1}\n')
         after = path.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        path, plain = tmp_path / "report.json", tmp_path / "plain.json"
+        old = os.umask(umask)
+        try:
+            util.atomic_write_text(str(path), "one\n")
+            created = stat.S_IMODE(path.stat().st_mode)
+            util.atomic_write_text(str(path), "two\n")
+            replaced = stat.S_IMODE(path.stat().st_mode)
+            with open(plain, "w"):
+                pass
+        finally:
+            assert os.umask(old) == umask  # the writer restored the umask
+        assert created == replaced == stat.S_IMODE(plain.stat().st_mode) == mode
 
     def test_same_size_other_bytes_are_replaced(self, tmp_path):
         path = tmp_path / "report.json"
