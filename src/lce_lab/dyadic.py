@@ -12,7 +12,7 @@ additive slack 2**-|q| loosest exactly at q = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import DomainError
 
@@ -60,6 +60,25 @@ def canonical_length(q: Fraction, precision: int = 64) -> int:
         return den.bit_length() - 1
     top = _ONE - Fraction(1, 1 << precision)
     return dyadic_length(Fraction(truncate(min(max(q, _ZERO), top), precision), 1 << precision))
+
+
+def lengths_in_grid_order(depth: int) -> tuple[int, ...]:
+    """The canonical lengths of the grid k/2**depth, 0 <= k < 2**depth, in the
+    order ascending k first reaches them: 0 at k = 0, then depth, depth-1,
+    ..., 1 at k = 2**(depth-l).
+
+    A checker that takes one value per length visits them in this order, so
+    an error raised on the way is the one a sample-by-sample sweep raises.
+    """
+    return (0, *range(depth, 0, -1))
+
+
+def kraft_mass(lengths: Iterable[int]) -> Fraction:
+    """The sum of 2**-n over the code lengths n, as one integer sum over the
+    common denominator 2**max(n); 0 for no lengths."""
+    lengths = list(lengths)
+    top = max(lengths, default=0)
+    return Fraction(sum(1 << (top - n) for n in lengths), 1 << top)
 
 
 def truncate(x: Fraction, n: int) -> int:

@@ -21,7 +21,7 @@ from functools import cache
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
-from .dyadic import canonical_length, dyadic_length, real_from_set
+from .dyadic import canonical_length, lengths_in_grid_order, real_from_set
 from .dyadic import truncate  # noqa: F401  module attribute that perfbench/tracer.py wraps
 from .errors import ConfigError, PreconditionError, WitnessDegenerateError
 from .reals import DeskReal
@@ -271,10 +271,9 @@ def k_bound_from_witness(
 
     A witness with ``at_length`` takes one value per canonical length, so
     the minimum is taken over the lengths 0..n instead of the 2**n strings.
-    They are visited in the order ascending k first reaches them (0 at q = 0,
-    then j = n, n-1, ..., 1 at q = 2**-j), so errors match the full
-    enumeration's.  That path is O(n), so ``MAX_ENUMERATION_BITS`` caps only
-    the enumeration.
+    They are visited in ``lengths_in_grid_order``, the order ascending k
+    first reaches them, so errors match the full enumeration's.  That path
+    is O(n), so ``MAX_ENUMERATION_BITS`` caps only the enumeration.
     """
     if n < 0 or n > MAX_ENUMERATION_BITS and witness.at_length is None:
         raise PreconditionError(
@@ -286,16 +285,16 @@ def k_bound_from_witness(
         d = ceil_log2(witness.constant) + 1
     a = alpha.limit
     if witness.at_length is None:
-        samples = (Fraction(k, 1 << n) for k in range(1 << n))
-        translate = witness.translate
-    else:
-        samples = [Fraction(0)] + [Fraction(1, 1 << j) for j in range(n, 0, -1)]
-        translate = lambda q: witness.at_length(dyadic_length(q))
+        values = ((k, witness.translate(Fraction(k, 1 << n))) for k in range(1 << n))
+    else:  # k = 2**(n - length) is the first sample of each length
+        values = (
+            ((1 << (n - length)) if length else 0, witness.at_length(length))
+            for length in lengths_in_grid_order(n)
+        )
     best: Optional[Fraction] = None
-    for q in samples:
-        phi = translate(q)
+    for k, phi in values:
         if phi is None:
-            raise PreconditionError(f"total witness undefined at {q}")
+            raise PreconditionError(f"total witness undefined at {Fraction(k, 1 << n)}")
         residual = a - phi
         if residual > 0 and (best is None or residual < best):
             best = residual

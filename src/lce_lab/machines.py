@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .dyadic import is_binary, truncate
+from .dyadic import is_binary, kraft_mass, truncate
 from .errors import (
     ConfigError,
     ConstructionError,
@@ -80,10 +80,7 @@ class PrefixMachine:
 
 def measure(machine: PrefixMachine) -> Fraction:
     """Kraft mass of the domain: sum of 2**-|code|; at most 1 when prefix-free."""
-    total = _ZERO
-    for code in machine.table:
-        total += Fraction(1, 1 << len(code))
-    return total
+    return kraft_mass(map(len, machine.table))
 
 
 def complexity(machine: PrefixMachine, tau: str) -> Optional[int]:

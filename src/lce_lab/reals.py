@@ -29,10 +29,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional, Sequence
 
-from .dyadic import is_binary, real_from_set
+from .dyadic import is_binary, kraft_mass, real_from_set
 from .errors import ConfigError, DegenerateApproximationError, DomainError
 
-_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
@@ -189,11 +188,7 @@ def omega_toy(machine, stages: Optional[dict[str, int]] = None, name: Optional[s
     last = max(stage_of.values(), default=0)
 
     def a(s: int) -> Fraction:
-        total = _ZERO
-        for code, st in stage_of.items():
-            if st <= s:
-                total += Fraction(1, 1 << len(code))
-        return total
+        return kraft_mass(len(code) for code, st in stage_of.items() if st <= s)
 
     return DeskReal(
         name=name or f"omega({machine.name})",

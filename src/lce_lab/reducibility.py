@@ -24,7 +24,7 @@ from itertools import repeat
 from numbers import Rational
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .dyadic import canonical_length, dyadic_length, is_dyadic, truncate
+from .dyadic import canonical_length, dyadic_length, is_dyadic, lengths_in_grid_order, truncate
 from .errors import ConfigError
 from .reals import DeskReal
 from .util import rational_str
@@ -34,6 +34,8 @@ _ONE = Fraction(1)
 REASON_UNDEFINED = "undefined"
 REASON_NOT_BELOW_ALPHA = "not_below_alpha"
 REASON_GAP_BOUND = "gap_bound_failed"
+
+MAX_GRID_DEPTH = 16  # default_samples lists at most 2**16 grid samples
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,59 @@ class ViolationReport:
         }
 
 
+def _tester(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness):
+    """The witness inequality at a sample k/h, stated once in integers.
+
+    With alpha = A/B, beta = C/D, c = P/Q, a sample q = k/h in lowest terms
+    and phi(q) = n/m (all denominators positive), gap = A*m - n*B is
+    (alpha - phi) * B*m and room = C*h - k*D is (beta - q) * D*h; a sample
+    with room <= 0 is skipped.  A checked sample is a violation row when
+
+        undefined        phi is None
+        not below alpha  gap <= 0
+        gap bound        gap * Q*D*h >= (P*room + s) * B*m
+
+    where s = Q*D on the weakened variant (the slack 2**-|q| = 1/h) and 0 on
+    the strict one.  Solved for k, the gap bound fails exactly when
+
+        k * slope >= lack,  slope = P*D*B*m > 0,  lack = (P*C*h + s)*B*m - gap*Q*D*h
+
+    so at one (phi, h) the rows are the k from ceil(lack / slope) up.  The
+    first two reasons make every k a row, and their terms slope = lack = 0
+    keep the same test true.  ``test(phi, h)`` returns the terms
+    (phi, reason, lack, slope, gap_dh, bm): reason is the one a row gets, and
+    (alpha - phi) / (beta - q) = gap_dh / (room * bm), with gap_dh = bm = 0
+    where no ratio exists.  ``row(q, k, h, terms)`` is the violation at a
+    row; a gap-bound row carries the bound c*(beta - q) + s/(Q*D*h), that is
+    (P*C*h - P*D*k + s) / (Q*D*h).
+    """
+    a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
+    b_num, b_den = beta.limit.numerator, beta.limit.denominator
+    c_num, c_den = witness.constant.numerator, witness.constant.denominator
+    qd = c_den * b_den  # Q*D
+    pc, pd = c_num * b_num, c_num * b_den  # P*C, P*D
+    slack = qd if witness.weakened else 0  # s
+
+    def test(phi: Optional[Fraction], h: int) -> tuple:
+        if phi is None:
+            return None, REASON_UNDEFINED, 0, 0, 0, 0
+        n, m = phi.numerator, phi.denominator
+        gap = a_num * m - n * a_den
+        if gap <= 0:
+            return phi, REASON_NOT_BELOW_ALPHA, 0, 0, 0, 0
+        bm = a_den * m
+        gap_dh = gap * b_den * h
+        lack = (pc * h + slack) * bm - gap_dh * c_den
+        return phi, REASON_GAP_BOUND, lack, pd * bm, gap_dh, bm
+
+    def row(q, k: int, h: int, terms: tuple) -> Violation:
+        phi, reason, _, slope, _, _ = terms
+        bound = Fraction(pc * h - pd * k + slack, qd * h) if slope else None
+        return Violation(q, reason, phi, bound)
+
+    return test, row
+
+
 def check_witness(
     alpha: DeskReal,
     beta: DeskReal,
@@ -120,29 +175,16 @@ def check_witness(
 
     Samples at or above beta's limit are skipped (and counted).  Order of the
     input does not matter: violations come back sorted by sample value (a
-    ``DyadicGrid`` is ascending, so only other iterables are sorted).
+    ``DyadicGrid`` is ascending, so only other iterables are sorted).  Every
+    test is ``_tester``'s, on integers; the largest ratio
+    (alpha - phi) / (beta - q) stays an integer pair until the end.
 
-    Every comparison runs on cross-multiplied integers.  With alpha = A/B,
-    beta = C/D, c = P/Q, a sample q = k/h in lowest terms and its translation
-    phi(q) = n/m (all denominators positive):
-
-        skip            k*D >= C*h
-        not below alpha A*m - n*B <= 0
-        gap bound       (A*m - n*B) * Q*D*h  <  (P*(C*h - k*D) + s) * B*m
-
-    where s = Q*D on the weakened variant (the slack 2**-|q| = 1/h) and 0 on
-    the strict one.  The largest ratio (alpha - phi) / (beta - q) stays an
-    integer pair until the end.
-
-    There are two paths, with the same report for the same samples.  A
-    ``DyadicGrid`` inside [0,1) checked against a witness with ``at_length``
-    is decided one canonical length at a time (``_check_grid_by_length``):
-    phi is one value per length, so each test above is one threshold in k
-    and no sample is visited unless it is a violation row.  Every other input
-    runs the loop over the pairs (k, h) = (q.numerator, q.denominator).  In
-    the loop, phi and its integer terms are computed once per length h for a
-    witness with ``at_length`` and a dyadic q in [0,1); every other sample
-    goes through ``translate(q)``.
+    A ``DyadicGrid`` inside [0,1) checked against a witness with
+    ``at_length`` is decided one canonical length at a time
+    (``_check_grid_by_length``), with the same report.  Every other input
+    runs the loop over (k, h) = (q.numerator, q.denominator), which computes
+    the terms once per length h for a witness with ``at_length`` and a dyadic
+    q in [0,1), and through ``translate(q)`` for every other sample.
     """
     if (
         witness.at_length is not None
@@ -150,27 +192,11 @@ def check_witness(
         and samples.size <= samples.denominator
     ):
         return _check_grid_by_length(alpha, beta, witness, samples)
-    a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
-    c_num, c_den = witness.constant.numerator, witness.constant.denominator
-    translate, at_length = witness.translate, witness.at_length
-    weakened = witness.weakened
-    qd = c_den * b_den  # Q*D
-    slack = qd if weakened else 0  # s
-    by_length: dict[int, tuple] = {}  # h -> length_terms(h)
-
-    def length_terms(h: int) -> tuple:
-        """phi at length log2(h) and the terms the loop below computes from it."""
-        phi = at_length(h.bit_length() - 1)
-        if phi is None:
-            return None, 0, 0, 0, 0
-        n, m = phi.numerator, phi.denominator
-        gap = a_num * m - n * a_den
-        gap_dh = gap * b_den * h
-        return phi, gap, a_den * m, gap_dh, gap_dh * c_den
-
-    checked = 0
-    skipped = 0
+    translate, at_length, weakened = witness.translate, witness.at_length, witness.weakened
+    test, row = _tester(alpha, beta, witness)
+    by_length: dict[int, tuple] = {}  # h -> test(at_length(log2(h)), h)
+    checked = skipped = 0
     violations: list[Violation] = []
     best_num, best_den = 0, 1
     for q in samples:
@@ -183,31 +209,17 @@ def check_witness(
         if at_length is not None and not h & (h - 1) and 0 <= k < h:
             terms = by_length.get(h)
             if terms is None:
-                terms = by_length[h] = length_terms(h)
-            phi, gap, bm, gap_dh, gap_dhq = terms
+                terms = by_length[h] = test(at_length(h.bit_length() - 1), h)
         else:
-            phi = translate(q)
-            if phi is not None:
-                n, m = phi.numerator, phi.denominator
-                gap = a_num * m - n * a_den  # (alpha - phi) * B*m
-                bm = a_den * m
-                gap_dh = gap * b_den * h
-                gap_dhq = gap_dh * c_den
-        if phi is None:
-            reason, bound = REASON_UNDEFINED, None
-        elif gap <= 0:
-            reason, bound = REASON_NOT_BELOW_ALPHA, None
-        else:
-            if weakened and (h & (h - 1) or k < 0 or k >= h):
+            terms = test(translate(q), h)
+            if weakened and terms[3] and (h & (h - 1) or k < 0 or k >= h):
                 dyadic_length(q)  # raises the proper domain error
-            room_bm = room * bm  # (alpha - phi) / (beta - q) = gap_dh / room_bm
-            if gap_dh * best_den > best_num * room_bm:
-                best_num, best_den = gap_dh, room_bm
-            allowed = c_num * room + slack
-            if gap_dhq < allowed * bm:
-                continue
-            reason, bound = REASON_GAP_BOUND, Fraction(allowed, qd * h)
-        violations.append(Violation(q, reason, phi, bound))
+        _, _, lack, slope, gap_dh, bm = terms
+        room_bm = room * bm
+        if gap_dh * best_den > best_num * room_bm:
+            best_num, best_den = gap_dh, room_bm
+        if k * slope >= lack:
+            violations.append(row(q, k, h, terms))
     if not isinstance(samples, DyadicGrid):  # a grid is ascending already
         violations.sort(key=lambda v: v.sample)
     return ViolationReport(
@@ -219,16 +231,10 @@ def check_witness(
     )
 
 
-def _length_rows(ks: range, step: int, h: int, reason: str, phi, bound_terms=None):
-    """(grid index, violation) for each k in ks: the rows of one length.
-
-    A gap-bound row's bound is (top - slope*k) / den with
-    ``bound_terms = (top, slope, den)``; other rows have none.
-    """
-    top, slope, den = bound_terms or (0, 0, 1)
+def _length_rows(ks: range, step: int, h: int, row, terms: tuple):
+    """(grid index, violation) for each k in ks: the rows of one length."""
     for k in ks:
-        bound = Fraction(top - slope * k, den) if bound_terms else None
-        yield k * step, Violation(Fraction(k, h), reason, phi, bound)
+        yield k * step, row(Fraction(k, h), k, h, terms)
 
 
 def _check_grid_by_length(
@@ -238,60 +244,38 @@ def _check_grid_by_length(
 
     The samples of canonical length l are k/h with h = 2**l, at grid index
     k * 2**(depth-l): k = 0 at l = 0 and odd k otherwise.  phi is one value
-    per length, so at a fixed length each test of ``check_witness`` flips
-    once as k grows:
-
-        checked         k*step < size and k < ceil(C*h / D)
-        gap bound fails k >= ceil(((P*C*h + s)*B*m - gap*D*h*Q) / (D*P*B*m))
-
-    with gap = A*m - n*B.  An undefined phi or gap <= 0 makes every checked k
-    a row.  The ratio (alpha - phi) / (beta - q) grows with k, so its largest
-    value at a length is at the largest checked k.  Counts are closed forms
-    (a ``len(range(...))`` overflows at depth 64), and ``at_length`` is
-    called once per length with a checked sample, in the order ascending
-    grid index first reaches the lengths (0, depth, depth-1, ..., 1), so an
-    error it raises is the one the loop would raise.  Each length yields its
-    rows lazily and ``heapq.merge`` keeps them ascending by grid index.
+    per length, so a length's rows are its checked k (k*step < size and
+    k < ceil(C*h / D)) from ``_tester``'s threshold ceil(lack / slope) up,
+    and its largest ratio is at its largest checked k.  Counts are closed
+    forms (a ``len(range(...))`` overflows at depth 64).  ``at_length`` is
+    called once per length with a checked sample, in
+    ``lengths_in_grid_order``, so an error it raises is the loop's.  Each
+    length yields its rows lazily; ``heapq.merge`` orders them by grid index.
     """
-    a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
-    c_num, c_den = witness.constant.numerator, witness.constant.denominator
-    qd = c_den * b_den  # Q*D
-    slack = qd if witness.weakened else 0  # s
+    test, row = _tester(alpha, beta, witness)
     depth, size = grid.depth, grid.size
     checked = 0
     best_num, best_den = 0, 1
     rows = []
-    for length in (0, *range(depth, 0, -1)):
+    for length in lengths_in_grid_order(depth):
         h, step = 1 << length, 1 << (depth - length)
         first = 1 if length else 0  # the least k of this length
-        top = min(-(-size // step), -(-b_num * h // b_den))  # checked: k < top
-        count = max(top - first + 1, 0) // 2
+        end = min(-(-size // step), -(-b_num * h // b_den))  # checked: k < end
+        count = max(end - first + 1, 0) // 2
         if not count:
             continue
         checked += count
-        phi = witness.at_length(length)
-        if phi is None:
-            rows.append(_length_rows(range(first, top, 2), step, h, REASON_UNDEFINED, None))
-            continue
-        n, m = phi.numerator, phi.denominator
-        gap = a_num * m - n * a_den
-        if gap <= 0:
-            rows.append(_length_rows(range(first, top, 2), step, h, REASON_NOT_BELOW_ALPHA, phi))
-            continue
-        bm = a_den * m
-        gap_dh = gap * b_den * h
+        terms = test(witness.at_length(length), h)
+        _, _, lack, slope, gap_dh, bm = terms
         last = first + 2 * (count - 1)
         room_bm = (b_num * h - last * b_den) * bm
         if gap_dh * best_den > best_num * room_bm:
             best_num, best_den = gap_dh, room_bm
-        top_allowed = c_num * b_num * h + slack  # P*C*h + s
-        t_gap = -((gap_dh * c_den - top_allowed * bm) // (b_den * c_num * bm))
-        start = max(t_gap, first)
-        start += (start - first) & 1  # same parity as the lengths' k
-        if start < top:
-            bound_terms = (top_allowed, c_num * b_den, qd * h)
-            rows.append(_length_rows(range(start, top, 2), step, h, REASON_GAP_BOUND, phi, bound_terms))
+        start = max(-(-lack // slope), first) if slope else first
+        start += (start - first) & 1  # same parity as the length's k
+        if start < end:
+            rows.append(_length_rows(range(start, end, 2), step, h, row, terms))
     return ViolationReport(
         witness=witness.name,
         samples_checked=checked,
@@ -392,6 +376,9 @@ class DyadicGrid(Sequence):
     samples are built when indexed or iterated, so a grid of any size takes
     constant memory.  It compares equal to any sequence with the same
     elements, e.g. ``DyadicGrid(3, 4) == [Fraction(k, 8) for k in range(4)]``.
+    Iteration, reversal, indexing and lookups work at any size, but
+    ``len()`` fails past ``sys.maxsize``, since CPython's len cannot return
+    more (``size`` holds the count).
     """
 
     depth: int
@@ -421,6 +408,9 @@ class DyadicGrid(Sequence):
 
     def __iter__(self):
         return map(Fraction, range(self.size), repeat(self.denominator))
+
+    def __reversed__(self):
+        return map(Fraction, reversed(range(self.size)), repeat(self.denominator))
 
     def _find(self, value) -> Optional[int]:
         """The index of value in the grid, or None; arithmetic, O(1), for a rational."""
@@ -481,7 +471,13 @@ def default_samples(
     beta: DeskReal, approx_count: int = 64, grid_depth: int = 10
 ) -> list[Fraction]:
     """Approximation points of the target real plus a dyadic grid below its
-    limit; the approximation points are the proof-relevant witnesses."""
-    points = {beta.approx(i) for i in range(approx_count + 1)}
-    points.update(dyadic_grid(grid_depth, beta.limit))
-    return sorted(q for q in points if q < beta.limit)
+    limit, ascending and without repeats; the approximation points are the
+    proof-relevant witnesses.  The schedule is a list, so the grid depth is
+    capped (``dyadic_grid`` and ``dyadic_samples`` are lazy).
+    """
+    if grid_depth > MAX_GRID_DEPTH:
+        raise ConfigError(f"grid depth must be <= {MAX_GRID_DEPTH}, got {grid_depth}")
+    grid = dyadic_grid(grid_depth, beta.limit)
+    points = (beta.approx(i) for i in range(approx_count + 1))
+    extra = {p for p in points if p < beta.limit and p not in grid}
+    return list(heapq.merge(grid, sorted(extra)))

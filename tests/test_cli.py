@@ -172,6 +172,23 @@ class TestCheckWitness:
         doc = json.loads(out.read_text())
         assert doc["samples_checked"] == 1 << 40 and doc["skipped"] == 0
 
+    @pytest.mark.parametrize("depth", ["17", "40"])
+    def test_grid_depth_above_the_cap_is_usage_error(self, depth, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "check-witness",
+                "--alpha", "geometric:1",
+                "--beta", "geometric:1",
+                "--witness", "identity",
+                "--grid-depth", depth,
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"grid depth must be <= 16, got {depth}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("witness", ["scaling:2:forward", "least"])
     def test_constant_for_a_witness_that_fixes_its_own_is_usage_error(self, witness, tmp_path, capsys):
         out = tmp_path / "report.json"

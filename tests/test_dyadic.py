@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lce_lab import (
@@ -12,6 +12,7 @@ from lce_lab import (
     real_from_set,
     truncate,
 )
+from lce_lab.dyadic import kraft_mass, lengths_in_grid_order
 from lce_lab.errors import DomainError
 
 
@@ -157,3 +158,22 @@ class TestRealFromSet:
     def test_is_dyadic(self):
         assert is_dyadic(Fraction(3, 8))
         assert not is_dyadic(Fraction(1, 3))
+
+
+class TestKraftMass:
+    @example([])
+    @given(st.lists(st.integers(min_value=0, max_value=80), max_size=40))
+    def test_matches_a_fraction_sum(self, lengths):
+        expect = sum((Fraction(1, 1 << n) for n in lengths), Fraction(0))
+        got = kraft_mass(iter(lengths))
+        assert got == expect and type(got) is Fraction
+
+
+def test_lengths_in_grid_order_is_the_order_ascending_k_first_reaches_them():
+    for depth in range(9):
+        first_seen = []
+        for k in range(1 << depth):
+            length = dyadic_length(Fraction(k, 1 << depth))
+            if length not in first_seen:
+                first_seen.append(length)
+        assert list(lengths_in_grid_order(depth)) == first_seen

@@ -30,6 +30,7 @@ from lce_lab.dyadic import canonical_length, dyadic_length
 from lce_lab.errors import ConfigError, DomainError, LabError
 from lce_lab.hyperimmunity import total_witness_from_majorizer
 from lce_lab.reducibility import (
+    MAX_GRID_DEPTH,
     REASON_GAP_BOUND,
     REASON_NOT_BELOW_ALPHA,
     REASON_UNDEFINED,
@@ -320,6 +321,23 @@ class TestSampleSchedules:
         assert beta.approx(5) in samples
         assert all(q < beta.limit for q in samples)
 
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(default_gallery()),
+        st.integers(0, 8),
+        st.integers(0, 64),
+    )
+    def test_default_samples_match_the_sorted_set(self, beta, depth, approx_count):
+        points = {beta.approx(i) for i in range(approx_count + 1)}
+        points.update(dyadic_grid(depth, beta.limit))
+        expect = sorted(q for q in points if q < beta.limit)
+        assert default_samples(beta, approx_count, depth) == expect
+
+    def test_default_samples_cap_the_grid_depth(self):
+        assert len(default_samples(real("1"), 0, MAX_GRID_DEPTH)) == 1 << MAX_GRID_DEPTH
+        with pytest.raises(ConfigError, match="grid depth must be <= 16, got 17"):
+            default_samples(real("1"), grid_depth=MAX_GRID_DEPTH + 1)
+
 
 class TestDyadicGrid:
     GRID = DyadicGrid(3, 6)
@@ -415,6 +433,7 @@ class TestDyadicGrid:
                 grid.index(Fraction(1, 3))
             with pytest.raises(ValueError):
                 grid.index(Fraction(1, 2), 0, 1 << 63)
+            assert next(reversed(grid)) == 1 - Fraction(1, 1 << 64)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
