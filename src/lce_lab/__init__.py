@@ -79,6 +79,7 @@ from .reducibility import (
     dyadic_grid,
     dyadic_samples,
     identity_witness,
+    per_length_witness,
     scaling_witness,
 )
 from .registry import (

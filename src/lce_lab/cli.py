@@ -21,7 +21,7 @@ from .errors import ConfigError, LabError
 from .machines import check_usch, machine_from_dict, machine_to_dict, measure, uniformize
 from .reducibility import check_witness, default_samples, dyadic_samples
 from .registry import gallery_from_config
-from .speedability import amplify, check_total_speedup, liminf_record, speedup_from_translation, translation_from_speedup
+from .speedability import amplify, check_rho, check_total_speedup, liminf_record, speedup_from_translation, translation_from_speedup
 from .util import atomic_write_text, dump_json, parse_rational, rational_str
 
 EXIT_PASS = 0
@@ -51,6 +51,15 @@ def _check_horizon(horizon: int) -> int:
     return horizon
 
 
+def _witness(args, default_constant: Fraction, alpha):
+    """The ``--witness``; ``--c`` sets only the identity witness's constant."""
+    witness = registry.parse_witness(args.witness, parse_rational(args.c) if args.c is not None else default_constant, alpha)
+    kind = args.witness.partition(":")[0]
+    if args.c is not None and kind != "identity":
+        raise ConfigError(f"--c sets the identity witness's constant; {kind} fixes its own")
+    return witness
+
+
 def _cmd_gallery(args) -> int:
     horizon = _check_horizon(args.horizon)
     with open(args.config) as fh:
@@ -77,11 +86,7 @@ def _cmd_gallery(args) -> int:
 def _cmd_check_witness(args) -> int:
     alpha = registry.parse_real(args.alpha)
     beta = registry.parse_real(args.beta)
-    constant = parse_rational(args.c) if args.c else Fraction(2)
-    witness = registry.parse_witness(args.witness, constant, alpha)
-    kind = args.witness.partition(":")[0]
-    if args.c is not None and kind != "identity":
-        raise ConfigError(f"--c sets the identity witness's constant; {kind} fixes its own")
+    witness = _witness(args, Fraction(2), alpha)
     if args.samples is not None:
         samples = dyadic_samples(beta.limit, args.samples)
     else:
@@ -98,6 +103,7 @@ def _cmd_check_witness(args) -> int:
 def _cmd_speed_trace(args) -> int:
     real = registry.parse_real(args.real)
     speedup = registry.parse_speedup(args.speedup)
+    rho = check_rho(parse_rational(args.rho)) if args.rho is not None else None
     trace = liminf_record(real, speedup, args.horizon)
     if args.format == "json":
         _emit_json(trace.to_json_dict(), args.out)
@@ -107,8 +113,8 @@ def _cmd_speed_trace(args) -> int:
         writer.writerow(["n", "ratio_num", "ratio_den", "running_min_num", "running_min_den"])
         writer.writerows(trace.csv_rows())
         _emit(buf.getvalue(), args.out)
-    if args.rho is not None:
-        return EXIT_PASS if trace.evidence_at(parse_rational(args.rho)) else EXIT_VIOLATION
+    if rho is not None:
+        return EXIT_PASS if trace.evidence_at(rho) else EXIT_VIOLATION
     return EXIT_PASS
 
 
@@ -158,9 +164,8 @@ def _cmd_speed_check(args) -> int:
 
 def _cmd_cmm_build(args) -> int:
     source = _load_machine(args.B)
-    constant = parse_rational(args.c) if args.c else Fraction(1)
-    witness = registry.parse_witness(args.witness, constant, registry.parse_real(args.alpha) if args.alpha else None)
-    built = uniformize(source, witness, constant, overflow=args.overflow)
+    witness = _witness(args, Fraction(1), registry.parse_real(args.alpha) if args.alpha else None)
+    built = uniformize(source, witness, overflow=args.overflow)
     _emit_json(machine_to_dict(built), args.out)
     sys.stderr.write(
         f"measure {rational_str(measure(built))} (source {rational_str(measure(source))})\n"
@@ -216,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--real", required=True)
     p.add_argument("--speedup", required=True)
     p.add_argument("--horizon", type=int, default=10)
-    p.add_argument("--rho", help="optional evidence threshold (num/den)")
+    p.add_argument("--rho", help="optional evidence threshold in (0,1) (num/den)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="report path (default stdout)")
     p.set_defaults(func=_cmd_speed_trace)
@@ -243,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cmm-build", help="uniformize a machine along a witness")
     p.add_argument("--B", required=True, help="source machine JSON")
     p.add_argument("--witness", required=True)
-    p.add_argument("--c", help="witness constant (num/den), default 1")
+    p.add_argument("--c", help="witness constant for identity (num/den), default 1")
     p.add_argument("--alpha", help="real spec, needed by the least witness")
     p.add_argument("--overflow", choices=("saturate", "error"), default="saturate")
     p.add_argument("--out", help="machine output path (default stdout)")

@@ -48,18 +48,17 @@ def dyadic_length(q: Fraction) -> int:
     return q.denominator.bit_length() - 1
 
 
-def canonical_length(q: Fraction, precision: int = 64) -> int:
+def canonical_length(q: Fraction) -> int:
     """|q| for a dyadic q in [0,1); total on every other rational.
 
-    Anything else is first clamped into [0, 1 - 2**-precision] and truncated
-    at ``precision`` bits.  That is mere totality filler for translations
-    that key on |q|; proofs only ever exercise dyadic samples in [0,1).
+    Anything else is clamped into [0, 1 - 2**-64] and truncated at 64 bits:
+    totality filler for translations that key on |q|, which proofs never use.
     """
     num, den = q.numerator, q.denominator
     if not den & (den - 1) and 0 <= num < den:
         return den.bit_length() - 1
-    top = _ONE - Fraction(1, 1 << precision)
-    return dyadic_length(Fraction(truncate(min(max(q, _ZERO), top), precision), 1 << precision))
+    top = _ONE - Fraction(1, 1 << 64)
+    return dyadic_length(Fraction(truncate(min(max(q, _ZERO), top), 64), 1 << 64))
 
 
 def lengths_in_grid_order(depth: int) -> tuple[int, ...]:

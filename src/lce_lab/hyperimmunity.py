@@ -17,15 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
-from .dyadic import canonical_length, lengths_in_grid_order, real_from_set
+from .dyadic import lengths_in_grid_order, real_from_set
 from .dyadic import truncate  # noqa: F401  module attribute that perfbench/tracer.py wraps
 from .errors import ConfigError, PreconditionError, WitnessDegenerateError
 from .reals import DeskReal
-from .reducibility import TranslationWitness
+from .reducibility import TranslationWitness, per_length_witness
 from .util import ceil_log2
 
 _ONE = Fraction(1)
@@ -221,9 +220,7 @@ def majorizes_principal(g: Callable[[int], int], a: NaturalSet, through: int) ->
     return True
 
 
-def total_witness_from_majorizer(
-    a: NaturalSet, g: Callable[[int], int], precision: int = 64
-) -> TranslationWitness:
+def total_witness_from_majorizer(a: NaturalSet, g: Callable[[int], int]) -> TranslationWitness:
     """Total strict witness (constant 1) putting the bit-real of a computable
     infinite set below any bit-real whose gap function g majorizes.
 
@@ -231,25 +228,16 @@ def total_witness_from_majorizer(
     0.A(0)A(1)...; the extra bit keeps the miss strictly under 2**-g(|q|),
     which in turn is at most the target's distance above q whenever g
     majorizes that target's gap function.  Infinitude of the set keeps the
-    answer strictly below the source real.  Non-dyadic rationals are first
-    truncated to ``precision`` bits (totality filler; proofs only ever
-    exercise dyadic samples).
+    answer strictly below the source real.
     """
 
-    @cache
     def at_length(length: int) -> Fraction:
         depth = g(length)
         if not isinstance(depth, int) or depth < 0:
             raise PreconditionError(f"majorizer value g({length}) = {depth!r} is not a natural")
         return real_from_set(a.contains, depth + 1)
 
-    return TranslationWitness(
-        name=f"bits({a.name})/majorized",
-        translate=lambda q: at_length(canonical_length(q, precision)),
-        constant=_ONE,
-        total=True,
-        at_length=at_length,
-    )
+    return per_length_witness(f"bits({a.name})/majorized", at_length, _ONE)
 
 
 MAX_ENUMERATION_BITS = 20

@@ -101,26 +101,23 @@ def pad_width(constant: Fraction) -> int:
 
 
 def uniformize(
-    source: PrefixMachine,
-    witness: TranslationWitness,
-    constant: Optional[Fraction] = None,
-    overflow: str = OVERFLOW_SATURATE,
+    source: PrefixMachine, witness: TranslationWitness, overflow: str = OVERFLOW_SATURATE
 ) -> PrefixMachine:
     """Transport a machine along a total translation witness.
 
     For each code x with output sigma (n bits, value q = 0.sigma): translate q,
     truncate to n bits, and emit 2**L codes x+w whose outputs step through the
-    n-bit values above the truncation, one per pad value.  Translated values
-    outside [0,1) are construction errors reported per code.  The result keeps
-    the source's Kraft mass exactly (saturating policy) and stays prefix-free
-    because all pads share the fixed width L.
+    n-bit values above the truncation, one per pad value; L is ``pad_width``
+    of the witness's own constant.  Translated values outside [0,1) are
+    construction errors reported per code.  The result keeps the source's
+    Kraft mass exactly (saturating policy) and stays prefix-free because all
+    pads share the fixed width L.
     """
     if not witness.total:
         raise ConfigError("uniformization needs a total witness")
     if overflow not in (OVERFLOW_SATURATE, OVERFLOW_ERROR):
         raise ConfigError(f"unknown overflow policy {overflow!r}")
-    c = witness.constant if constant is None else Fraction(constant)
-    width = pad_width(c)
+    width = pad_width(witness.constant)
 
     table: dict[str, str] = {}
     bad_codes: list[str] = []

@@ -46,11 +46,9 @@ class TranslationWitness:
     return None (undefined).  ``weakened`` switches the checker to the variant
     with the 2**-|q| slack.
 
-    ``at_length`` is set on witnesses whose value at a dyadic sample depends on
-    the sample's canonical length alone.  Its contract: for every dyadic q in
-    [0,1), ``translate(q) == at_length(|q|)``.  The witnesses built here derive
-    ``translate`` from ``at_length``, so the contract holds by construction;
-    the checker then translates once per length instead of once per sample.
+    ``at_length`` is set by ``per_length_witness``, on witnesses whose value
+    at a dyadic q in [0,1) is ``at_length(|q|)`` by construction; the checker
+    then translates once per length instead of once per sample.
     """
 
     name: str
@@ -334,6 +332,16 @@ def compose_witnesses(outer: TranslationWitness, inner: TranslationWitness) -> T
     )
 
 
+def per_length_witness(
+    name: str, at_length: Callable[[int], Optional[Fraction]], constant: Fraction, weakened: bool = False
+) -> TranslationWitness:
+    """The witness q -> at_length(|q|), with ``at_length`` cached.  Its
+    ``translate`` is derived here and nowhere else, so the contract that
+    ``check_witness`` and ``k_bound_from_witness`` rely on holds by construction."""
+    at_length = cache(at_length)
+    return TranslationWitness(name, lambda q: at_length(canonical_length(q)), constant, weakened=weakened, at_length=at_length)
+
+
 def computable_least_witness(alpha: DeskReal) -> TranslationWitness:
     """Weakened-variant witness placing a real with known rational limit below
     every other real with constant 1.
@@ -348,20 +356,12 @@ def computable_least_witness(alpha: DeskReal) -> TranslationWitness:
     frac_part = a - whole
     dyadic_alpha = is_dyadic(frac_part)
 
-    @cache
     def at_length(length: int) -> Fraction:
         if dyadic_alpha:
             return a - Fraction(1, 1 << (length + 2))
         return whole + Fraction(truncate(frac_part, length + 1), 1 << (length + 1))
 
-    return TranslationWitness(
-        name=f"least({alpha.name})",
-        translate=lambda q: at_length(canonical_length(q)),
-        constant=_ONE,
-        total=True,
-        weakened=True,
-        at_length=at_length,
-    )
+    return per_length_witness(f"least({alpha.name})", at_length, _ONE, weakened=True)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +376,7 @@ class DyadicGrid(Sequence):
     samples are built when indexed or iterated, so a grid of any size takes
     constant memory.  It compares equal to any sequence with the same
     elements, e.g. ``DyadicGrid(3, 4) == [Fraction(k, 8) for k in range(4)]``.
-    Iteration, reversal, indexing and lookups work at any size, but
+    Iteration, reversal, indexing, truth tests and lookups work at any size, but
     ``len()`` fails past ``sys.maxsize``, since CPython's len cannot return
     more (``size`` holds the count).
     """
@@ -396,6 +396,9 @@ class DyadicGrid(Sequence):
 
     def __len__(self) -> int:
         return self.size
+
+    def __bool__(self) -> bool:
+        return self.size > 0
 
     def __getitem__(self, index):
         try:

@@ -287,6 +287,13 @@ def default_probes(x: DeskReal, horizon: int) -> list[Fraction]:
     return [base + (limit - base) * (1 - Fraction(1, 1 << k)) for k in range(1, horizon + 1)]
 
 
+def check_rho(rho: Fraction) -> Fraction:
+    """rho, if it lies in (0,1): every gap ratio is at most 1, so any trace is evidence at rho >= 1."""
+    if not _ZERO < rho < _ONE:
+        raise ConfigError(f"rho must lie in (0,1), got {rho}")
+    return rho
+
+
 def check_total_speedup(
     x: DeskReal,
     g: TranslationMap,
@@ -302,8 +309,7 @@ def check_total_speedup(
     the trace; evidence means the running minimum of the surviving ratios is
     at or below rho.
     """
-    if not _ZERO < rho < _ONE:
-        raise ConfigError(f"rho must lie in (0,1), got {rho}")
+    check_rho(rho)
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     schedule = set(probes) if probes is not None else set(default_probes(x, horizon))

@@ -206,6 +206,13 @@ class TestCheckWitness:
         assert "--c sets the identity witness's constant" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_constant_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["check-witness", "--alpha", "geometric:1", "--beta", "geometric:1", "--witness", "identity"]
+        assert main(argv + ["--c", "", "--out", str(out)]) == 2
+        assert "not an exact integer: ''" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_witness_spec(self, capsys):
         code = main(
             [
@@ -217,6 +224,14 @@ class TestCheckWitness:
         )
         assert code == 2
         assert "witness" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check-witness", "cmm-build"])
+    def test_unknown_witness_spec_comes_before_the_constant_rule(self, command, tmp_path, three_code_file, capsys):
+        out = tmp_path / "out.json"
+        inputs = {"check-witness": ["--alpha", "geometric:1", "--beta", "geometric:1"], "cmm-build": ["--B", three_code_file]}
+        assert main([command, *inputs[command], "--witness", "wizardry", "--c", "3", "--out", str(out)]) == 2
+        assert "unknown witness spec 'wizardry'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSpecFieldCounts:
@@ -285,6 +300,18 @@ class TestSpeedTrace:
                      "--horizon", "8", "--rho", "1/2", "--format", "json"]) == 0
         assert main(["speed-trace", "--real", "geometric:1", "--speedup", "identity",
                      "--horizon", "8", "--rho", "1/2", "--format", "json"]) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rho", ["1", "2", "0", "-1/2"])
+    def test_rho_outside_the_unit_interval_is_usage_error(self, rho, fmt, tmp_path, capsys):
+        # Every ratio is at most 1, so rho >= 1 would make any trace evidence.
+        out = tmp_path / "trace.out"
+        argv = ["speed-trace", "--real", "geometric:1", "--speedup", "linear:2", f"--rho={rho}", "--format", fmt]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"rho must lie in (0,1), got {rho}" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
     def test_omega_real_from_machine_file(self, three_code_file, tmp_path):
         out = tmp_path / "trace.csv"
@@ -456,6 +483,37 @@ class TestMachines:
                 "--n-max", "8",
             ]
         ) == 0
+
+    def test_pad_width_comes_from_the_witness(self, tmp_path):
+        # Code 1**(n-1) 0 outputs the first n bits of 1/5; scaling by 3 has c = 4.
+        source = tmp_path / "fifth.json"
+        entries = [{"code": "1" * (n - 1) + "0", "output": format((1 << n) // 5, f"0{n}b")} for n in range(1, 17)]
+        source.write_text(dump_json({"name": "fifth", "entries": entries}))
+        built = tmp_path / "A.json"
+        argv = ["cmm-build", "--B", str(source), "--witness", "scaling:3:forward", "--out", str(built)]
+        assert main(argv) == 0
+        assert json.loads(built.read_text())["pad_length"] == 3
+        check = tmp_path / "check.json"
+        argv = ["cmm-check", "--A", str(built), "--B", str(source), "--alpha", "geometric:3/5",
+                "--beta", "geometric:1/5", "--c", "3", "--n-max", "16", "--out", str(check)]
+        assert main(argv) == 0
+        assert json.loads(check.read_text())["first_failure"] is None
+
+    @pytest.mark.parametrize(
+        "witness, c", [(["scaling:1/2:forward"], "7"), (["least", "--alpha", "geometric:5/8"], "3")]
+    )
+    def test_constant_for_a_witness_that_fixes_its_own_is_usage_error(self, witness, c, tmp_path, three_code_file, capsys):
+        out = tmp_path / "A.json"
+        argv = ["cmm-build", "--B", three_code_file, "--witness", *witness, "--c", c, "--out", str(out)]
+        assert main(argv) == 2
+        assert "--c sets the identity witness's constant" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("c", ["1", "3", "7"])
+    def test_identity_constant_sets_the_pad(self, c, tmp_path, three_code_file):
+        out = tmp_path / "A.json"
+        assert main(["cmm-build", "--B", three_code_file, "--witness", "identity", "--c", c, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pad_length"] == {"1": 1, "3": 2, "7": 3}[c]
 
     def test_prefix_violation_is_usage_error(self, bad_machine_file, three_code_file, capsys):
         code = main(

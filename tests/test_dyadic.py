@@ -77,7 +77,7 @@ class TestCanonicalLength:
 
     @given(unit_rationals.filter(lambda q: not is_dyadic(q)))
     def test_filler_is_length_of_the_truncation(self, q):
-        assert canonical_length(q, 12) == len(bits_by_long_division(q, 12).rstrip("0"))
+        assert canonical_length(q) == len(bits_by_long_division(q, 64).rstrip("0"))
 
 
 class TestTruncate:

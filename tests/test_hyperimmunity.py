@@ -21,7 +21,9 @@ from lce_lab import (
     naturals,
     odds,
     powers_of_two,
+    per_length_witness,
     principal,
+    real_from_set,
     set_from_config,
     set_real,
     squares,
@@ -168,15 +170,16 @@ class TestTotalWitnessFromMajorizer:
     @given(
         st.sampled_from(["evens", "odds", "squares", "powers"]),
         st.integers(0, 3),
-        st.integers(8, 64),
         st.one_of(
             st.builds(Fraction, st.integers(0, 255), st.sampled_from([1, 2, 4, 64, 256])),
             st.fractions(min_value=-2, max_value=3, max_denominator=50),
         ),
     )
-    def test_translate_is_at_length_of_canonical_length(self, kind, b, precision, q):
-        w = total_witness_from_majorizer(set_from_config({"kind": kind}), lambda n: n + b, precision)
-        assert w.translate(q) == w.at_length(canonical_length(q, precision))
+    def test_translate_is_at_length_of_canonical_length(self, kind, b, q):
+        a = set_from_config({"kind": kind})
+        w = total_witness_from_majorizer(a, lambda n: n + b)
+        length = canonical_length(q)
+        assert w.translate(q) == w.at_length(length) == real_from_set(a.contains, length + b + 1)
 
     def test_non_dyadic_inputs_get_truncated(self):
         w = total_witness_from_majorizer(evens(), lambda n: n + 1)
@@ -245,9 +248,7 @@ class TestKBoundFromWitness:
         ],
     )
     def test_per_length_errors_match_full_enumeration(self, at_length):
-        keyed = TranslationWitness(
-            "keyed", lambda q: at_length(canonical_length(q)), Fraction(1), at_length=at_length
-        )
+        keyed = per_length_witness("keyed", at_length, Fraction(1))
         enumerated = dataclasses.replace(keyed, at_length=None)
         for n in range(9):
             expect = self._outcome(enumerated, self.alpha, n)

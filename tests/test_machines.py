@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,15 @@ from lce_lab import (
     TranslationWitness,
     check_usch,
     complexity,
+    geometric,
     identity_witness,
     machine_from_dict,
     machine_to_dict,
     measure,
     pad_width,
+    scaling_witness,
     set_real,
+    truncate,
     uniformize,
 )
 from lce_lab.errors import (
@@ -144,6 +148,40 @@ class TestUniformize:
         a = uniformize(b, w)  # construction validates prefix-freeness
         assert measure(a) == measure(b)
         assert len(a.table) == len(b.table) * (1 << a.pad_length)
+
+
+def fifth_machine():
+    """Code 1**(n-1) 0 outputs the first n bits of 1/5, for n = 1..16."""
+    return PrefixMachine(
+        "fifth", {"1" * (n - 1) + "0": format(truncate(Fraction(1, 5), n), f"0{n}b") for n in range(1, 17)}
+    )
+
+
+class TestTransportPadWidth:
+    """The pad width comes from the witness's own constant: scaling by 3 has
+    c = 4 and gets 3 pad bits.  The n-bit prefix of 3/5 sits up to 3 units
+    above the image of the n-bit prefix of 1/5, which one pad bit cannot reach."""
+
+    def test_scaling_witness_sets_the_pad(self):
+        w = scaling_witness(Fraction(3), "forward")
+        assert w.constant == 4
+        a = uniformize(fifth_machine(), w)
+        assert a.pad_length == 3 == pad_width(w.constant)
+        assert measure(a) == measure(fifth_machine())
+
+    def test_transport_passes_through_length_16(self):
+        b = fifth_machine()
+        a = uniformize(b, scaling_witness(Fraction(3), "forward"))
+        report = check_usch(a, b, geometric(Fraction(3, 5)), geometric(Fraction(1, 5)), 3, 16)
+        assert report.passed and [row.n for row in report.rows] == list(range(1, 17))
+
+    def test_one_pad_bit_is_too_few(self):
+        # The width a constant of 1 gives: 3/5's 2-bit prefix is out of reach.
+        b = fifth_machine()
+        w = dataclasses.replace(scaling_witness(Fraction(3), "forward"), constant=Fraction(1))
+        a = uniformize(b, w)
+        assert a.pad_length == 1
+        assert check_usch(a, b, geometric(Fraction(3, 5)), geometric(Fraction(1, 5)), 3, 16).first_failure == 2
 
 
 class TestCheckUsch:

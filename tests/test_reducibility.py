@@ -22,6 +22,7 @@ from lce_lab import (
     evens,
     geometric,
     identity_witness,
+    per_length_witness,
     scale,
     scaling_witness,
     set_real,
@@ -287,7 +288,40 @@ class TestLeastWitness:
     )
     def test_translate_is_at_length_of_canonical_length(self, limit, q):
         w = computable_least_witness(real(limit))
-        assert w.translate(q) == w.at_length(canonical_length(q))
+        length = canonical_length(q)
+        assert w.translate(q) == w.at_length(length)
+
+
+class TestPerLengthWitness:
+    # One value per length, undefined ones included; a drawn q is a dyadic in
+    # [0,1), a non-dyadic rational, or a rational outside [0,1).
+    VALUES = st.none() | st.fractions(min_value=-1, max_value=3, max_denominator=48)
+    SAMPLES = st.one_of(
+        st.builds(Fraction, st.integers(0, 1023), st.sampled_from([1, 2, 4, 64, 1024])),
+        st.fractions(min_value=-2, max_value=3, max_denominator=50),
+        st.builds(Fraction, st.integers(-(1 << 70), 1 << 70), st.integers(1, 1 << 70)),
+    )
+
+    @given(st.lists(VALUES, min_size=1, max_size=70), SAMPLES)
+    def test_translate_is_the_value_at_the_canonical_length(self, table, q):
+        lookup = lambda length: table[length % len(table)]
+        w = per_length_witness("table", lookup, Fraction(3, 2))
+        length = canonical_length(q)
+        assert 0 <= length <= 64
+        assert w.translate(q) == lookup(length) == w.at_length(length)
+
+    def test_fields_and_one_call_per_length(self):
+        calls = []
+
+        def lookup(length):
+            calls.append(length)
+            return Fraction(1, 3) if length else None
+
+        w = per_length_witness("keyed", lookup, Fraction(5), weakened=True)
+        assert (w.name, w.constant, w.total, w.weakened) == ("keyed", 5, True, True)
+        values = [w.translate(Fraction(k, 8)) for k in range(8)] + [w.at_length(3), w.translate(Fraction(1, 3))]
+        assert values == [None] + [Fraction(1, 3)] * 9
+        assert calls == [0, 3, 2, 1, 64]
 
 
 class TestSampleSchedules:
@@ -355,6 +389,10 @@ class TestDyadicGrid:
             DyadicGrid(-1, 3)
         with pytest.raises(ConfigError, match="size"):
             DyadicGrid(2, -1)
+
+    def test_truth_value_at_any_size(self):
+        assert dyadic_grid(64, Fraction(1)) and self.GRID and DyadicGrid(0, 1)
+        assert not DyadicGrid(5, 0) and not dyadic_grid(64, Fraction(0))
 
     def test_len_iteration_and_reversal(self):
         assert len(self.GRID) == 6 and len(DyadicGrid(5, 0)) == 0
@@ -509,20 +547,8 @@ def witnesses(draw, alpha, constant, u, v):
                 dataclasses.replace(least, constant=constant, weakened=weakened),
                 dataclasses.replace(least, constant=constant, weakened=weakened, at_length=None),
                 dataclasses.replace(bits, constant=constant, weakened=weakened),
-                TranslationWitness(
-                    "keyed",
-                    lambda q: at_length(canonical_length(q)),
-                    constant,
-                    weakened=weakened,
-                    at_length=at_length,
-                ),
-                TranslationWitness(
-                    "table",
-                    lambda q: at_table(canonical_length(q)),
-                    constant,
-                    weakened=weakened,
-                    at_length=at_table,
-                ),
+                per_length_witness("keyed", at_length, constant, weakened=weakened),
+                per_length_witness("table", at_table, constant, weakened=weakened),
             ]
         )
     )
