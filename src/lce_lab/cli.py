@@ -21,7 +21,7 @@ from .errors import ConfigError, LabError
 from .machines import check_usch, machine_from_dict, machine_to_dict, measure, uniformize
 from .reducibility import check_witness, default_samples, dyadic_samples
 from .registry import gallery_from_config
-from .speedability import amplify, check_rho, check_total_speedup, liminf_record, speedup_from_translation, translation_from_speedup
+from .speedability import amplify, check_horizon, check_rho, check_total_speedup, liminf_record, speedup_from_translation, translation_from_speedup
 from .util import atomic_write_text, dump_json, parse_rational, rational_str
 
 EXIT_PASS = 0
@@ -45,12 +45,6 @@ def _load_machine(path: str):
         return machine_from_dict(json.load(fh))
 
 
-def _check_horizon(horizon: int) -> int:
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    return horizon
-
-
 def _witness(args, default_constant: Fraction, alpha):
     """The ``--witness``; ``--c`` sets only the identity witness's constant."""
     witness = registry.parse_witness(args.witness, parse_rational(args.c) if args.c is not None else default_constant, alpha)
@@ -61,7 +55,7 @@ def _witness(args, default_constant: Fraction, alpha):
 
 
 def _cmd_gallery(args) -> int:
-    horizon = _check_horizon(args.horizon)
+    horizon = check_horizon(args.horizon)
     with open(args.config) as fh:
         reals = gallery_from_config(json.load(fh))
     entries = []
@@ -127,7 +121,7 @@ def _cmd_convert(args) -> int:
         translation = translation_from_speedup(real, speedup)
         probes = [parse_rational(p) for p in (args.probes.split(",") if args.probes else [])]
         if not probes:
-            probes = [real.approx(i) for i in range(_check_horizon(args.horizon) + 1)]
+            probes = [real.approx(i) for i in range(check_horizon(args.horizon) + 1)]
         mappings = []
         for q in probes:
             value = translation.evaluate(q)
@@ -137,7 +131,7 @@ def _cmd_convert(args) -> int:
         _emit_json({"direction": "speedup-to-translation", "mappings": mappings}, args.out)
         return EXIT_PASS
     if args.translation:
-        horizon = _check_horizon(args.horizon)
+        horizon = check_horizon(args.horizon)
         translation = registry.parse_translation(args.translation, real)
         if args.amplify > 1:
             translation = amplify(translation, args.amplify)
@@ -283,6 +277,11 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except json.JSONDecodeError as e:
         sys.stderr.write(f"bad JSON input: {e}\n")
+        return EXIT_ERROR
+    except ValueError as e:
+        # An integer past the interpreter's str-conversion limit: the report
+        # cannot be printed, which is not a verdict.
+        sys.stderr.write(f"report not written: {e}\n")
         return EXIT_ERROR
 
 

@@ -263,7 +263,9 @@ def k_bound_from_witness(
     first reaches them, so errors match the full enumeration's.  That path
     is O(n), so ``MAX_ENUMERATION_BITS`` caps only the enumeration.
     """
-    if n < 0 or n > MAX_ENUMERATION_BITS and witness.at_length is None:
+    if n < 0:
+        raise PreconditionError(f"n must be >= 0, got {n}")
+    if n > MAX_ENUMERATION_BITS and witness.at_length is None:
         raise PreconditionError(
             f"enumeration of 2**{n} strings refused (cap {MAX_ENUMERATION_BITS})"
         )

@@ -16,12 +16,10 @@ quantified statement.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
-from numbers import Rational
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .dyadic import canonical_length, dyadic_length, is_dyadic, lengths_in_grid_order, truncate
@@ -368,17 +366,15 @@ def computable_least_witness(alpha: DeskReal) -> TranslationWitness:
 # Sample schedules
 
 
-@dataclass(frozen=True, eq=False)
-class DyadicGrid(Sequence):
+@dataclass(frozen=True)
+class DyadicGrid:
     """The dyadic rationals k/2**depth for 0 <= k < size, ascending.
 
-    An immutable sequence of Fractions that stores only its two integers:
-    samples are built when indexed or iterated, so a grid of any size takes
-    constant memory.  It compares equal to any sequence with the same
-    elements, e.g. ``DyadicGrid(3, 4) == [Fraction(k, 8) for k in range(4)]``.
-    Iteration, reversal, indexing, truth tests and lookups work at any size, but
-    ``len()`` fails past ``sys.maxsize``, since CPython's len cannot return
-    more (``size`` holds the count).
+    A lazy schedule that stores only its two integers: iteration builds the
+    samples one at a time, so a grid of any size takes constant memory.  It
+    is not a list: besides iteration it answers ``in`` for a number
+    arithmetically, ``bool`` and ``len`` (which fails past ``sys.maxsize``,
+    since CPython's len cannot return more; ``size`` holds the count).
     """
 
     depth: int
@@ -400,47 +396,17 @@ class DyadicGrid(Sequence):
     def __bool__(self) -> bool:
         return self.size > 0
 
-    def __getitem__(self, index):
-        try:
-            ks = range(self.size)[index]
-        except IndexError:
-            raise IndexError(f"grid index {index} out of range for size {self.size}") from None
-        if isinstance(ks, range):
-            return [Fraction(k, self.denominator) for k in ks]
-        return Fraction(ks, self.denominator)
-
     def __iter__(self):
         return map(Fraction, range(self.size), repeat(self.denominator))
 
-    def __reversed__(self):
-        return map(Fraction, reversed(range(self.size)), repeat(self.denominator))
-
-    def _find(self, value) -> Optional[int]:
-        """The index of value in the grid, or None; arithmetic, O(1), for a rational."""
-        if not isinstance(value, Rational):  # a float, say: the Sequence mixin's scan
-            return next((k for k, q in enumerate(self) if q is value or q == value), None)
-        num, den = value.numerator, value.denominator
-        if den & (den - 1) or den > self.denominator:
-            return None
-        k = num * (self.denominator // den)
-        return k if 0 <= k < self.size else None
-
     def __contains__(self, value) -> bool:
-        return self._find(value) is not None
-
-    def count(self, value) -> int:
-        return int(self._find(value) is not None)
-
-    def index(self, value, start=0, stop=None) -> int:
-        k = self._find(value)
-        if k is None or k not in range(self.size)[start:stop]:
-            raise ValueError(f"{value!r} is not in the grid")
-        return k
-
-    def __eq__(self, other):
-        if isinstance(other, Sequence):
-            return len(other) == self.size and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        try:
+            num, den = value.as_integer_ratio()
+        except (AttributeError, ValueError, OverflowError):  # not a number, nan, inf
+            return False
+        if den & (den - 1) or den > self.denominator:
+            return False
+        return 0 <= num * (self.denominator // den) < self.size
 
 
 def _count_below(depth: int, below: Fraction) -> int:

@@ -117,8 +117,11 @@ def build_real(kind: str, parameters: dict, name: str) -> DeskReal:
         prefix, period = _PERIODIC_SETS[set_kind]
         return set_real(builtin_set(set_kind).contains, periodic_limit(prefix, period), name=name)
     if kind == "staircase":
+        gaps = params["gaps"]
+        if not isinstance(gaps, list):
+            raise ConfigError(f"staircase gaps must be a list of rationals, got {gaps!r}")
         gaps = schedule_from_list(
-            [parse_rational(g) for g in params["gaps"]],
+            [parse_rational(g) for g in gaps],
             parse_rational(params.get("tail_ratio", "1/2")),
         )
         return staircase(parse_rational(params["limit"]), gaps, name=name)

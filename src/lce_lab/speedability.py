@@ -158,8 +158,7 @@ def liminf_record(x: DeskReal, f: SpeedUp, horizon: int) -> RatioTrace:
     as rho-evidence when it drops to rho, and nothing more.  Also validates
     that f is nondecreasing with n <= f(n) across the horizon.
     """
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    check_horizon(horizon)
     trace = RatioTrace()
     prev = None
     for n in range(horizon + 1):
@@ -287,6 +286,13 @@ def default_probes(x: DeskReal, horizon: int) -> list[Fraction]:
     return [base + (limit - base) * (1 - Fraction(1, 1 << k)) for k in range(1, horizon + 1)]
 
 
+def check_horizon(horizon: int) -> int:
+    """horizon, if it is at least 1: the rule of every ``--horizon`` and trace."""
+    if horizon < 1:
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    return horizon
+
+
 def check_rho(rho: Fraction) -> Fraction:
     """rho, if it lies in (0,1): every gap ratio is at most 1, so any trace is evidence at rho >= 1."""
     if not _ZERO < rho < _ONE:
@@ -310,8 +316,7 @@ def check_total_speedup(
     at or below rho.
     """
     check_rho(rho)
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    check_horizon(horizon)
     schedule = set(probes) if probes is not None else set(default_probes(x, horizon))
     schedule.update(x.approx(i) for i in range(horizon + 1))
     ordered = sorted(schedule)

@@ -313,6 +313,21 @@ class TestSpeedTrace:
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int str-conversion limit")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_integers_too_long_to_print_are_usage_error(self, fmt, tmp_path, capsys):
+        # With ratio 10**-200, a 25-step trace already holds integers of over 4300 digits.
+        ratio = "1/1" + "0" * 200
+        out = tmp_path / "trace.out"
+        argv = ["speed-trace", "--real", f"geometric:1:{ratio}", "--speedup", "linear:2", "--horizon", "25", "--format", fmt]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("report not written: Exceeds the limit")
+        assert captured.err.count("\n") == 1
+        assert main(argv + ["--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == []  # neither the report nor a temp file
+
     def test_omega_real_from_machine_file(self, three_code_file, tmp_path):
         out = tmp_path / "trace.csv"
         code = main(
@@ -629,6 +644,18 @@ class TestGallery:
         )
         assert main(["gallery", "--config", str(config)]) == 2
         assert "entry 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gaps", ["21", {"0": "1"}, "1/2"])
+    def test_staircase_gaps_must_be_a_list(self, gaps, tmp_path, capsys):
+        # A string would otherwise be read one character per gap: "21" as [2, 1].
+        config = tmp_path / "gallery.json"
+        config.write_text(
+            json.dumps([{"name": "s", "kind": "staircase", "parameters": {"limit": "3", "gaps": gaps}}])
+        )
+        out = tmp_path / "report.json"
+        assert main(["gallery", "--config", str(config), "--out", str(out)]) == 2
+        assert f"entry 0 ('s'): staircase gaps must be a list of rationals, got {gaps!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("horizon", ["0", "-1"])
     def test_horizon_below_one_is_usage_error(self, tmp_path, horizon, capsys):

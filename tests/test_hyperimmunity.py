@@ -217,6 +217,13 @@ class TestKBoundFromWitness:
         with pytest.raises(PreconditionError, match=r"enumeration of 2\*\*21 strings refused \(cap 20\)"):
             k_bound_from_witness(self.witness, self.alpha, 21)
 
+    @pytest.mark.parametrize("n", [-1, -30])
+    def test_negative_length_is_named(self, n):
+        per_length = total_witness_from_majorizer(evens(), lambda m: m + 3)
+        for w in (self.witness, per_length):
+            with pytest.raises(PreconditionError, match=rf"^n must be >= 0, got {n}$"):
+                k_bound_from_witness(w, self.alpha, n)
+
     def test_per_length_path_has_no_cap(self):
         # g(64) + 1 = 68 bits of 0.1010...: the residual is (2/3) * 2**-68, so
         # the bound is d + ceil(log2(3 * 2**67)) = 1 + 69.
