@@ -83,8 +83,6 @@ from .reducibility import (
     scaling_witness,
 )
 from .registry import (
-    GalleryEntry,
-    build_gallery,
     build_real,
     default_gallery,
     gallery_from_config,

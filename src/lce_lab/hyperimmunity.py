@@ -24,7 +24,7 @@ from .dyadic import lengths_in_grid_order, real_from_set
 from .dyadic import truncate  # noqa: F401  module attribute that perfbench/tracer.py wraps
 from .errors import ConfigError, PreconditionError, WitnessDegenerateError
 from .reals import DeskReal
-from .reducibility import TranslationWitness, per_length_witness
+from .reducibility import MAX_ENUMERATION_BITS, TranslationWitness, per_length_witness
 from .util import ceil_log2
 
 _ONE = Fraction(1)
@@ -238,9 +238,6 @@ def total_witness_from_majorizer(a: NaturalSet, g: Callable[[int], int]) -> Tran
         return real_from_set(a.contains, depth + 1)
 
     return per_length_witness(f"bits({a.name})/majorized", at_length, _ONE)
-
-
-MAX_ENUMERATION_BITS = 20
 
 
 def k_bound_from_witness(

@@ -15,7 +15,6 @@ quantified statement.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -23,7 +22,7 @@ from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .dyadic import canonical_length, dyadic_length, is_dyadic, lengths_in_grid_order, truncate
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionError
 from .reals import DeskReal
 from .util import rational_str
 
@@ -34,6 +33,7 @@ REASON_NOT_BELOW_ALPHA = "not_below_alpha"
 REASON_GAP_BOUND = "gap_bound_failed"
 
 MAX_GRID_DEPTH = 16  # default_samples lists at most 2**16 grid samples
+MAX_ENUMERATION_BITS = 20  # at most 2**20 grid samples, or strings, visited one by one
 
 
 @dataclass(frozen=True)
@@ -180,14 +180,17 @@ def check_witness(
     (``_check_grid_by_length``), with the same report.  Every other input
     runs the loop over (k, h) = (q.numerator, q.denominator), which computes
     the terms once per length h for a witness with ``at_length`` and a dyadic
-    q in [0,1), and through ``translate(q)`` for every other sample.
+    q in [0,1), and through ``translate(q)`` for every other sample.  That
+    loop refuses a grid of more than 2**MAX_ENUMERATION_BITS samples before
+    its first one; a list is checked whatever its length.
     """
-    if (
-        witness.at_length is not None
-        and isinstance(samples, DyadicGrid)
-        and samples.size <= samples.denominator
-    ):
-        return _check_grid_by_length(alpha, beta, witness, samples)
+    if isinstance(samples, DyadicGrid):
+        if witness.at_length is not None and samples.size <= samples.denominator:
+            return _check_grid_by_length(alpha, beta, witness, samples)
+        if samples.size > 1 << MAX_ENUMERATION_BITS:
+            raise PreconditionError(
+                f"checking {samples.size} grid samples one by one refused (cap 2**{MAX_ENUMERATION_BITS})"
+            )
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
     translate, at_length, weakened = witness.translate, witness.at_length, witness.weakened
     test, row = _tester(alpha, beta, witness)
@@ -227,12 +230,6 @@ def check_witness(
     )
 
 
-def _length_rows(ks: range, step: int, h: int, row, terms: tuple):
-    """(grid index, violation) for each k in ks: the rows of one length."""
-    for k in ks:
-        yield k * step, row(Fraction(k, h), k, h, terms)
-
-
 def _check_grid_by_length(
     alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, grid: "DyadicGrid"
 ) -> ViolationReport:
@@ -245,8 +242,8 @@ def _check_grid_by_length(
     and its largest ratio is at its largest checked k.  Counts are closed
     forms (a ``len(range(...))`` overflows at depth 64).  ``at_length`` is
     called once per length with a checked sample, in
-    ``lengths_in_grid_order``, so an error it raises is the loop's.  Each
-    length yields its rows lazily; ``heapq.merge`` orders them by grid index.
+    ``lengths_in_grid_order``, so an error it raises is the loop's.  Every
+    length appends its (grid index, violation) rows to one list, sorted once.
     """
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
     test, row = _tester(alpha, beta, witness)
@@ -271,12 +268,13 @@ def _check_grid_by_length(
         start = max(-(-lack // slope), first) if slope else first
         start += (start - first) & 1  # same parity as the length's k
         if start < end:
-            rows.append(_length_rows(range(start, end, 2), step, h, row, terms))
+            rows += [(k * step, row(Fraction(k, h), k, h, terms)) for k in range(start, end, 2)]
+    rows.sort()  # grid indices are distinct, so no two violations are compared
     return ViolationReport(
         witness=witness.name,
         samples_checked=checked,
         skipped=size - checked,
-        violations=[v for _, v in heapq.merge(*rows)],
+        violations=[v for _, v in rows],
         max_ratio_seen=Fraction(best_num, best_den) if best_num else None,
     )
 
@@ -439,14 +437,14 @@ def dyadic_samples(below: Fraction, count: int) -> DyadicGrid:
 def default_samples(
     beta: DeskReal, approx_count: int = 64, grid_depth: int = 10
 ) -> list[Fraction]:
-    """Approximation points of the target real plus a dyadic grid below its
-    limit, ascending and without repeats; the approximation points are the
-    proof-relevant witnesses.  The schedule is a list, so the grid depth is
-    capped (``dyadic_grid`` and ``dyadic_samples`` are lazy).
+    """The dyadic grid below the target real's limit, ascending, followed by
+    its approximation points off that grid, ascending, with no repeats; the
+    approximation points are the proof-relevant witnesses.  ``check_witness``
+    does not depend on this order.  The schedule is a list, so the grid depth
+    is capped (``dyadic_grid`` and ``dyadic_samples`` are lazy).
     """
     if grid_depth > MAX_GRID_DEPTH:
         raise ConfigError(f"grid depth must be <= {MAX_GRID_DEPTH}, got {grid_depth}")
     grid = dyadic_grid(grid_depth, beta.limit)
     points = (beta.approx(i) for i in range(approx_count + 1))
-    extra = {p for p in points if p < beta.limit and p not in grid}
-    return list(heapq.merge(grid, sorted(extra)))
+    return [*grid, *sorted({p for p in points if p < beta.limit and p not in grid})]

@@ -23,9 +23,7 @@ ConfigError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import ConfigError
 from .hyperimmunity import builtin_set
@@ -55,15 +53,6 @@ from .speedability import (
     linear_speedup,
 )
 from .util import parse_rational
-
-
-@dataclass(frozen=True)
-class GalleryEntry:
-    """One configured real: name, kind, and kind-specific parameters."""
-
-    name: str
-    kind: str
-    parameters: dict = field(default_factory=dict)
 
 
 # Membership patterns with exact rational limits (infinite, periodic digits).
@@ -105,7 +94,7 @@ def build_real(kind: str, parameters: dict, name: str) -> DeskReal:
         optional = {key: parse_rational(params[key]) for key in ("ratio", "gap0") if key in params}
         return geometric(parse_rational(params["limit"]), name=name, **optional)
     if kind == "set_real":
-        set_kind = params.get("set", "evens")
+        set_kind = params.get("set")
         if isinstance(set_kind, dict):
             set_kind = set_kind.get("kind")
         if set_kind not in _PERIODIC_SETS:
@@ -131,33 +120,24 @@ def build_real(kind: str, parameters: dict, name: str) -> DeskReal:
     return omega_toy(machine_from_dict(params["machine"]), stages or None, name=name)
 
 
-def build_gallery(entries: Sequence[GalleryEntry]) -> list[DeskReal]:
-    """Build every entry, reporting the failing entry index on bad config."""
-    reals = []
-    for i, entry in enumerate(entries):
-        try:
-            reals.append(build_real(entry.kind, entry.parameters, entry.name))
-        except (ConfigError, KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"gallery entry {i} ({entry.name!r}): {e}") from e
-    return reals
-
-
 def gallery_from_config(config) -> list[DeskReal]:
-    """Parse a JSON-shaped gallery document: a list of {name, kind, parameters}."""
+    """Parse a JSON-shaped gallery document: a list of {name, kind, parameters}.
+
+    Every entry's shape is checked before any real is built; a failing build
+    names the entry's index."""
     if not isinstance(config, list):
         raise ConfigError("gallery config must be a list of entries")
-    entries = []
     for i, raw in enumerate(config):
         if not isinstance(raw, dict) or "kind" not in raw:
             raise ConfigError(f"gallery entry {i}: need an object with a kind")
-        entries.append(
-            GalleryEntry(
-                name=str(raw.get("name", f"entry{i}")),
-                kind=str(raw["kind"]),
-                parameters=raw.get("parameters", {}),
-            )
-        )
-    return build_gallery(entries)
+    reals = []
+    for i, raw in enumerate(config):
+        name = str(raw.get("name", f"entry{i}"))
+        try:
+            reals.append(build_real(str(raw["kind"]), raw.get("parameters", {}), name))
+        except (ConfigError, KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"gallery entry {i} ({name!r}): {e}") from e
+    return reals
 
 
 def default_gallery() -> list[DeskReal]:

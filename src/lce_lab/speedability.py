@@ -260,7 +260,6 @@ class TotalSpeedupReport:
     rho: Fraction
     evidence: bool
     trace: RatioTrace
-    probes: list[Fraction]
     violations: list[tuple[Fraction, str]] = field(default_factory=list)
 
     @property
@@ -319,14 +318,13 @@ def check_total_speedup(
     check_horizon(horizon)
     schedule = set(probes) if probes is not None else set(default_probes(x, horizon))
     schedule.update(x.approx(i) for i in range(horizon + 1))
-    ordered = sorted(schedule)
 
     limit = x.limit
     trace = RatioTrace()
     violations: list[tuple[Fraction, str]] = []
     prev_value: Optional[Fraction] = None
     index = 0
-    for q in ordered:
+    for q in sorted(schedule):
         if q >= limit:
             violations.append((q, PROBE_NOT_BELOW_LIMIT))
             continue
@@ -350,6 +348,5 @@ def check_total_speedup(
         rho=rho,
         evidence=trace.evidence_at(rho),
         trace=trace,
-        probes=ordered,
         violations=violations,
     )

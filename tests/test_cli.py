@@ -172,6 +172,33 @@ class TestCheckWitness:
         doc = json.loads(out.read_text())
         assert doc["samples_checked"] == 1 << 40 and doc["skipped"] == 0
 
+    @pytest.mark.parametrize(
+        "alpha, beta, witness",
+        [
+            # no at_length: every sample would be translated
+            ("geometric:1", "geometric:1", "identity"),
+            # at_length, but the grid reaches past 1, where lengths stop
+            ("geometric:5/8", "geometric:2", "least"),
+        ],
+    )
+    def test_huge_grid_without_a_per_length_decider_is_usage_error(self, alpha, beta, witness, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "check-witness",
+                "--alpha", alpha,
+                "--beta", beta,
+                "--witness", witness,
+                "--samples", "1099511627776",
+                "--out", str(out),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "checking 1099511627776 grid samples one by one refused (cap 2**20)\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("depth", ["17", "40"])
     def test_grid_depth_above_the_cap_is_usage_error(self, depth, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -595,6 +622,14 @@ class TestGallery:
         doc = json.loads(out.read_text())
         assert [e["name"] for e in doc["entries"]] == ["g1", "e", "s"]
         assert doc["entries"][1]["limit"] == "2/3"
+
+    def test_set_real_without_a_set_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "gallery.json"
+        config.write_text(dump_json([{"name": "e", "kind": "set_real", "parameters": {}}]))
+        out = tmp_path / "report.json"
+        assert main(["gallery", "--config", str(config), "--out", str(out)]) == 2
+        assert "entry 0 ('e'): set_real supports the infinite periodic sets" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_reports_entry(self, tmp_path, capsys):
         config = tmp_path / "gallery.json"

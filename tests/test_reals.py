@@ -4,10 +4,8 @@ import pytest
 
 from lce_lab import (
     DegenerateApproximationError,
-    GalleryEntry,
     PrefixMachine,
     approx_at,
-    build_gallery,
     default_gallery,
     gallery_from_config,
     gap,
@@ -107,39 +105,52 @@ class TestGalleryReals:
 class TestGalleryConfig:
     def test_build_from_entries(self):
         entries = [
-            GalleryEntry("g", "geometric", {"limit": "1", "ratio": "1/2"}),
-            GalleryEntry("e", "set_real", {"set": "evens"}),
-            GalleryEntry("s", "staircase", {"limit": "1", "gaps": ["1", "1/3"], "tail_ratio": "1/2"}),
-            GalleryEntry(
-                "o",
-                "omega_toy",
-                {
+            {"name": "g", "kind": "geometric", "parameters": {"limit": "1", "ratio": "1/2"}},
+            {"name": "e", "kind": "set_real", "parameters": {"set": "evens"}},
+            {"name": "s", "kind": "staircase", "parameters": {"limit": "1", "gaps": ["1", "1/3"], "tail_ratio": "1/2"}},
+            {
+                "name": "o",
+                "kind": "omega_toy",
+                "parameters": {
                     "machine": {"entries": [{"code": "0", "output": "1"}, {"code": "10", "output": "10"}, {"code": "11", "output": "101"}]},
                     "stages": {"0": 1, "10": 2, "11": 3},
                 },
-            ),
+            },
         ]
-        reals = build_gallery(entries)
+        reals = gallery_from_config(entries)
         assert [x.limit for x in reals] == [1, Fraction(2, 3), 1, 1]
         assert approx_at(reals[0], 4) == Fraction(15, 16)
 
     def test_error_carries_entry_index(self):
         entries = [
-            GalleryEntry("ok", "geometric", {"limit": "1"}),
-            GalleryEntry("bad", "geometric", {"limit": "1", "ratio": "2"}),
+            {"name": "ok", "kind": "geometric", "parameters": {"limit": "1"}},
+            {"name": "bad", "kind": "geometric", "parameters": {"limit": "1", "ratio": "2"}},
         ]
         with pytest.raises(ConfigError, match="entry 1"):
-            build_gallery(entries)
+            gallery_from_config(entries)
 
     def test_rejects_aperiodic_set_real(self):
         with pytest.raises(ConfigError, match="entry 0"):
-            build_gallery([GalleryEntry("sq", "set_real", {"set": "squares"})])
+            gallery_from_config([{"name": "sq", "kind": "set_real", "parameters": {"set": "squares"}}])
 
     def test_rejects_decreasing_staircase(self):
         with pytest.raises(ConfigError):
-            build_gallery(
-                [GalleryEntry("s", "staircase", {"limit": "1", "gaps": ["1/4", "1/2"]})]
+            gallery_from_config(
+                [{"name": "s", "kind": "staircase", "parameters": {"limit": "1", "gaps": ["1/4", "1/2"]}}]
             )
+
+    @pytest.mark.parametrize("parameters", [{}, {"set": {}}])
+    def test_set_real_needs_its_set(self, parameters):
+        with pytest.raises(ConfigError, match=r"entry 0 \('e'\): set_real supports .*; got None"):
+            gallery_from_config([{"name": "e", "kind": "set_real", "parameters": parameters}])
+
+    def test_entry_shapes_are_checked_before_any_build(self):
+        entries = [
+            {"name": "bad", "kind": "geometric", "parameters": {"limit": "1", "ratio": "2"}},
+            {"name": "shapeless"},
+        ]
+        with pytest.raises(ConfigError, match="^gallery entry 1: need an object with a kind$"):
+            gallery_from_config(entries)
 
     def test_config_document_round(self):
         doc = [

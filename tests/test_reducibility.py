@@ -27,10 +27,11 @@ from lce_lab import (
     scaling_witness,
     set_real,
 )
-from lce_lab.dyadic import canonical_length, dyadic_length
-from lce_lab.errors import ConfigError, DomainError, LabError
+from lce_lab.dyadic import canonical_length, dyadic_length, is_dyadic
+from lce_lab.errors import ConfigError, DomainError, LabError, PreconditionError
 from lce_lab.hyperimmunity import total_witness_from_majorizer
 from lce_lab.reducibility import (
+    MAX_ENUMERATION_BITS,
     MAX_GRID_DEPTH,
     REASON_GAP_BOUND,
     REASON_NOT_BELOW_ALPHA,
@@ -364,11 +365,28 @@ class TestSampleSchedules:
         st.integers(0, 8),
         st.integers(0, 64),
     )
-    def test_default_samples_match_the_sorted_set(self, beta, depth, approx_count):
+    def test_default_samples_are_the_grid_then_the_points_off_it(self, beta, depth, approx_count):
+        grid = list(dyadic_grid(depth, beta.limit))
         points = {beta.approx(i) for i in range(approx_count + 1)}
-        points.update(dyadic_grid(depth, beta.limit))
-        expect = sorted(q for q in points if q < beta.limit)
-        assert default_samples(beta, approx_count, depth) == expect
+        off_grid = sorted(q for q in points if q < beta.limit and q not in grid)
+        samples = default_samples(beta, approx_count, depth)
+        assert samples == grid + off_grid
+        points.update(grid)
+        assert sorted(samples) == sorted(q for q in points if q < beta.limit)
+
+    @pytest.mark.parametrize("alpha", ["5/8", "2/3"])
+    def test_report_on_the_default_schedule_ignores_its_order(self, alpha):
+        # Ratio 3/4 puts dyadic approximation points off the depth-10 grid,
+        # between its points, so neither schedule below is ascending.
+        x, y = real(alpha, "a"), geometric(Fraction(1), Fraction(3, 4), name="b")
+        samples = default_samples(y)
+        # least is weakened, so it is checked on the dyadic samples only, as the CLI does
+        for w, schedule in [
+            (identity_witness(Fraction(2)), samples),
+            (computable_least_witness(x), [q for q in samples if is_dyadic(q)]),
+        ]:
+            assert schedule != sorted(schedule)
+            assert check_witness(x, y, w, schedule) == check_witness(x, y, w, sorted(schedule))
 
     def test_default_samples_cap_the_grid_depth(self):
         assert len(default_samples(real("1"), 0, MAX_GRID_DEPTH)) == 1 << MAX_GRID_DEPTH
@@ -595,6 +613,21 @@ class TestIntegerKernelAgainstFractionLoop:
         report = check_witness(real("2/3"), real("1"), w, dyadic_grid(12, Fraction(1)))
         assert report.passed and report.samples_checked == 1 << 12
         assert calls == []
+
+    def test_per_sample_loop_refuses_a_grid_past_the_cap(self):
+        def translate(q):
+            raise AssertionError("translated")
+
+        w = TranslationWitness("t", translate, Fraction(2))
+        cap = 1 << MAX_ENUMERATION_BITS
+        # Without at_length any grid runs the loop; with it, a grid reaching
+        # past 1 does (at depth 10, the sample 1 is translated).
+        for witness, depth in [(w, 40), (dataclasses.replace(w, at_length=lambda length: Fraction(0)), 10)]:
+            with pytest.raises(AssertionError, match="translated"):
+                check_witness(real("1"), real("2"), witness, DyadicGrid(depth, cap))
+            message = rf"^checking {cap + 1} grid samples one by one refused \(cap 2\*\*20\)$"
+            with pytest.raises(PreconditionError, match=message):
+                check_witness(real("1"), real("2"), witness, DyadicGrid(depth, cap + 1))
 
     def test_grid_sweep_runs_in_constant_memory(self):
         # The 2**16 samples as a list of Fractions would take about 7.5 MB.
