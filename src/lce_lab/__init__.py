@@ -70,6 +70,7 @@ from .reals import (
 )
 from .reducibility import (
     DyadicGrid,
+    Schedule,
     TranslationWitness,
     ViolationReport,
     check_witness,

@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 from . import registry
-from .dyadic import is_dyadic
 from .errors import ConfigError, LabError
 from .machines import check_usch, machine_from_dict, machine_to_dict, measure, uniformize
 from .reducibility import check_witness, default_samples, dyadic_samples
@@ -84,11 +83,7 @@ def _cmd_check_witness(args) -> int:
     if args.samples is not None:
         samples = dyadic_samples(beta.limit, args.samples)
     else:
-        samples = default_samples(beta, grid_depth=args.grid_depth)
-        if witness.weakened:
-            # The weakened check is defined on dyadic samples only; beta's
-            # approximation points need not be dyadic.
-            samples = [q for q in samples if is_dyadic(q)]
+        samples = default_samples(beta, witness, args.grid_depth)
     report = check_witness(alpha, beta, witness, samples)
     _emit_json(report.to_json_dict(), args.out)
     return EXIT_PASS if report.passed else EXIT_VIOLATION

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .dyadic import canonical_length, dyadic_length, is_dyadic, lengths_in_grid_order, truncate
@@ -32,7 +32,6 @@ REASON_UNDEFINED = "undefined"
 REASON_NOT_BELOW_ALPHA = "not_below_alpha"
 REASON_GAP_BOUND = "gap_bound_failed"
 
-MAX_GRID_DEPTH = 16  # default_samples lists at most 2**16 grid samples
 MAX_ENUMERATION_BITS = 20  # at most 2**20 grid samples, or strings, visited one by one
 
 
@@ -170,27 +169,49 @@ def check_witness(
     """Evaluate the witness inequality at every sample below beta's limit.
 
     Samples at or above beta's limit are skipped (and counted).  Order of the
-    input does not matter: violations come back sorted by sample value (a
-    ``DyadicGrid`` is ascending, so only other iterables are sorted).  Every
-    test is ``_tester``'s, on integers; the largest ratio
-    (alpha - phi) / (beta - q) stays an integer pair until the end.
-
-    A ``DyadicGrid`` inside [0,1) checked against a witness with
-    ``at_length`` is decided one canonical length at a time
-    (``_check_grid_by_length``), with the same report.  Every other input
-    runs the loop over (k, h) = (q.numerator, q.denominator), which computes
-    the terms once per length h for a witness with ``at_length`` and a dyadic
-    q in [0,1), and through ``translate(q)`` for every other sample.  That
-    loop refuses a grid of more than 2**MAX_ENUMERATION_BITS samples before
-    its first one; a list is checked whatever its length.
+    input does not matter: violations come back sorted by sample value.  A
+    ``Schedule`` is decided one part at a time, grid then points.  A
+    ``DyadicGrid`` inside [0,1) against a witness with ``at_length`` is
+    decided per canonical length (``_check_grid_by_length``); every other
+    part runs the per-sample loop (``_check_each``).  Each returns a tally:
+    checked, skipped, rows (ascending unless a plain iterable's) and the
+    largest ratio (alpha - phi) / (beta - q) as an integer pair.
     """
-    if isinstance(samples, DyadicGrid):
-        if witness.at_length is not None and samples.size <= samples.denominator:
-            return _check_grid_by_length(alpha, beta, witness, samples)
-        if samples.size > 1 << MAX_ENUMERATION_BITS:
-            raise PreconditionError(
-                f"checking {samples.size} grid samples one by one refused (cap 2**{MAX_ENUMERATION_BITS})"
-            )
+    parts = (samples.grid, samples.points) if isinstance(samples, Schedule) else (samples,)
+    checked = skipped = runs = 0
+    violations: list[Violation] = []
+    best_num, best_den = 0, 1
+    for part in parts:
+        by_length = isinstance(part, DyadicGrid) and witness.at_length is not None and part.size <= part.denominator
+        tally = (_check_grid_by_length if by_length else _check_each)(alpha, beta, witness, part)
+        part_checked, part_skipped, rows, (num, den) = tally
+        checked += part_checked
+        skipped += part_skipped
+        if rows:
+            violations += rows
+            runs += 1
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    if runs > 1 or not isinstance(samples, (DyadicGrid, Schedule)):
+        violations.sort(key=lambda v: v.sample)
+    return ViolationReport(
+        witness.name, checked, skipped, violations, Fraction(best_num, best_den) if best_num else None
+    )
+
+
+def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, samples: Iterable[Fraction]) -> tuple:
+    """The per-sample loop's tally, with rows in input order.
+
+    The terms are computed once per length h for a witness with
+    ``at_length`` and a dyadic q = k/h in [0,1), and through ``translate(q)``
+    for every other sample.  A grid of more than 2**MAX_ENUMERATION_BITS
+    samples is refused before its first one; a list is checked whatever its
+    length.
+    """
+    if isinstance(samples, DyadicGrid) and samples.size > 1 << MAX_ENUMERATION_BITS:
+        raise PreconditionError(
+            f"checking {samples.size} grid samples one by one refused (cap 2**{MAX_ENUMERATION_BITS})"
+        )
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
     translate, at_length, weakened = witness.translate, witness.at_length, witness.weakened
     test, row = _tester(alpha, beta, witness)
@@ -219,21 +240,12 @@ def check_witness(
             best_num, best_den = gap_dh, room_bm
         if k * slope >= lack:
             violations.append(row(q, k, h, terms))
-    if not isinstance(samples, DyadicGrid):  # a grid is ascending already
-        violations.sort(key=lambda v: v.sample)
-    return ViolationReport(
-        witness=witness.name,
-        samples_checked=checked,
-        skipped=skipped,
-        violations=violations,
-        max_ratio_seen=Fraction(best_num, best_den) if best_num else None,
-    )
+    return checked, skipped, violations, (best_num, best_den)
 
 
-def _check_grid_by_length(
-    alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, grid: "DyadicGrid"
-) -> ViolationReport:
-    """``check_witness`` for a grid inside [0,1) and a witness with ``at_length``.
+def _check_grid_by_length(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, grid: DyadicGrid) -> tuple:
+    """The tally ``_check_each`` would return, for a grid inside [0,1) and
+    a witness with ``at_length``.
 
     The samples of canonical length l are k/h with h = 2**l, at grid index
     k * 2**(depth-l): k = 0 at l = 0 and odd k otherwise.  phi is one value
@@ -270,13 +282,7 @@ def _check_grid_by_length(
         if start < end:
             rows += [(k * step, row(Fraction(k, h), k, h, terms)) for k in range(start, end, 2)]
     rows.sort()  # grid indices are distinct, so no two violations are compared
-    return ViolationReport(
-        witness=witness.name,
-        samples_checked=checked,
-        skipped=size - checked,
-        violations=[v for _, v in rows],
-        max_ratio_seen=Fraction(best_num, best_den) if best_num else None,
-    )
+    return checked, size - checked, [v for _, v in rows], (best_num, best_den)
 
 
 def identity_witness(constant: Fraction = Fraction(2)) -> TranslationWitness:
@@ -407,6 +413,20 @@ class DyadicGrid:
         return 0 <= num * (self.denominator // den) < self.size
 
 
+@dataclass(frozen=True)
+class Schedule:
+    """A lazy ``grid``, then ascending ``points`` off it; iterated and counted, nothing more."""
+
+    grid: DyadicGrid
+    points: tuple[Fraction, ...]
+
+    def __len__(self) -> int:
+        return self.grid.size + len(self.points)
+
+    def __iter__(self):
+        return chain(self.grid, self.points)
+
+
 def _count_below(depth: int, below: Fraction) -> int:
     """How many multiples of 2**-depth lie in [0, below)."""
     # ceil gives the right count whether or not the bound lands on the grid
@@ -434,17 +454,13 @@ def dyadic_samples(below: Fraction, count: int) -> DyadicGrid:
     return DyadicGrid(depth, count)
 
 
-def default_samples(
-    beta: DeskReal, approx_count: int = 64, grid_depth: int = 10
-) -> list[Fraction]:
-    """The dyadic grid below the target real's limit, ascending, followed by
-    its approximation points off that grid, ascending, with no repeats; the
-    approximation points are the proof-relevant witnesses.  ``check_witness``
-    does not depend on this order.  The schedule is a list, so the grid depth
-    is capped (``dyadic_grid`` and ``dyadic_samples`` are lazy).
+def default_samples(beta: DeskReal, witness: TranslationWitness, grid_depth: int = 10) -> Schedule:
+    """The grid of depth ``grid_depth`` below beta's limit, then beta's
+    approximation points 0..64 below the limit and off that grid, ascending;
+    the approximation points are the proof-relevant witnesses.  A weakened
+    witness keeps only the dyadic ones, the only samples its check takes.
     """
-    if grid_depth > MAX_GRID_DEPTH:
-        raise ConfigError(f"grid depth must be <= {MAX_GRID_DEPTH}, got {grid_depth}")
     grid = dyadic_grid(grid_depth, beta.limit)
-    points = (beta.approx(i) for i in range(approx_count + 1))
-    return [*grid, *sorted({p for p in points if p < beta.limit and p not in grid})]
+    points = {beta.approx(i) for i in range(65)}
+    off_grid = (p for p in points if p < beta.limit and p not in grid and (is_dyadic(p) or not witness.weakened))
+    return Schedule(grid, tuple(sorted(off_grid)))

@@ -62,12 +62,14 @@ _PERIODIC_SETS = {
     "naturals": ("", "1"),
 }
 
-# Gallery kind -> the parameter names it reads; any other name is a ConfigError.
+# Gallery kind -> (the parameter names it reads, how many of the first ones
+# it needs); any other name is a ConfigError, and so is a missing needed one.
+# set_real names its own missing set.
 _PARAMETERS = {
-    "geometric": ("limit", "ratio", "gap0"),
-    "set_real": ("set",),
-    "staircase": ("limit", "gaps", "tail_ratio"),
-    "omega_toy": ("machine", "stages"),
+    "geometric": (("limit", "ratio", "gap0"), 1),
+    "set_real": (("set",), 0),
+    "staircase": (("limit", "gaps", "tail_ratio"), 2),
+    "omega_toy": (("machine", "stages"), 1),
 }
 
 # Real spec kind -> (gallery kind, its parameters in spec order, how many are required).
@@ -84,12 +86,16 @@ def build_real(kind: str, parameters: dict, name: str) -> DeskReal:
     if kind not in _PARAMETERS:
         raise ConfigError(f"unknown gallery kind {kind!r}")
     params = dict(parameters)
-    unknown = sorted(set(params).difference(_PARAMETERS[kind]))
+    names, required = _PARAMETERS[kind]
+    unknown = sorted(set(params).difference(names))
     if unknown:
         raise ConfigError(
             f"{kind} has no parameter {', '.join(map(repr, unknown))}; "
-            f"it takes {', '.join(_PARAMETERS[kind])}"
+            f"it takes {', '.join(names)}"
         )
+    for key in names[:required]:
+        if key not in params:
+            raise ConfigError(f"{kind} needs parameter {key!r}")
     if kind == "geometric":
         optional = {key: parse_rational(params[key]) for key in ("ratio", "gap0") if key in params}
         return geometric(parse_rational(params["limit"]), name=name, **optional)

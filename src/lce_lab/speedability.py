@@ -35,6 +35,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 DEFAULT_SEARCH_CAP = 1_000_000
+MAX_HORIZON = 1 << 12  # every --horizon and trace; a trace holds horizon + 1 exact ratios
 
 
 @dataclass(frozen=True)
@@ -286,9 +287,11 @@ def default_probes(x: DeskReal, horizon: int) -> list[Fraction]:
 
 
 def check_horizon(horizon: int) -> int:
-    """horizon, if it is at least 1: the rule of every ``--horizon`` and trace."""
+    """horizon, if it lies in [1, MAX_HORIZON]: the rule of every ``--horizon`` and trace."""
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    if horizon > MAX_HORIZON:
+        raise ConfigError(f"horizon must be <= {MAX_HORIZON}, got {horizon}")
     return horizon
 
 

@@ -9,6 +9,7 @@ import pytest
 from lce_lab import check_witness, computable_least_witness, default_samples
 from lce_lab.cli import main
 from lce_lab.registry import parse_real
+from lce_lab.speedability import MAX_HORIZON
 from lce_lab.util import dump_json
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -137,7 +138,8 @@ class TestCheckWitness:
             ["check-witness", "--alpha", "set:evens", "--beta", "geometric:1", "--witness", "least", "--out", str(out)]
         )
         alpha, beta = parse_real("set:evens"), parse_real("geometric:1")
-        report = check_witness(alpha, beta, computable_least_witness(alpha), default_samples(beta))
+        witness = computable_least_witness(alpha)
+        report = check_witness(alpha, beta, witness, default_samples(beta, witness))
         assert code == 0
         assert out.read_text() == dump_json(report.to_json_dict())
 
@@ -199,21 +201,31 @@ class TestCheckWitness:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("depth", ["17", "40"])
-    def test_grid_depth_above_the_cap_is_usage_error(self, depth, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "alpha, witness, depth, checked",
+        [
+            # The default schedule has no depth cap of its own: the loop checks
+            # 2**17 grid samples.  beta's points 1 - 2**-i with i > depth lie
+            # off the grid.
+            ("geometric:1", "identity", "17", (1 << 17) + 47),
+            # least decides a depth-40 grid per length
+            ("geometric:5/8", "least", "40", (1 << 40) + 24),
+        ],
+    )
+    def test_deep_default_schedule_reports(self, alpha, witness, depth, checked, tmp_path):
         out = tmp_path / "report.json"
-        code = main(
-            [
-                "check-witness",
-                "--alpha", "geometric:1",
-                "--beta", "geometric:1",
-                "--witness", "identity",
-                "--grid-depth", depth,
-                "--out", str(out),
-            ]
-        )
-        assert code == 2
-        assert f"grid depth must be <= 16, got {depth}" in capsys.readouterr().err
+        argv = ["check-witness", "--alpha", alpha, "--beta", "geometric:1", "--witness", witness]
+        assert main(argv + ["--grid-depth", depth, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["samples_checked"] == checked and doc["skipped"] == 0
+
+    def test_default_schedule_past_the_per_sample_cap_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["check-witness", "--alpha", "geometric:1", "--beta", "geometric:1", "--witness", "identity"]
+        assert main(argv + ["--grid-depth", "40", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "checking 1099511627776 grid samples one by one refused (cap 2**20)\n"
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("witness", ["scaling:2:forward", "least"])
@@ -500,6 +512,32 @@ class TestConvert:
         assert "--amplify" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gallery"],
+        ["speed-trace", "--real", "geometric:1", "--speedup", "linear:2"],
+        ["speed-check", "--real", "geometric:1", "--translation", "affine:1/2", "--rho", "1/2"],
+        ["convert", "--real", "geometric:1", "--speedup", "linear:2"],
+        ["convert", "--real", "geometric:1", "--translation", "affine:1/2"],
+    ],
+    ids=["gallery", "speed-trace", "speed-check", "convert-speedup", "convert-translation"],
+)
+@pytest.mark.parametrize("horizon", [MAX_HORIZON + 1, 3_000_000])
+def test_horizon_above_the_bound_is_usage_error(argv, horizon, tmp_path, capsys):
+    # Each command holds horizon + 1 exact values, so 3,000,000 would exhaust memory.
+    if argv == ["gallery"]:
+        config = tmp_path / "gallery.json"
+        config.write_text(dump_json([{"name": "g1", "kind": "geometric", "parameters": {"limit": "1"}}]))
+        argv = ["gallery", "--config", str(config)]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--horizon", str(horizon), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"horizon must be <= {MAX_HORIZON}, got {horizon}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestMachines:
     def test_build_then_check(self, tmp_path, three_code_file):
         built = tmp_path / "A.json"
@@ -690,6 +728,23 @@ class TestGallery:
         out = tmp_path / "report.json"
         assert main(["gallery", "--config", str(config), "--out", str(out)]) == 2
         assert f"entry 0 ('s'): staircase gaps must be a list of rationals, got {gaps!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, parameters, missing",
+        [
+            ("geometric", {"ratio": "1/2"}, "limit"),
+            ("staircase", {"gaps": ["1"]}, "limit"),
+            ("staircase", {"limit": "1"}, "gaps"),
+            ("omega_toy", {"stages": {}}, "machine"),
+        ],
+    )
+    def test_missing_parameter_is_named(self, kind, parameters, missing, tmp_path, capsys):
+        config = tmp_path / "gallery.json"
+        config.write_text(json.dumps([{"name": "g", "kind": kind, "parameters": parameters}]))
+        out = tmp_path / "report.json"
+        assert main(["gallery", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"gallery entry 0 ('g'): {kind} needs parameter {missing!r}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("horizon", ["0", "-1"])

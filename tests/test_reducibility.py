@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lce_lab import (
     DyadicGrid,
+    Schedule,
     TranslationWitness,
     check_witness,
     compose_witnesses,
@@ -32,7 +33,6 @@ from lce_lab.errors import ConfigError, DomainError, LabError, PreconditionError
 from lce_lab.hyperimmunity import total_witness_from_majorizer
 from lce_lab.reducibility import (
     MAX_ENUMERATION_BITS,
-    MAX_GRID_DEPTH,
     REASON_GAP_BOUND,
     REASON_NOT_BELOW_ALPHA,
     REASON_UNDEFINED,
@@ -355,43 +355,55 @@ class TestSampleSchedules:
 
     def test_default_samples_include_approximations(self):
         beta = real("1")
-        samples = default_samples(beta, approx_count=8, grid_depth=4)
-        assert beta.approx(5) in samples
+        samples = default_samples(beta, identity_witness(), grid_depth=4)
+        assert beta.approx(5) in samples.points
         assert all(q < beta.limit for q in samples)
 
     @settings(max_examples=60)
     @given(
-        st.sampled_from(default_gallery()),
+        # 7/9 approximates through non-dyadic points, which a weakened witness drops
+        st.sampled_from([*default_gallery(), geometric(Fraction(1), Fraction(3, 4), name="b"), real("7/9")]),
         st.integers(0, 8),
-        st.integers(0, 64),
+        st.booleans(),
     )
-    def test_default_samples_are_the_grid_then_the_points_off_it(self, beta, depth, approx_count):
-        grid = list(dyadic_grid(depth, beta.limit))
-        points = {beta.approx(i) for i in range(approx_count + 1)}
-        off_grid = sorted(q for q in points if q < beta.limit and q not in grid)
-        samples = default_samples(beta, approx_count, depth)
-        assert samples == grid + off_grid
-        points.update(grid)
-        assert sorted(samples) == sorted(q for q in points if q < beta.limit)
+    def test_default_samples_are_the_grid_then_the_points_off_it(self, beta, depth, weakened):
+        w = TranslationWitness("w", lambda q: q, Fraction(2), weakened=weakened)
+        grid = dyadic_grid(depth, beta.limit)
+        points = {beta.approx(i) for i in range(65)}
+        off_grid = sorted(q for q in points if q < beta.limit and q not in grid and (is_dyadic(q) or not weakened))
+        samples = default_samples(beta, w, depth)
+        assert samples == Schedule(grid, tuple(off_grid))
+        assert list(samples) == [*grid, *off_grid] and len(samples) == len(grid) + len(off_grid)
+        if not weakened:
+            points.update(grid)
+            assert sorted(samples) == sorted(q for q in points if q < beta.limit)
+
+    def test_a_schedule_is_iterated_and_counted_only(self):
+        samples = default_samples(real("1"), identity_witness(), 64)
+        assert samples.grid == dyadic_grid(64, Fraction(1)) and not isinstance(samples, Sequence)
+        with pytest.raises(TypeError):
+            samples[0]
+        assert next(iter(samples)) == 0
+        with pytest.raises(OverflowError):  # CPython's len stops at sys.maxsize
+            len(samples)
 
     @pytest.mark.parametrize("alpha", ["5/8", "2/3"])
     def test_report_on_the_default_schedule_ignores_its_order(self, alpha):
         # Ratio 3/4 puts dyadic approximation points off the depth-10 grid,
         # between its points, so neither schedule below is ascending.
         x, y = real(alpha, "a"), geometric(Fraction(1), Fraction(3, 4), name="b")
-        samples = default_samples(y)
-        # least is weakened, so it is checked on the dyadic samples only, as the CLI does
-        for w, schedule in [
-            (identity_witness(Fraction(2)), samples),
-            (computable_least_witness(x), [q for q in samples if is_dyadic(q)]),
-        ]:
-            assert schedule != sorted(schedule)
+        for w in [identity_witness(Fraction(2)), computable_least_witness(x)]:
+            schedule = default_samples(y, w)
+            assert list(schedule) != sorted(schedule)
             assert check_witness(x, y, w, schedule) == check_witness(x, y, w, sorted(schedule))
 
-    def test_default_samples_cap_the_grid_depth(self):
-        assert len(default_samples(real("1"), 0, MAX_GRID_DEPTH)) == 1 << MAX_GRID_DEPTH
-        with pytest.raises(ConfigError, match="grid depth must be <= 16, got 17"):
-            default_samples(real("1"), grid_depth=MAX_GRID_DEPTH + 1)
+    def test_default_samples_take_any_depth(self):
+        # The schedule is lazy, so only the per-sample loop caps its grid.
+        alpha, beta = real("5/8"), real("1")
+        for w in [identity_witness(), computable_least_witness(alpha)]:
+            assert default_samples(beta, w, 40).grid == dyadic_grid(40, beta.limit)
+        with pytest.raises(PreconditionError, match=r"^checking 1099511627776 grid samples one by one refused"):
+            check_witness(alpha, beta, identity_witness(), default_samples(beta, identity_witness(), 40))
 
 
 class TestDyadicGrid:
@@ -450,6 +462,12 @@ class TestDyadicGrid:
             assert next(iter(grid)) == 0
             report = check_witness(alpha, real("1"), computable_least_witness(alpha), grid)
             assert report.passed and report.samples_checked == 1 << 64
+            # the default schedule: that grid, then the points off it
+            beta, least = geometric(Fraction(1), Fraction(3, 4), name="b"), computable_least_witness(alpha)
+            schedule = default_samples(beta, least, 64)
+            report = check_witness(alpha, beta, least, schedule)
+            assert schedule.points and report.passed
+            assert report.samples_checked == _count_below(64, beta.limit) + len(schedule.points)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -590,6 +608,39 @@ class TestIntegerKernelAgainstFractionLoop:
         assert isinstance(grid, DyadicGrid)
         expect = _outcome(reference_check_witness, alpha, beta, witness, list(grid))
         assert _outcome(check_witness, alpha, beta, witness, grid) == expect
+
+    @settings(max_examples=100)
+    @given(
+        # ratio 3/4 puts dyadic approximation points between the grid's points
+        st.sampled_from([*default_gallery(), geometric(Fraction(1), Fraction(3, 4), name="b")]),
+        st.sampled_from(["1/3", "5/8", "2/3", "1"]),
+        st.integers(0, 12),
+        st.data(),
+    )
+    def test_default_schedule_reports_match(self, beta, alpha, depth, data):
+        # The schedule is decided one part at a time, its grid per length
+        # where it can be; the oracle reads the same samples as one sorted list.
+        alpha = real(alpha, "a")
+        constant = data.draw(st.fractions(min_value="1/64", max_value=4, max_denominator=64))
+        u = data.draw(st.fractions(min_value=-1, max_value=1, max_denominator=16))
+        least = computable_least_witness(alpha)
+        w = data.draw(
+            st.sampled_from(
+                [
+                    identity_witness(constant),
+                    scaling_witness(constant, "forward"),
+                    scaling_witness(constant, "backward"),
+                    least,
+                    dataclasses.replace(least, weakened=False, constant=constant),
+                    per_length_witness("keyed", length_keyed(u, constant), constant),
+                    per_length_witness("keyed", length_keyed(u, constant), constant, weakened=True),
+                ]
+            )
+        )
+        schedule = default_samples(beta, w, depth)
+        assert _outcome(check_witness, alpha, beta, w, schedule) == _outcome(
+            reference_check_witness, alpha, beta, w, sorted(schedule)
+        )
 
     def test_weakened_grid_beyond_one_raises_like_the_oracle(self):
         alpha, beta = real("2/3"), real("3")

@@ -30,7 +30,7 @@ from lce_lab.errors import (
     SearchExhaustedError,
 )
 from lce_lab.reals import alternating_gaps
-from lce_lab.speedability import PROBE_NOT_ABOVE, PROBE_NOT_BELOW
+from lce_lab.speedability import MAX_HORIZON, PROBE_NOT_ABOVE, PROBE_NOT_BELOW, check_horizon
 
 
 def geo1():
@@ -89,6 +89,12 @@ class TestLiminfRecord:
     def test_horizon_must_be_positive(self):
         with pytest.raises(ConfigError):
             liminf_record(geo1(), identity_speedup(), 0)
+
+    def test_horizon_is_bounded_above(self):
+        # above 800, where a geometric:1:1/1000000 trace passes the 4300-digit limit
+        assert check_horizon(MAX_HORIZON) == MAX_HORIZON > 800
+        with pytest.raises(ConfigError, match=f"^horizon must be <= {MAX_HORIZON}, got {MAX_HORIZON + 1}$"):
+            liminf_record(geo1(), identity_speedup(), MAX_HORIZON + 1)
 
     def test_non_monotone_speedup_detected(self):
         jag = SpeedUp("jag", lambda n: [5, 3, 9][n] if n < 3 else n)
