@@ -73,6 +73,7 @@ from .reducibility import (
     Schedule,
     TranslationWitness,
     ViolationReport,
+    affine_witness,
     check_witness,
     compose_witnesses,
     computable_least_witness,

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
+from math import gcd
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .dyadic import canonical_length, dyadic_length, is_dyadic, lengths_in_grid_order, truncate
@@ -45,7 +47,9 @@ class TranslationWitness:
 
     ``at_length`` is set by ``per_length_witness``, on witnesses whose value
     at a dyadic q in [0,1) is ``at_length(|q|)`` by construction; the checker
-    then translates once per length instead of once per sample.
+    then translates once per length instead of once per sample.  ``affine``
+    is set by ``affine_witness``, on witnesses with phi(q) = u*q + v and
+    u > 0; the checker then decides a grid without translating at all.
     """
 
     name: str
@@ -54,10 +58,13 @@ class TranslationWitness:
     total: bool = True
     weakened: bool = False
     at_length: Optional[Callable[[int], Optional[Fraction]]] = None
+    affine: Optional[tuple[Fraction, Fraction]] = None
 
     def __post_init__(self):
         if self.constant <= 0:
             raise ConfigError(f"witness constant must be positive, got {self.constant}")
+        if self.affine is not None and self.affine[0] <= 0:
+            raise ConfigError(f"affine witness slope must be positive, got {self.affine[0]}")
 
 
 class Violation(NamedTuple):
@@ -67,34 +74,122 @@ class Violation(NamedTuple):
     bound: Optional[Fraction]
 
 
-@dataclass
+class GridRows(NamedTuple):
+    """The violation rows at the grid samples k/2**depth, start <= k < stop,
+    all with one reason: phi = (phi_k*k + phi_0) / phi_den and, on a gap-bound
+    run, bound = (bound_0 - bound_k*k) / bound_den, every denominator positive.
+    """
+
+    depth: int
+    start: int
+    stop: int
+    reason: str
+    phi: tuple[int, int, int]  # (phi_k, phi_0, phi_den)
+    bound: Optional[tuple[int, int, int]]  # (bound_0, bound_k, bound_den)
+
+    def violations(self) -> list[Violation]:
+        h, reason = 1 << self.depth, self.reason
+        (pk, p0, pd), bound = self.phi, self.bound
+        return [
+            Violation(
+                Fraction(k, h),
+                reason,
+                Fraction(pk * k + p0, pd),
+                Fraction(bound[0] - bound[1] * k, bound[2]) if bound else None,
+            )
+            for k in range(self.start, self.stop)
+        ]
+
+    def to_json_rows(self) -> list[dict]:
+        """``ViolationReport.to_json_dict``'s rows, from integers: q in lowest
+        terms by a shift (and phi = q on identity's runs), phi and the bound
+        each by one gcd.  Inlined, since this runs once per row."""
+        depth, h, reason = self.depth, 1 << self.depth, self.reason
+        pk, p0, pd = self.phi
+        b0, bk, bd = self.bound or (0, 0, 0)
+        over = [f"/{h >> shift}" for shift in range(depth)] + [""]  # "/" + the denominator of k/h, by k's shift
+        phi_is_q = (pk, p0, pd) == (1, 0, h)
+        rows = []
+        append = rows.append
+        for k in range(self.start, self.stop):
+            shift = min((k & -k).bit_length() - 1, depth) if k else depth
+            q = f"{k >> shift}{over[shift]}"
+            if phi_is_q:
+                phi = q
+            else:
+                n = pk * k + p0
+                g = gcd(n, pd)
+                phi = f"{n // g}/{pd // g}" if g != pd else str(n // g)
+            if bd:
+                n = b0 - bk * k
+                g = gcd(n, bd)
+                append({"q": q, "reason": reason, "phi_q": phi, "bound": f"{n // g}/{bd // g}" if g != bd else str(n // g)})
+            else:
+                append({"q": q, "reason": reason, "phi_q": phi, "bound": None})
+        return rows
+
+    def split(self, point: Fraction) -> tuple["GridRows", "GridRows"]:
+        """The rows below ``point``, and the rest."""
+        cut = min(max(-(-(point.numerator << self.depth) // point.denominator), self.start), self.stop)
+        return self._replace(stop=cut), self._replace(start=cut)
+
+
+def _violation_json_row(v: Violation) -> dict:
+    return {
+        "q": rational_str(v.sample),
+        "reason": v.reason,
+        "phi_q": None if v.phi is None else rational_str(v.phi),
+        "bound": None if v.bound is None else rational_str(v.bound),
+    }
+
+
+@dataclass(eq=False)
 class ViolationReport:
-    """Outcome of checking one witness over a finite sample list."""
+    """Outcome of checking one witness over a finite sample list.
+
+    ``rows`` are the violations in ascending sample order, each a
+    ``Violation`` or a ``GridRows`` run of them.  Reading ``violations``
+    builds the ``Violation`` objects; ``passed``, ``==`` and
+    ``to_json_dict`` work from the rows as they are.
+    """
 
     witness: str
     samples_checked: int
     skipped: int
-    violations: list[Violation] = field(default_factory=list)
+    rows: list = field(default_factory=list)
     max_ratio_seen: Optional[Fraction] = None
 
     @property
+    def violations(self) -> list[Violation]:
+        out = []
+        for row in self.rows:
+            if type(row) is GridRows:
+                out += row.violations()
+            else:
+                out.append(row)
+        return out
+
+    @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.rows
+
+    def _json_rows(self) -> list[dict]:
+        out = []
+        for row in self.rows:
+            if type(row) is GridRows:
+                out += row.to_json_rows()
+            else:
+                out.append(_violation_json_row(row))
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, ViolationReport):
+            return NotImplemented
+        head = (self.witness, self.samples_checked, self.skipped, self.max_ratio_seen)
+        other_head = (other.witness, other.samples_checked, other.skipped, other.max_ratio_seen)
+        return head == other_head and self._json_rows() == other._json_rows()
 
     def to_json_dict(self) -> dict:
-        # One row per violation, so rational_str is inlined: each Fraction's
-        # numerator and denominator are read once, as a pair.
-        rows = []
-        for v in self.violations:
-            n, d = v.sample.as_integer_ratio()
-            row = {"q": f"{n}/{d}" if d != 1 else str(n), "reason": v.reason, "phi_q": None, "bound": None}
-            if v.phi is not None:
-                n, d = v.phi.as_integer_ratio()
-                row["phi_q"] = f"{n}/{d}" if d != 1 else str(n)
-            if v.bound is not None:
-                n, d = v.bound.as_integer_ratio()
-                row["bound"] = f"{n}/{d}" if d != 1 else str(n)
-            rows.append(row)
         return {
             "witness": self.witness,
             "passed": self.passed,
@@ -103,7 +198,7 @@ class ViolationReport:
             "max_ratio_seen": (
                 rational_str(self.max_ratio_seen) if self.max_ratio_seen is not None else None
             ),
-            "violations": rows,
+            "violations": self._json_rows(),
         }
 
 
@@ -171,32 +266,66 @@ def check_witness(
     Samples at or above beta's limit are skipped (and counted).  Order of the
     input does not matter: violations come back sorted by sample value.  A
     ``Schedule`` is decided one part at a time, grid then points.  A
-    ``DyadicGrid`` inside [0,1) against a witness with ``at_length`` is
-    decided per canonical length (``_check_grid_by_length``); every other
-    part runs the per-sample loop (``_check_each``).  Each returns a tally:
-    checked, skipped, rows (ascending unless a plain iterable's) and the
-    largest ratio (alpha - phi) / (beta - q) as an integer pair.
+    ``DyadicGrid`` against a strict witness with ``affine`` is decided in
+    closed form (``_check_grid_affine``), and one inside [0,1) against a
+    witness with ``at_length`` per canonical length
+    (``_check_grid_by_length``); every other part runs the per-sample loop
+    (``_check_each``).  Each returns a tally: checked, skipped, rows
+    (ascending for a grid, in input order otherwise) and the largest ratio
+    (alpha - phi) / (beta - q) as an integer pair.
     """
     parts = (samples.grid, samples.points) if isinstance(samples, Schedule) else (samples,)
-    checked = skipped = runs = 0
-    violations: list[Violation] = []
+    checked = skipped = 0
+    rows: list = []
     best_num, best_den = 0, 1
     for part in parts:
-        by_length = isinstance(part, DyadicGrid) and witness.at_length is not None and part.size <= part.denominator
-        tally = (_check_grid_by_length if by_length else _check_each)(alpha, beta, witness, part)
-        part_checked, part_skipped, rows, (num, den) = tally
+        grid = isinstance(part, DyadicGrid)
+        if grid and witness.affine is not None and not witness.weakened:
+            decide = _check_grid_affine
+        elif grid and witness.at_length is not None and part.size <= part.denominator:
+            decide = _check_grid_by_length
+        else:
+            decide = _check_each
+        part_checked, part_skipped, part_rows, (num, den) = decide(alpha, beta, witness, part)
         checked += part_checked
         skipped += part_skipped
-        if rows:
-            violations += rows
-            runs += 1
+        if not grid:
+            part_rows.sort(key=attrgetter("sample"))
+        rows = _merge(rows, part_rows) if rows else part_rows
         if num * best_den > best_num * den:
             best_num, best_den = num, den
-    if runs > 1 or not isinstance(samples, (DyadicGrid, Schedule)):
-        violations.sort(key=lambda v: v.sample)
     return ViolationReport(
-        witness.name, checked, skipped, violations, Fraction(best_num, best_den) if best_num else None
+        witness.name, checked, skipped, rows, Fraction(best_num, best_den) if best_num else None
     )
+
+
+def _merge(rows: list, points: list[Violation]) -> list:
+    """Two ascending row lists as one; a ``GridRows`` run is split around a point inside it."""
+    if not points:
+        return rows
+    merged = []
+    i = 0
+    for row in rows:
+        if type(row) is GridRows:
+            last = Fraction(row.stop - 1, 1 << row.depth)
+            while i < len(points) and points[i].sample < last:
+                head, row = row.split(points[i].sample)
+                if head.start < head.stop:
+                    merged.append(head)
+                merged.append(points[i])
+                i += 1
+        else:
+            while i < len(points) and points[i].sample < row.sample:
+                merged.append(points[i])
+                i += 1
+        merged.append(row)
+    return merged + points[i:]
+
+
+def _cap_rows(count: int) -> None:
+    """Refuse a grid's rows past 2**MAX_ENUMERATION_BITS, before the first is built."""
+    if count > 1 << MAX_ENUMERATION_BITS:
+        raise PreconditionError(f"listing {count} violation rows refused (cap 2**{MAX_ENUMERATION_BITS})")
 
 
 def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, samples: Iterable[Fraction]) -> tuple:
@@ -254,15 +383,16 @@ def _check_grid_by_length(alpha: DeskReal, beta: DeskReal, witness: TranslationW
     and its largest ratio is at its largest checked k.  Counts are closed
     forms (a ``len(range(...))`` overflows at depth 64).  ``at_length`` is
     called once per length with a checked sample, in
-    ``lengths_in_grid_order``, so an error it raises is the loop's.  Every
-    length appends its (grid index, violation) rows to one list, sorted once.
+    ``lengths_in_grid_order``, so an error it raises is the loop's.  Rows
+    past the cap are refused before the first is built; the others go into
+    one list of (grid index, violation) pairs, sorted once.
     """
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
     test, row = _tester(alpha, beta, witness)
     depth, size = grid.depth, grid.size
     checked = 0
     best_num, best_den = 0, 1
-    rows = []
+    runs = []  # (start, end, h, step, terms): rows at k = start, start + 2, ... below end
     for length in lengths_in_grid_order(depth):
         h, step = 1 << length, 1 << (depth - length)
         first = 1 if length else 0  # the least k of this length
@@ -280,16 +410,84 @@ def _check_grid_by_length(alpha: DeskReal, beta: DeskReal, witness: TranslationW
         start = max(-(-lack // slope), first) if slope else first
         start += (start - first) & 1  # same parity as the length's k
         if start < end:
-            rows += [(k * step, row(Fraction(k, h), k, h, terms)) for k in range(start, end, 2)]
+            runs.append((start, end, h, step, terms))
+    _cap_rows(sum((end - start + 1) // 2 for start, end, *_ in runs))
+    rows = [
+        (k * step, row(Fraction(k, h), k, h, terms))
+        for start, end, h, step, terms in runs
+        for k in range(start, end, 2)
+    ]
     rows.sort()  # grid indices are distinct, so no two violations are compared
     return checked, size - checked, [v for _, v in rows], (best_num, best_den)
 
 
+def _check_grid_affine(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, grid: DyadicGrid) -> tuple:
+    """The tally ``_check_each`` would return, for any grid and a strict
+    witness with ``affine`` = (u, v), in closed form.
+
+    At a grid sample q = k/h, h = 2**depth, phi(q) = u*q + v is (a*k + b)/m
+    with a, m > 0, so each of ``_tester``'s tests is one threshold in k:
+
+        checked          k < ceil(C*h / D)
+        not below alpha  k >= ceil((alpha - v) * h/u)
+        gap bound        k * slope <= lack,  where slope has the sign of u - c
+                         and lack/slope = (c*beta - alpha + v) * h/(c - u)
+
+    so the gap-bound rows lie on one side of a point, or are all or none of
+    the samples below alpha when c = u.  The ratio (alpha - phi)/(beta - q)
+    = (alpha - v - u*q)/(beta - q) is monotone in q, so the largest is at the
+    first or the last checked sample with phi < alpha.  The rows are at most
+    two ``GridRows`` runs: gap bound, then not below alpha.
+    """
+    a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
+    b_num, b_den = beta.limit.numerator, beta.limit.denominator
+    c_num, c_den = witness.constant.numerator, witness.constant.denominator
+    u, v = witness.affine
+    depth, size, h = grid.depth, grid.size, grid.denominator
+    a, b, m = u.numerator * v.denominator, v.numerator * u.denominator * h, u.denominator * v.denominator * h
+    end = max(min(size, -(-b_num * h // b_den)), 0)  # checked: 0 <= k < end
+    below = min(max(-(-(a_num * m - a_den * b) // (a_den * a)), 0), end)  # phi < alpha: k < below
+    slope = a_den * b_den * (a * c_den * h - c_num * m)
+    lack = (a_num * m - a_den * b) * c_den * b_den * h - c_num * b_num * h * a_den * m
+    if slope < 0:
+        lo, hi = max(-(-lack // slope), 0), below
+    elif slope > 0:
+        lo, hi = 0, min(lack // slope + 1, below)
+    else:
+        lo, hi = 0, below if lack >= 0 else 0
+    _cap_rows(max(hi - lo, 0) + end - below)
+    rows = []
+    if lo < hi:
+        bound = (c_num * b_num * h, c_num * b_den, c_den * b_den * h)  # c*(beta - q), as in _tester
+        rows.append(GridRows(depth, lo, hi, REASON_GAP_BOUND, (a, b, m), bound))
+    if below < end:
+        rows.append(GridRows(depth, below, end, REASON_NOT_BELOW_ALPHA, (a, b, m), None))
+    best_num, best_den = 0, 1
+    for k in (0, below - 1) if below else ():
+        num = (a_num * m - a_den * (a * k + b)) * b_den * h
+        den = a_den * m * (b_num * h - b_den * k)
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return end, size - end, rows, (best_num, best_den)
+
+
+def affine_witness(name: str, u: Fraction, v: Fraction, constant: Fraction) -> TranslationWitness:
+    """The witness q -> u*q + v with u > 0.  Its ``translate`` is derived
+    here and nowhere else, so ``check_witness`` may decide a grid from
+    ``affine`` alone."""
+    u, v = Fraction(u), Fraction(v)
+    if v:
+        translate = lambda q: u * q + v
+    elif u != 1:
+        translate = lambda q: u * q
+    else:
+        translate = lambda q: q  # the identity needs no arithmetic
+    return TranslationWitness(name, translate, Fraction(constant), affine=(u, v))
+
+
 def identity_witness(constant: Fraction = Fraction(2)) -> TranslationWitness:
     """phi = id.  Certifies a real against itself for any constant above 1."""
-    return TranslationWitness(
-        name="identity", translate=lambda q: q, constant=Fraction(constant)
-    )
+    return affine_witness("identity", _ONE, Fraction(0), constant)
 
 
 def scaling_witness(r: Fraction, direction: str) -> TranslationWitness:
@@ -303,13 +501,9 @@ def scaling_witness(r: Fraction, direction: str) -> TranslationWitness:
     if r <= 0:
         raise ConfigError(f"scaling factor must be positive, got {r}")
     if direction == "forward":
-        return TranslationWitness(
-            name=f"scaling({r},forward)", translate=lambda q: r * q, constant=r + 1
-        )
+        return affine_witness(f"scaling({r},forward)", r, Fraction(0), r + 1)
     if direction == "backward":
-        return TranslationWitness(
-            name=f"scaling({r},backward)", translate=lambda q: q / r, constant=1 / r + 1
-        )
+        return affine_witness(f"scaling({r},backward)", 1 / r, Fraction(0), 1 / r + 1)
     raise ConfigError(f"scaling direction must be forward or backward, got {direction!r}")
 
 
@@ -415,13 +609,16 @@ class DyadicGrid:
 
 @dataclass(frozen=True)
 class Schedule:
-    """A lazy ``grid``, then ascending ``points`` off it; iterated and counted, nothing more."""
+    """A lazy ``grid``, then ascending ``points`` off it; iterated, counted and tested for emptiness, nothing more."""
 
     grid: DyadicGrid
     points: tuple[Fraction, ...]
 
     def __len__(self) -> int:
         return self.grid.size + len(self.points)
+
+    def __bool__(self) -> bool:
+        return bool(self.grid or self.points)
 
     def __iter__(self):
         return chain(self.grid, self.points)

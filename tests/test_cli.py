@@ -174,11 +174,17 @@ class TestCheckWitness:
         doc = json.loads(out.read_text())
         assert doc["samples_checked"] == 1 << 40 and doc["skipped"] == 0
 
+    def test_huge_passing_grid_with_identity_is_decided_in_closed_form(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["check-witness", "--alpha", "geometric:1", "--beta", "geometric:1", "--witness", "identity"]
+        assert main(argv + ["--samples", "1099511627776", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["samples_checked"] == 1 << 40 and doc["skipped"] == 0
+        assert doc["max_ratio_seen"] == "1" and doc["violations"] == []
+
     @pytest.mark.parametrize(
         "alpha, beta, witness",
         [
-            # no at_length: every sample would be translated
-            ("geometric:1", "geometric:1", "identity"),
             # at_length, but the grid reaches past 1, where lengths stop
             ("geometric:5/8", "geometric:2", "least"),
         ],
@@ -204,9 +210,9 @@ class TestCheckWitness:
     @pytest.mark.parametrize(
         "alpha, witness, depth, checked",
         [
-            # The default schedule has no depth cap of its own: the loop checks
-            # 2**17 grid samples.  beta's points 1 - 2**-i with i > depth lie
-            # off the grid.
+            # The default schedule has no depth cap of its own: identity decides
+            # a depth-17 grid in closed form.  beta's points 1 - 2**-i with
+            # i > depth lie off the grid.
             ("geometric:1", "identity", "17", (1 << 17) + 47),
             # least decides a depth-40 grid per length
             ("geometric:5/8", "least", "40", (1 << 40) + 24),
@@ -220,11 +226,22 @@ class TestCheckWitness:
         assert doc["samples_checked"] == checked and doc["skipped"] == 0
 
     def test_default_schedule_past_the_per_sample_cap_is_usage_error(self, tmp_path, capsys):
+        # least's depth-40 grid below 2 reaches past 1, so it runs the loop.
         out = tmp_path / "report.json"
-        argv = ["check-witness", "--alpha", "geometric:1", "--beta", "geometric:1", "--witness", "identity"]
+        argv = ["check-witness", "--alpha", "geometric:5/8", "--beta", "geometric:2", "--witness", "least"]
         assert main(argv + ["--grid-depth", "40", "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "checking 1099511627776 grid samples one by one refused (cap 2**20)\n"
+        assert captured.err == "checking 2199023255552 grid samples one by one refused (cap 2**20)\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_default_schedule_past_the_row_cap_is_usage_error(self, tmp_path, capsys):
+        # identity fails the gap bound at every grid sample: 2 - q >= 2 * (1 - q).
+        out = tmp_path / "report.json"
+        argv = ["check-witness", "--alpha", "geometric:2", "--beta", "geometric:1", "--witness", "identity"]
+        assert main(argv + ["--grid-depth", "40", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "listing 1099511627776 violation rows refused (cap 2**20)\n"
         assert captured.out == ""
         assert not out.exists()
 

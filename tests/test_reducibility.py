@@ -13,6 +13,7 @@ from lce_lab import (
     DyadicGrid,
     Schedule,
     TranslationWitness,
+    affine_witness,
     check_witness,
     compose_witnesses,
     computable_least_witness,
@@ -28,6 +29,7 @@ from lce_lab import (
     scaling_witness,
     set_real,
 )
+from lce_lab import reducibility
 from lce_lab.dyadic import canonical_length, dyadic_length, is_dyadic
 from lce_lab.errors import ConfigError, DomainError, LabError, PreconditionError
 from lce_lab.hyperimmunity import total_witness_from_majorizer
@@ -36,6 +38,7 @@ from lce_lab.reducibility import (
     REASON_GAP_BOUND,
     REASON_NOT_BELOW_ALPHA,
     REASON_UNDEFINED,
+    GridRows,
     Violation,
     ViolationReport,
     _count_below,
@@ -398,12 +401,25 @@ class TestSampleSchedules:
             assert check_witness(x, y, w, schedule) == check_witness(x, y, w, sorted(schedule))
 
     def test_default_samples_take_any_depth(self):
-        # The schedule is lazy, so only the per-sample loop caps its grid.
+        # The schedule is lazy, so only the deciders cap its grid: the loop
+        # by samples, a closed-form or per-length decider by rows.
         alpha, beta = real("5/8"), real("1")
-        for w in [identity_witness(), computable_least_witness(alpha)]:
+        least = computable_least_witness(alpha)
+        for w in [identity_witness(), least]:
             assert default_samples(beta, w, 40).grid == dyadic_grid(40, beta.limit)
-        with pytest.raises(PreconditionError, match=r"^checking 1099511627776 grid samples one by one refused"):
+        # least's grid reaches past 1 below beta = 2, so it runs the loop.
+        wide = real("2")
+        with pytest.raises(PreconditionError, match=r"^checking 2199023255552 grid samples one by one refused"):
+            check_witness(alpha, wide, least, default_samples(wide, least, 40))
+        # identity's phi = q is not below alpha = 5/8 at 3/8 of the depth-40 grid.
+        with pytest.raises(PreconditionError, match=r"^listing 412316860416 violation rows refused \(cap 2\*\*20\)$"):
             check_witness(alpha, beta, identity_witness(), default_samples(beta, identity_witness(), 40))
+
+    def test_truth_value_at_any_depth(self):
+        # At depth 63 the schedule's len passes sys.maxsize; bool never asks for it.
+        assert default_samples(geometric(Fraction(1)), identity_witness(), 63)
+        assert not Schedule(DyadicGrid(63, 0), ())
+        assert Schedule(DyadicGrid(63, 0), (Fraction(1, 3),))
 
 
 class TestDyadicGrid:
@@ -519,8 +535,12 @@ def length_keyed(u, v):
 
 @st.composite
 def witnesses(draw, alpha, constant, u, v):
-    """Witness shapes with and without ``at_length``, strict and weakened."""
+    """Witness shapes with and without ``at_length`` or ``affine``, strict
+    and weakened.  The affine ones have a random constant, one equal to
+    their slope (c = u) and one below it (c < u)."""
     least = computable_least_witness(alpha)
+    slope = draw(st.fractions(min_value="1/16", max_value=3, max_denominator=48))
+    offset = v or Fraction(1, 3)
     bits = total_witness_from_majorizer(evens(), lambda n: n + draw(st.integers(0, 3)))
     at_length = length_keyed(u, v)
     weakened = draw(st.booleans())
@@ -545,6 +565,13 @@ def witnesses(draw, alpha, constant, u, v):
                 dataclasses.replace(bits, constant=constant, weakened=weakened),
                 per_length_witness("keyed", at_length, constant, weakened=weakened),
                 per_length_witness("table", at_table, constant, weakened=weakened),
+                identity_witness(constant),
+                dataclasses.replace(identity_witness(constant), weakened=weakened),
+                dataclasses.replace(scaling_witness(slope, "forward"), constant=constant),
+                dataclasses.replace(scaling_witness(slope, "backward"), constant=constant),
+                affine_witness("affine_form", slope, offset, constant),
+                affine_witness("c_is_u", slope, offset, slope),
+                affine_witness("c_below_u", slope, offset, slope * draw(st.fractions(min_value="1/8", max_value="7/8"))),
             ]
         )
     )
@@ -634,6 +661,8 @@ class TestIntegerKernelAgainstFractionLoop:
                     dataclasses.replace(least, weakened=False, constant=constant),
                     per_length_witness("keyed", length_keyed(u, constant), constant),
                     per_length_witness("keyed", length_keyed(u, constant), constant, weakened=True),
+                    affine_witness("affine_form", constant, u or Fraction(-1, 3), constant),
+                    affine_witness("c_below_u", constant, u, constant / 2),
                 ]
             )
         )
@@ -738,6 +767,100 @@ class TestPerLengthGrid:
             for beta in default_gallery():
                 grid = dyadic_grid(12, beta.limit)
                 assert check_witness(alpha, beta, w, grid) == check_witness(alpha, beta, w, list(grid))
+
+
+class TestAffineGrid:
+    """A grid against a strict witness with ``affine`` is decided in closed
+    form: its cost does not grow with the grid, and its rows are integer runs
+    until ``violations`` is read."""
+
+    @pytest.mark.parametrize(
+        "witness",
+        [identity_witness(), scaling_witness(Fraction(1, 2), "forward"), affine_witness("a", Fraction(3, 4), Fraction(1, 8), 2)],
+        ids=lambda w: w.name,
+    )
+    def test_depth_64_is_decided_in_closed_form(self, witness):
+        def translate(q):
+            raise AssertionError(f"translate({q}) called")
+
+        w = dataclasses.replace(witness, translate=translate)
+        u, v = witness.affine
+        for beta in default_gallery():
+            # alpha = phi(beta): alpha - phi(q) = u*(beta - q), below c*(beta - q) as u < c
+            alpha = geometric(u * beta.limit + v, name="a")
+            for grid in [dyadic_grid(64, Fraction(1)), DyadicGrid(64, 3 << 64)]:
+                report = check_witness(alpha, beta, w, grid)
+                assert report.passed, beta.name
+                assert report.samples_checked == min(_count_below(64, beta.limit), grid.size)
+                assert report.samples_checked + report.skipped == grid.size
+                assert report.max_ratio_seen is not None
+
+    @pytest.mark.parametrize(
+        "alpha, beta, u, v, c",
+        [
+            # c = u: the gap bound fails everywhere below alpha when
+            # c*beta - alpha + v <= 0 (here = 0: equality fails the strict test),
+            # and nowhere otherwise
+            ("3/4", "3/4", "1", "0", "1"),
+            ("3/4", "5/8", "1", "0", "1"),
+            ("1/2", "3/4", "1", "0", "1"),
+            # c < u: rows from 0 up; c > u: rows up to beta
+            ("1", "3/4", "2", "-1/2", "1"),
+            ("5/4", "7/8", "1/2", "1/4", "3"),
+        ],
+    )
+    def test_thresholds_match_the_oracle(self, alpha, beta, u, v, c):
+        alpha, beta = real(alpha, "a"), real(beta, "b")
+        w = affine_witness("a", Fraction(u), Fraction(v), Fraction(c))
+        for grid in [DyadicGrid(5, 32), DyadicGrid(5, 48), DyadicGrid(0, 3)]:  # inside [0,1), past beta, past 1
+            expect = reference_check_witness(alpha, beta, w, list(grid))
+            assert check_witness(alpha, beta, w, grid) == expect
+
+    def test_rows_are_built_only_when_read(self, monkeypatch):
+        # alpha = 7/4 against beta = 1 with c = 2 fails the gap bound at every q >= 1/4.
+        alpha, beta, w = real("7/4"), real("1"), identity_witness()
+        grid = dyadic_grid(12, Fraction(1))
+        listed = check_witness(alpha, beta, w, list(grid))
+        report = check_witness(alpha, beta, w, grid)
+        assert report.rows == [GridRows(12, 1 << 10, 1 << 12, REASON_GAP_BOUND, (1, 0, 1 << 12), (2 << 12, 2, 1 << 12))]
+
+        def refuse(*args):
+            raise AssertionError("a Violation was built")
+
+        monkeypatch.setattr(reducibility, "Violation", refuse)
+        assert not report.passed
+        assert report == listed and report != dataclasses.replace(listed, samples_checked=0)
+        assert report.to_json_dict() == listed.to_json_dict()
+        with pytest.raises(AssertionError, match="a Violation was built"):
+            report.violations
+        monkeypatch.undo()
+        assert report.violations == listed.violations
+        assert len(report.violations) == 3 << 10
+
+    @pytest.mark.parametrize("depth, size", [(4, 16), (4, 12)])
+    def test_rows_past_the_cap_are_refused(self, monkeypatch, depth, size):
+        # identity fails everywhere below 1 against alpha = 2: c*(1 - q) <= 2 - q.
+        # Per length, the witness below is never below alpha = 1.
+        monkeypatch.setattr(reducibility, "MAX_ENUMERATION_BITS", 3)
+        deciders = [
+            (real("2"), identity_witness()),
+            (real("1"), per_length_witness("high", lambda length: Fraction(2), Fraction(1))),
+        ]
+        for alpha, w in deciders:
+            grid = DyadicGrid(depth, 8)
+            assert len(check_witness(alpha, real("1"), w, grid).violations) == 8
+            with pytest.raises(PreconditionError, match=rf"^listing {size} violation rows refused \(cap 2\*\*3\)$"):
+                check_witness(alpha, real("1"), w, DyadicGrid(depth, size))
+
+    def test_affine_slope_must_be_positive(self):
+        for u in [0, -1]:
+            with pytest.raises(ConfigError, match="affine witness slope must be positive"):
+                affine_witness("a", Fraction(u), Fraction(0), Fraction(1))
+
+    def test_translate_is_the_affine_form(self):
+        w = affine_witness("a", Fraction(3, 2), Fraction(-1, 4), Fraction(1))
+        assert w.affine == (Fraction(3, 2), Fraction(-1, 4)) and w.translate(Fraction(1, 2)) == Fraction(1, 2)
+        assert identity_witness().affine == (1, 0) and scaling_witness(Fraction(2), "backward").affine == (Fraction(1, 2), 0)
 
 
 class TestReportSerialization:
