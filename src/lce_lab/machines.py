@@ -33,7 +33,6 @@ from .reducibility import TranslationWitness
 from .util import ceil_log2
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 OVERFLOW_SATURATE = "saturate"
 OVERFLOW_ERROR = "error"
@@ -70,9 +69,16 @@ class PrefixMachine:
     pad_length: Optional[int] = None
 
     def __post_init__(self):
-        for code, output in self.table.items():
-            _check_binary(code, "code")
-            _check_binary(output, "output")
+        # One pass over all codes joined, then all outputs; only a bad table
+        # walks its entries, to name the first bad one.
+        try:
+            binary = is_binary("".join(self.table)) and is_binary("".join(self.table.values()))
+        except TypeError:  # a non-str entry
+            binary = False
+        if not binary:
+            for code, output in self.table.items():
+                _check_binary(code, "code")
+                _check_binary(output, "output")
         violation = find_prefix_violation(self.table)
         if violation is not None:
             raise PrefixFreeError(*violation)
@@ -83,14 +89,21 @@ def measure(machine: PrefixMachine) -> Fraction:
     return kraft_mass(map(len, machine.table))
 
 
+def shortest_codes(machine: PrefixMachine) -> dict[str, int]:
+    """{output: length of its shortest code} over the machine's range, in one
+    pass over the table."""
+    best: dict[str, int] = {}
+    for code, output in machine.table.items():
+        k = len(code)
+        if k < best.get(output, k + 1):
+            best[output] = k
+    return best
+
+
 def complexity(machine: PrefixMachine, tau: str) -> Optional[int]:
     """Length of the shortest code producing tau; None when tau is not in range."""
     _check_binary(tau, "target string")
-    best: Optional[int] = None
-    for code, output in machine.table.items():
-        if output == tau and (best is None or len(code) < best):
-            best = len(code)
-    return best
+    return shortest_codes(machine).get(tau)
 
 
 def pad_width(constant: Fraction) -> int:
@@ -118,35 +131,39 @@ def uniformize(
     if overflow not in (OVERFLOW_SATURATE, OVERFLOW_ERROR):
         raise ConfigError(f"unknown overflow policy {overflow!r}")
     width = pad_width(witness.constant)
+    pads = [format(w, f"0{width}b") for w in range(1 << width)]
 
-    table: dict[str, str] = {}
+    kept: list[str] = []
+    outputs: list[str] = []  # one per pad for each kept code, in pad order
     bad_codes: list[str] = []
     for code in sorted(source.table):
         sigma = source.table[code]
         n = len(sigma)
-        value = witness.translate(Fraction(int(sigma, 2) if n else 0, 1 << n))
-        if value is None or not (_ZERO <= value < _ONE):
+        value = witness.translate(Fraction(int(sigma, 2), 1 << n) if n else _ZERO)
+        if value is None or not 0 <= value.numerator < value.denominator:
             bad_codes.append(code)
             continue
-        base = truncate(value, n)
-        for w in range(1 << width):
-            shifted = base + w
-            if shifted < (1 << n):
-                output = format(shifted, f"0{n}b") if n else ""
-            elif overflow == OVERFLOW_SATURATE:
-                output = "1" * n
-            else:
-                raise ConstructionError(
-                    f"pad overflow at code {code!r} with pad {w}", [code]
-                )
-            table[code + format(w, f"0{width}b")] = output
+        base = (value.numerator << n) // value.denominator  # truncate(value, n)
+        top = (1 << n) - base  # the first pad whose value overflows n bits
+        if top < len(pads) and overflow == OVERFLOW_ERROR:
+            raise ConstructionError(
+                f"pad overflow at code {code!r} with pad {top}", [code]
+            )
+        kept.append(code)
+        fits = min(top, len(pads))
+        if n:
+            fmt = f"0{n}b"
+            for shifted in range(base, base + fits):
+                outputs.append(format(shifted, fmt))
+        else:  # format(0, "00b") is "0"; an empty output stays empty
+            outputs.append("")
+        outputs += ["1" * n] * (len(pads) - fits)  # the overflowing pads saturate
     if bad_codes:
         raise ConstructionError(
             f"translated output outside [0,1) for codes {bad_codes}", bad_codes
         )
-    return PrefixMachine(
-        name=f"{source.name}+pads", table=table, pad_length=width
-    )
+    table = dict(zip([code + pad for code in kept for pad in pads], outputs))
+    return PrefixMachine(name=f"{source.name}+pads", table=table, pad_length=width)
 
 
 @dataclass(frozen=True)
@@ -213,13 +230,14 @@ def check_usch(
     if constant < 0:
         raise ConfigError(f"constant must be >= 0, got {constant}")
     report = UschReport(constant=constant)
+    a_shortest, b_shortest = shortest_codes(a_machine), shortest_codes(b_machine)
     for n in range(1, n_max + 1):
         beta_bits = format(truncate(beta.limit, n), f"0{n}b")
-        k_beta = complexity(b_machine, beta_bits)
+        k_beta = b_shortest.get(beta_bits)
         if k_beta is None:
             continue
         alpha_bits = format(truncate(alpha.limit, n), f"0{n}b")
-        k_alpha = complexity(a_machine, alpha_bits)
+        k_alpha = a_shortest.get(alpha_bits)
         report.rows.append(
             UschRow(
                 n=n,

@@ -15,7 +15,7 @@ quantified statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
@@ -512,20 +512,23 @@ def compose_witnesses(outer: TranslationWitness, inner: TranslationWitness) -> T
 
     If the pieces certify alpha below beta and beta below gamma, the composite
     is the transitivity witness for alpha below gamma on compatible samples.
+    Two affine pieces compose to the affine u1*(u2*q + v2) + v1, which the
+    checker still decides in closed form.
     """
     if outer.weakened or inner.weakened:
         raise ConfigError("composition is defined for strict-variant witnesses only")
+    name = f"{outer.name}.{inner.name}"
+    constant = outer.constant * inner.constant
+    total = outer.total and inner.total
+    if outer.affine is not None and inner.affine is not None:
+        (u1, v1), (u2, v2) = outer.affine, inner.affine
+        return replace(affine_witness(name, u1 * u2, u1 * v2 + v1, constant), total=total)
 
     def translate(q: Fraction) -> Optional[Fraction]:
         mid = inner.translate(q)
         return None if mid is None else outer.translate(mid)
 
-    return TranslationWitness(
-        name=f"{outer.name}.{inner.name}",
-        translate=translate,
-        constant=outer.constant * inner.constant,
-        total=outer.total and inner.total,
-    )
+    return TranslationWitness(name=name, translate=translate, constant=constant, total=total)
 
 
 def per_length_witness(

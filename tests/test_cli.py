@@ -15,6 +15,15 @@ from lce_lab.util import dump_json
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
+def run_fresh(argv, cwd):
+    """The CLI in a process of its own, as ``python -m lce_lab``."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "lce_lab", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), cwd=cwd, timeout=60,
+    )
+
+
 @pytest.fixture
 def three_code_file(tmp_path):
     path = tmp_path / "B3.json"
@@ -94,11 +103,8 @@ class TestCheckWitness:
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         out = tmp_path / "report.json"
-        path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
+        proc = run_fresh(
             [
-                sys.executable, "-m", "lce_lab",
                 "check-witness",
                 "--alpha", "geometric:1/2",
                 "--beta", "geometric:1/4",
@@ -107,10 +113,7 @@ class TestCheckWitness:
                 "--samples", "16",
                 "--out", str(out),
             ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
+            tmp_path,
         )
         assert proc.returncode == 1, proc.stderr
         assert json.loads(out.read_text())["passed"] is False
@@ -775,6 +778,59 @@ class TestGallery:
 
     def test_usage_error_without_subcommand(self):
         assert main([]) == 2
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; later calls must behave
+    as if each ran in a fresh process."""
+
+    def test_a_flag_does_not_carry_over(self, tmp_path, three_code_file):
+        out = tmp_path / "A.json"
+        argv = ["cmm-build", "--B", three_code_file, "--witness", "identity", "--out", str(out)]
+        assert main(argv + ["--c", "3"]) == 0
+        assert json.loads(out.read_text())["pad_length"] == 2
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["pad_length"] == 1
+
+    def test_a_usage_error_leaves_the_next_call_unchanged(self, tmp_path, three_code_file, capsys):
+        assert main(["cmm-build", "--B", three_code_file]) == 2
+        assert main(["cmm-build", "--B", three_code_file, "--witness", "identity", "--overflow", "clamp"]) == 2
+        capsys.readouterr()
+        argv = ["cmm-build", "--B", three_code_file, "--witness", "identity", "--c", "7"]
+        assert main(argv) == 0
+        got = capsys.readouterr()
+        fresh = run_fresh(argv, tmp_path)
+        assert fresh.returncode == 0
+        assert (got.out, got.err) == (fresh.stdout, fresh.stderr)
+
+    def test_help_exits_zero_and_the_parser_still_works(self, tmp_path, three_code_file, capsys):
+        assert main(["--help"]) == 0
+        assert main(["cmm-check", "--help"]) == 0
+        assert "--n-max" in capsys.readouterr().out
+        out = tmp_path / "A.json"
+        assert main(["cmm-build", "--B", three_code_file, "--witness", "identity", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pad_length"] == 1
+
+    def test_every_subcommand_twice_matches_a_fresh_run(self, tmp_path, three_code_file):
+        gallery = tmp_path / "gallery.json"
+        gallery.write_text(json.dumps([{"name": "g", "kind": "geometric", "parameters": {"limit": "1"}}]))
+        runs = [
+            ["gallery", "--config", str(gallery), "--horizon", "6"],
+            ["check-witness", "--alpha", "geometric:1/2", "--beta", "geometric:1/4", "--witness", "identity",
+             "--c", "1", "--samples", "16"],
+            ["speed-trace", "--real", "geometric:1", "--speedup", "linear:2", "--horizon", "6", "--rho", "1/4"],
+            ["speed-check", "--real", "geometric:1", "--translation", "affine:1/2", "--rho", "1/4", "--amplify", "2"],
+            ["convert", "--real", "geometric:1", "--speedup", "linear:2", "--probes", "1/2,3/4"],
+            ["cmm-build", "--B", three_code_file, "--witness", "scaling:3:forward"],
+            ["cmm-check", "--A", three_code_file, "--B", three_code_file, "--alpha", "set:evens",
+             "--beta", "set:evens", "--c", "0", "--n-max", "6"],
+        ]
+        for argv in runs:
+            fresh = run_fresh([*argv, "--out", str(tmp_path / "fresh.json")], tmp_path)
+            for attempt in (1, 2):
+                out = tmp_path / f"in-process-{attempt}.json"
+                assert main([*argv, "--out", str(out)]) == fresh.returncode, argv
+                assert out.read_bytes() == (tmp_path / "fresh.json").read_bytes(), argv
 
 
 def stdlib_form(text: str) -> str:

@@ -126,6 +126,10 @@ class TestIsBinary:
     def test_rejects_other_strings(self, s):
         assert not is_binary(s)
 
+    def test_rejects_a_lone_surrogate(self):
+        # "0\ud800".encode() raises; the test must answer before it gets there
+        assert not is_binary("0\ud800")
+
     @pytest.mark.parametrize("s", [1, 0, None, ["0"], b"01", ("0",)])
     def test_rejects_non_strings(self, s):
         assert not is_binary(s)

@@ -2,7 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lce_lab import (
@@ -10,6 +10,7 @@ from lce_lab import (
     TranslationWitness,
     check_usch,
     complexity,
+    computable_least_witness,
     geometric,
     identity_witness,
     machine_from_dict,
@@ -27,7 +28,7 @@ from lce_lab.errors import (
     MachineFormatError,
     PrefixFreeError,
 )
-from lce_lab.machines import OVERFLOW_ERROR, find_prefix_violation
+from lce_lab.machines import OVERFLOW_ERROR, find_prefix_violation, shortest_codes
 
 
 def three_code():
@@ -66,6 +67,31 @@ class TestValidation:
         with pytest.raises(MachineFormatError):
             PrefixMachine("bad", {"2": "1"})
 
+    # Each table's first bad entry in table order, and the message naming it.
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"0": "1", 1: "1", "11": "2"}, "code must be a binary string, got 1"),
+            ({"0": "1", None: "1", 2: "1"}, "code must be a binary string, got None"),
+            ({"0": "1", "0_1": "1", "11": [0]}, "code must be a binary string, got '0_1'"),
+            ({" 1": "1", "0": "2"}, "code must be a binary string, got ' 1'"),
+            ({"0": "1", "\uff11": "1"}, "code must be a binary string, got '\uff11'"),
+            ({"0": "1", "10": 1, "11": "2"}, "output must be a binary string, got 1"),
+            ({"0": "1", "10": None}, "output must be a binary string, got None"),
+            ({"0": "1", "10": [0, 1], "11": "0_1"}, "output must be a binary string, got [0, 1]"),
+            ({"0": "1", "10": "0_1", "11": "2"}, "output must be a binary string, got '0_1'"),
+            ({"0": "1", "10": " 1"}, "output must be a binary string, got ' 1'"),
+            ({"0": "1", "10": "\uff11"}, "output must be a binary string, got '\uff11'"),
+            # an entry's code is checked before its output, and before the next entry
+            ({"0": "2", "1_": "1"}, "output must be a binary string, got '2'"),
+            ({"0": "1", "10": "1", "11": "10", "2": "0"}, "code must be a binary string, got '2'"),
+        ],
+    )
+    def test_first_bad_entry_is_named(self, table, message):
+        with pytest.raises(MachineFormatError) as err:
+            PrefixMachine("bad", table)
+        assert str(err.value) == message
+
     @given(st.lists(binary, min_size=1, max_size=12, unique=True))
     def test_violation_finder_matches_all_pairs_scan(self, codes):
         brute = any(
@@ -100,6 +126,15 @@ class TestComplexity:
     def test_min_over_competing_codes(self):
         m = PrefixMachine("m", {"0": "111", "10": "111"})
         assert complexity(m, "111") == 1
+
+    def test_shortest_code_whatever_the_table_order(self):
+        m = PrefixMachine("m", {"110": "1", "0": "1", "10": "1", "111": "0"})
+        assert shortest_codes(m) == {"1": 1, "0": 3}
+        assert complexity(m, "1") == 1 and complexity(m, "") is None
+
+    def test_target_must_be_binary(self):
+        with pytest.raises(MachineFormatError, match="target string must be a binary string, got '0_1'"):
+            complexity(three_code(), "0_1")
 
 
 class TestUniformize:
@@ -140,6 +175,45 @@ class TestUniformize:
         with pytest.raises(ConstructionError):
             uniformize(three_code(), identity_witness(Fraction(1)), overflow=OVERFLOW_ERROR)
 
+    def test_error_names_the_first_overflowing_pad(self):
+        # 0.10 + pad w fits two bits for w < 2: pad 2 is the first to overflow
+        b = PrefixMachine("b", {"0": "00", "1": "10"})
+        with pytest.raises(ConstructionError) as err:
+            uniformize(b, identity_witness(Fraction(3)), overflow=OVERFLOW_ERROR)
+        assert str(err.value) == "pad overflow at code '1' with pad 2" and err.value.codes == ("1",)
+
+    def test_empty_output_saturates_to_empty_outputs(self):
+        b = PrefixMachine("b", {"0": "", "1": "1"})
+        a = uniformize(b, identity_witness(Fraction(3)))
+        assert a.pad_length == 2
+        assert a.table == {
+            "000": "", "001": "", "010": "", "011": "",
+            "100": "1", "101": "1", "110": "1", "111": "1",
+        }
+        assert measure(a) == measure(b)
+
+    def test_empty_output_overflows_at_pad_one(self):
+        # zero bits hold only the value 0, so pad 1 is the first to overflow
+        b = PrefixMachine("b", {"0": "1", "1": ""})
+        with pytest.raises(ConstructionError) as err:
+            uniformize(b, identity_witness(Fraction(1)), overflow=OVERFLOW_ERROR)
+        assert str(err.value) == "pad overflow at code '0' with pad 1"
+        b = PrefixMachine("b", {"0": "0", "1": ""})
+        with pytest.raises(ConstructionError) as err:
+            uniformize(b, identity_witness(Fraction(1)), overflow=OVERFLOW_ERROR)
+        assert str(err.value) == "pad overflow at code '1' with pad 1" and err.value.codes == ("1",)
+
+    def test_overflow_error_comes_before_codes_outside_the_unit_interval(self):
+        # 2 * 0.11 is outside [0,1); 2 * 0.01 = 0.10 overflows two bits at pad 2
+        w = TranslationWitness("double", lambda q: q * 2, Fraction(3))
+        b = PrefixMachine("b", {"0": "11", "10": "01", "11": "00"})
+        with pytest.raises(ConstructionError) as err:
+            uniformize(b, w, overflow=OVERFLOW_ERROR)
+        assert str(err.value) == "pad overflow at code '10' with pad 2"
+        with pytest.raises(ConstructionError) as err:
+            uniformize(b, w)
+        assert str(err.value) == "translated output outside [0,1) for codes ['0']"
+
     @given(prefix_free_codes(), st.integers(min_value=1, max_value=4))
     def test_measure_preservation_and_prefix_freeness_generic(self, codes, den):
         table = {c: format(i % 4, "02b") for i, c in enumerate(codes)}
@@ -148,6 +222,71 @@ class TestUniformize:
         a = uniformize(b, w)  # construction validates prefix-freeness
         assert measure(a) == measure(b)
         assert len(a.table) == len(b.table) * (1 << a.pad_length)
+
+
+def reference_uniformize(source, witness, overflow):
+    """The transport as a plain Fraction loop, one pad at a time."""
+    width = pad_width(witness.constant)
+    table, bad_codes = {}, []
+    for code in sorted(source.table):
+        sigma = source.table[code]
+        n = len(sigma)
+        value = witness.translate(Fraction(int(sigma, 2) if n else 0, 1 << n))
+        if value is None or not (0 <= value < 1):
+            bad_codes.append(code)
+            continue
+        base = truncate(value, n)
+        for w in range(1 << width):
+            shifted = base + w
+            if shifted < (1 << n):
+                output = format(shifted, f"0{n}b") if n else ""
+            elif overflow == "saturate":
+                output = "1" * n
+            else:
+                raise ConstructionError(f"pad overflow at code {code!r} with pad {w}", [code])
+            table[code + format(w, f"0{width}b")] = output
+    if bad_codes:
+        raise ConstructionError(f"translated output outside [0,1) for codes {bad_codes}", bad_codes)
+    return table, width
+
+
+def _transport(build, *args):
+    try:
+        built = build(*args)
+    except ConstructionError as e:
+        return ("error", str(e), e.codes)
+    return built if isinstance(built, tuple) else (built.table, built.pad_length)
+
+
+@st.composite
+def transport_cases(draw):
+    """Random prefix-free machines with outputs of 0-8 bits, and witnesses
+    whose images stay inside [0,1), leave it, or overflow the pads."""
+    codes = draw(prefix_free_codes())
+    outputs = st.text(alphabet="01", max_size=8)
+    source = PrefixMachine("b", {c: draw(outputs) for c in codes})
+    ratio = draw(st.fractions(min_value="1/8", max_value=2, max_denominator=16))
+    limit = draw(st.fractions(min_value="1/16", max_value="3/2", max_denominator=32))
+    witness = draw(
+        st.sampled_from(
+            [
+                identity_witness(Fraction(1)),
+                identity_witness(Fraction(3)),
+                identity_witness(Fraction(7)),
+                scaling_witness(ratio, "forward"),
+                scaling_witness(ratio, "backward"),
+                computable_least_witness(geometric(limit)),
+            ]
+        )
+    )
+    return source, witness, draw(st.sampled_from(["saturate", OVERFLOW_ERROR]))
+
+
+class TestUniformizeAgainstFractionLoop:
+    @settings(max_examples=300)
+    @given(transport_cases())
+    def test_same_table_pad_and_errors(self, case):
+        assert _transport(uniformize, *case) == _transport(reference_uniformize, *case)
 
 
 def fifth_machine():
@@ -223,6 +362,49 @@ class TestCheckUsch:
         assert len(report.rows) == 32
         for row in report.rows:
             assert row.alpha_complexity <= row.beta_complexity + 1
+
+
+def reference_usch_rows(a_machine, b_machine, alpha, beta, constant, n_max):
+    """check_usch's rows with each complexity a scan of the whole table."""
+
+    def scan(machine, tau):
+        return min((len(code) for code, output in machine.table.items() if output == tau), default=None)
+
+    rows = []
+    for n in range(1, n_max + 1):
+        k_beta = scan(b_machine, format(truncate(beta.limit, n), f"0{n}b"))
+        if k_beta is not None:
+            rows.append((n, scan(a_machine, format(truncate(alpha.limit, n), f"0{n}b")), k_beta, k_beta + constant))
+    return rows
+
+
+@st.composite
+def usch_cases(draw):
+    """Machines whose outputs are mostly prefixes of alpha or beta, some
+    shared by codes of different lengths, some lengths missing, and an n_max
+    that can run past every output."""
+    limit = st.fractions(min_value="1/64", max_value="15/16", max_denominator=64)
+    alpha, beta = geometric(draw(limit)), geometric(draw(limit))
+
+    def machine(name):
+        codes = draw(prefix_free_codes())
+        lengths = st.integers(1, 7)
+        output = (
+            st.builds(lambda n: format(truncate(alpha.limit, n), f"0{n}b"), lengths)
+            | st.builds(lambda n: format(truncate(beta.limit, n), f"0{n}b"), lengths)
+            | binary
+        )
+        return PrefixMachine(name, {c: draw(output) for c in codes})
+
+    return machine("a"), machine("b"), alpha, beta, draw(st.integers(0, 3)), draw(st.integers(1, 12))
+
+
+class TestCheckUschAgainstScan:
+    @settings(max_examples=300)
+    @given(usch_cases())
+    def test_rows_match(self, case):
+        rows = [(r.n, r.alpha_complexity, r.beta_complexity, r.bound) for r in check_usch(*case).rows]
+        assert rows == reference_usch_rows(*case)
 
 
 class TestMutationControl:

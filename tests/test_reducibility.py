@@ -254,6 +254,28 @@ class TestComposition:
         with pytest.raises(ConfigError):
             compose_witnesses(wk, identity_witness())
 
+    def test_affine_pieces_compose_to_an_affine_witness(self):
+        outer = affine_witness("outer", Fraction(2, 3), Fraction(1, 5), Fraction(3))
+        inner = scaling_witness(Fraction(3, 4), "backward")
+        composed = compose_witnesses(outer, inner)
+        assert composed.affine == (Fraction(8, 9), Fraction(1, 5))
+        assert (composed.name, composed.constant, composed.total) == ("outer.scaling(3/4,backward)", 3 * Fraction(7, 3), True)
+        for q in (Fraction(0), Fraction(5, 8), Fraction(-3, 7), Fraction(9, 4)):
+            assert composed.translate(q) == outer.translate(inner.translate(q))
+
+    def test_affine_composite_keeps_partiality(self):
+        part = dataclasses.replace(identity_witness(), total=False)
+        composed = compose_witnesses(scaling_witness(Fraction(1, 2), "forward"), part)
+        assert composed.affine is not None and not composed.total
+
+    def test_affine_composite_is_decided_past_the_per_sample_cap(self):
+        composed = compose_witnesses(scaling_witness(Fraction(1, 2), "forward"), identity_witness())
+        assert (composed.name, composed.constant) == ("scaling(1/2,forward).identity", 3)
+        grid = DyadicGrid(21, 1 << 21)
+        assert grid.size > 1 << MAX_ENUMERATION_BITS
+        report = check_witness(real("1/2", "a"), real("1", "b"), composed, grid)
+        assert report.passed and report.samples_checked == 1 << 21
+
 
 class TestLeastWitness:
     def test_truncation_values(self):
@@ -572,6 +594,10 @@ def witnesses(draw, alpha, constant, u, v):
                 affine_witness("affine_form", slope, offset, constant),
                 affine_witness("c_is_u", slope, offset, slope),
                 affine_witness("c_below_u", slope, offset, slope * draw(st.fractions(min_value="1/8", max_value="7/8"))),
+                # composites: of two affine pieces (affine), and of a plain one
+                compose_witnesses(scaling_witness(slope, "forward"), affine_witness("affine_form", slope, offset, constant)),
+                compose_witnesses(identity_witness(constant), scaling_witness(slope, "backward")),
+                compose_witnesses(TranslationWitness("affine", lambda q: u + v * q, constant), identity_witness()),
             ]
         )
     )
