@@ -23,7 +23,8 @@ from math import gcd
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .dyadic import canonical_length, dyadic_length, is_dyadic, lengths_in_grid_order, truncate
+from .dyadic import canonical_length, dyadic_length, is_dyadic, lengths_in_grid_order
+from .dyadic import truncate  # noqa: F401  module attribute that perfbench/tracer.py wraps
 from .errors import ConfigError, PreconditionError
 from .reals import DeskReal
 from .util import rational_str
@@ -550,15 +551,17 @@ def computable_least_witness(alpha: DeskReal) -> TranslationWitness:
     itself dyadic the truncation could land exactly on alpha; the padded form
     alpha - 2**-(|q|+2) keeps strictness.
     """
-    a = alpha.limit
-    whole = a.numerator // a.denominator
-    frac_part = a - whole
-    dyadic_alpha = is_dyadic(frac_part)
+    num, den = alpha.limit.numerator, alpha.limit.denominator
+    whole, rem = divmod(num, den)  # alpha = whole + rem/den with 0 <= rem/den < 1
+    dyadic_alpha = not den & (den - 1)
 
+    # One Fraction per length, straight from the integers: the truncation
+    # floor(rem * 2**n / den) needs no range check on rem/den.
     def at_length(length: int) -> Fraction:
         if dyadic_alpha:
-            return a - Fraction(1, 1 << (length + 2))
-        return whole + Fraction(truncate(frac_part, length + 1), 1 << (length + 1))
+            return Fraction((num << (length + 2)) - den, den << (length + 2))
+        n = length + 1
+        return Fraction((whole << n) + ((rem << n) // den), 1 << n)
 
     return per_length_witness(f"least({alpha.name})", at_length, _ONE, weakened=True)
 

@@ -30,7 +30,7 @@ from lce_lab import (
     set_real,
 )
 from lce_lab import reducibility
-from lce_lab.dyadic import canonical_length, dyadic_length, is_dyadic
+from lce_lab.dyadic import canonical_length, dyadic_length, is_dyadic, truncate
 from lce_lab.errors import ConfigError, DomainError, LabError, PreconditionError
 from lce_lab.hyperimmunity import total_witness_from_majorizer
 from lce_lab.reducibility import (
@@ -305,17 +305,51 @@ class TestLeastWitness:
             value = w.translate(q)
             assert value < Fraction(2, 3)
 
+    # Integer part -2 to 3 and a fractional part that is dyadic or not, so
+    # both branches of at_length and negative limits are reached.
+    LIMITS = st.builds(
+        lambda whole, frac: whole + frac,
+        st.integers(-2, 3),
+        st.one_of(
+            st.builds(lambda k, m: Fraction(k % (1 << m), 1 << m), st.integers(0, 1 << 20), st.integers(0, 20)),
+            st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda f: f < 1),
+        ),
+    )
+
     @given(
-        st.fractions(min_value="1/32", max_value=3, max_denominator=40),
+        LIMITS,
         st.one_of(
             st.builds(Fraction, st.integers(0, 255), st.sampled_from([1, 2, 4, 64, 256])),
             st.fractions(min_value=-2, max_value=3, max_denominator=50),
         ),
     )
     def test_translate_is_at_length_of_canonical_length(self, limit, q):
-        w = computable_least_witness(real(limit))
+        w = computable_least_witness(geometric(limit, gap0=Fraction(1)))
         length = canonical_length(q)
         assert w.translate(q) == w.at_length(length)
+
+    @given(LIMITS, st.integers(0, 96))
+    def test_at_length_is_the_plain_truncation(self, limit, length):
+        # Lengths past 64, the cap of canonical_length, are reached through
+        # at_length alone.
+        w = computable_least_witness(geometric(limit, gap0=Fraction(1)))
+        if is_dyadic(limit):
+            plain = limit - Fraction(1, 2 ** (length + 2))
+        else:
+            whole = limit.numerator // limit.denominator
+            plain = whole + Fraction(truncate(limit - whole, length + 1), 2 ** (length + 1))
+        assert w.at_length(length) == plain < limit
+
+    @pytest.mark.parametrize("a", ["7/3", "5/4"])
+    @pytest.mark.parametrize("b", ["1", "10/11"])
+    def test_grid_above_one_matches_the_oracle(self, a, b):
+        # alpha > 1, non-dyadic and dyadic, decided per length on a grid in [0,1)
+        alpha, beta = real(a, "alpha"), real(b, "beta")
+        w = computable_least_witness(alpha)
+        grid = dyadic_grid(14, Fraction(1))
+        report = check_witness(alpha, beta, w, grid)
+        assert report.to_json_dict() == reference_check_witness(alpha, beta, w, list(grid)).to_json_dict()
+        assert report.samples_checked == _count_below(14, beta.limit)
 
 
 class TestPerLengthWitness:
