@@ -20,12 +20,17 @@ from .errors import ConfigError, LabError
 from .machines import check_usch, machine_from_dict, machine_to_dict, measure, uniformize
 from .reducibility import check_witness, default_samples, dyadic_samples
 from .registry import gallery_from_config
-from .speedability import amplify, check_horizon, check_rho, check_total_speedup, liminf_record, speedup_from_translation, translation_from_speedup
+from .speedability import MAX_HORIZON, amplify, check_horizon, check_rho, check_total_speedup, liminf_record, speedup_from_translation, translation_from_speedup
 from .util import atomic_write_text, dump_json, parse_rational, rational_str
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
+
+# The bound on --grid-depth, as on --horizon: a grid of depth d is decided in
+# up to d + 1 classes of d-bit integers, as a trace of horizon d holds d + 1
+# exact ratios.
+MAX_GRID_DEPTH = MAX_HORIZON
 
 
 def _emit(text: str, out_path):
@@ -82,6 +87,8 @@ def _cmd_check_witness(args) -> int:
     witness = _witness(args, Fraction(2), alpha)
     if args.samples is not None:
         samples = dyadic_samples(beta.limit, args.samples)
+    elif args.grid_depth > MAX_GRID_DEPTH:
+        raise ConfigError(f"grid depth must be <= {MAX_GRID_DEPTH}, got {args.grid_depth}")
     else:
         samples = default_samples(beta, witness, args.grid_depth)
     report = check_witness(alpha, beta, witness, samples)

@@ -15,6 +15,7 @@ quantified statement.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
@@ -76,63 +77,94 @@ class Violation(NamedTuple):
 
 
 class GridRows(NamedTuple):
-    """The violation rows at the grid samples k/2**depth, start <= k < stop,
-    all with one reason: phi = (phi_k*k + phi_0) / phi_den and, on a gap-bound
-    run, bound = (bound_0 - bound_k*k) / bound_den, every denominator positive.
+    """The violation rows at grid samples k/2**depth, as ``classes`` of them.
+    A class (lo, hi, step, reason, phi, bound) has one row at each k = lo,
+    lo + step, ... below hi, a multiple of step past lo, with phi = (phi_k*k
+    + phi_0) / phi_den (None where undefined) and, on a gap-bound class,
+    bound = (bound_0 - bound_k*k) / bound_den, every denominator positive.
+    The classes' rows may interleave; both readers merge them by k.
     """
 
     depth: int
-    start: int
-    stop: int
-    reason: str
-    phi: tuple[int, int, int]  # (phi_k, phi_0, phi_den)
-    bound: Optional[tuple[int, int, int]]  # (bound_0, bound_k, bound_den)
+    classes: tuple  # of (lo, hi, step, reason, (phi_k, phi_0, phi_den) or None, (bound_0, bound_k, bound_den) or None)
+
+    def _in_grid_order(self, run) -> list:
+        """``run(*class)`` is one class's rows in order; all the rows, by k."""
+        runs = [run(*c) for c in self.classes]
+        if len(runs) == 1:
+            return runs[0]
+        keyed = (zip(range(lo, hi, step), rows) for (lo, hi, step, *_), rows in zip(self.classes, runs))
+        return [row for _, row in heapq.merge(*keyed)]  # classes are disjoint, so no two rows are compared
 
     def violations(self) -> list[Violation]:
-        h, reason = 1 << self.depth, self.reason
-        (pk, p0, pd), bound = self.phi, self.bound
-        return [
-            Violation(
-                Fraction(k, h),
-                reason,
-                Fraction(pk * k + p0, pd),
-                Fraction(bound[0] - bound[1] * k, bound[2]) if bound else None,
-            )
-            for k in range(self.start, self.stop)
-        ]
+        h = 1 << self.depth
+
+        def run(lo, hi, step, reason, phi, bound):
+            pk, p0, pd = phi or (0, 0, 0)
+            b0, bk, bd = bound or (0, 0, 0)
+            return [
+                Violation(
+                    Fraction(k, h),
+                    reason,
+                    Fraction(pk * k + p0, pd) if pd else None,
+                    Fraction(b0 - bk * k, bd) if bd else None,
+                )
+                for k in range(lo, hi, step)
+            ]
+
+        return self._in_grid_order(run)
 
     def to_json_rows(self) -> list[dict]:
         """``ViolationReport.to_json_dict``'s rows, from integers: q in lowest
-        terms by a shift (and phi = q on identity's runs), phi and the bound
-        each by one gcd.  Inlined, since this runs once per row."""
-        depth, h, reason = self.depth, 1 << self.depth, self.reason
-        pk, p0, pd = self.phi
-        b0, bk, bd = self.bound or (0, 0, 0)
+        terms by a shift, phi once per class where it is constant (and phi = q
+        on identity's classes), else phi and the bound each by one gcd.
+        Inlined, since this runs once per row."""
+        depth, h = self.depth, 1 << self.depth
         over = [f"/{h >> shift}" for shift in range(depth)] + [""]  # "/" + the denominator of k/h, by k's shift
-        phi_is_q = (pk, p0, pd) == (1, 0, h)
-        rows = []
-        append = rows.append
-        for k in range(self.start, self.stop):
-            shift = min((k & -k).bit_length() - 1, depth) if k else depth
-            q = f"{k >> shift}{over[shift]}"
-            if phi_is_q:
-                phi = q
-            else:
-                n = pk * k + p0
-                g = gcd(n, pd)
-                phi = f"{n // g}/{pd // g}" if g != pd else str(n // g)
-            if bd:
-                n = b0 - bk * k
-                g = gcd(n, bd)
-                append({"q": q, "reason": reason, "phi_q": phi, "bound": f"{n // g}/{bd // g}" if g != bd else str(n // g)})
-            else:
-                append({"q": q, "reason": reason, "phi_q": phi, "bound": None})
-        return rows
+
+        def run(lo, hi, step, reason, phi_terms, bound):
+            pk, p0, pd = phi_terms or (0, 0, 0)
+            b0, bk, bd = bound or (0, 0, 0)
+            phi_is_q = phi_terms == (1, 0, h)
+            phi_varies = pk and not phi_is_q
+            phi = rational_str(Fraction(p0, pd)) if pd and not pk else None
+            rows = []
+            append = rows.append
+            for k in range(lo, hi, step):
+                shift = min((k & -k).bit_length() - 1, depth) if k else depth
+                q = f"{k >> shift}{over[shift]}"
+                if phi_varies:
+                    n = pk * k + p0
+                    g = gcd(n, pd)
+                    phi = f"{n // g}/{pd // g}" if g != pd else str(n // g)
+                elif phi_is_q:
+                    phi = q
+                if bd:
+                    n = b0 - bk * k
+                    g = gcd(n, bd)
+                    append({"q": q, "reason": reason, "phi_q": phi, "bound": f"{n // g}/{bd // g}" if g != bd else str(n // g)})
+                else:
+                    append({"q": q, "reason": reason, "phi_q": phi, "bound": None})
+            return rows
+
+        return self._in_grid_order(run)
 
     def split(self, point: Fraction) -> tuple["GridRows", "GridRows"]:
         """The rows below ``point``, and the rest."""
-        cut = min(max(-(-(point.numerator << self.depth) // point.denominator), self.start), self.stop)
-        return self._replace(stop=cut), self._replace(start=cut)
+        cut = -(-(point.numerator << self.depth) // point.denominator)
+        head, tail = [], []
+        for lo, hi, step, *rest in self.classes:
+            mid = _at_or_above(cut, lo, hi, step)
+            if lo < mid:
+                head.append((lo, mid, step, *rest))
+            if mid < hi:
+                tail.append((mid, hi, step, *rest))
+        return self._replace(classes=tuple(head)), self._replace(classes=tuple(tail))
+
+
+def _at_or_above(k: int, lo: int, hi: int, step: int) -> int:
+    """The least of lo, lo + step, ... that is at least k, but at most hi (a multiple of step past lo)."""
+    return min(max(lo - (lo - k) // step * step, lo), hi)
 
 
 def _violation_json_row(v: Violation) -> dict:
@@ -149,7 +181,7 @@ class ViolationReport:
     """Outcome of checking one witness over a finite sample list.
 
     ``rows`` are the violations in ascending sample order, each a
-    ``Violation`` or a ``GridRows`` run of them.  Reading ``violations``
+    ``Violation`` or a ``GridRows`` of them.  Reading ``violations``
     builds the ``Violation`` objects; ``passed``, ``==`` and
     ``to_json_dict`` work from the rows as they are.
     """
@@ -203,57 +235,43 @@ class ViolationReport:
         }
 
 
-def _tester(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness):
-    """The witness inequality at a sample k/h, stated once in integers.
+def _inequality(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness):
+    """The witness inequality on one class of samples, stated once in integers.
 
-    With alpha = A/B, beta = C/D, c = P/Q, a sample q = k/h in lowest terms
-    and phi(q) = n/m (all denominators positive), gap = A*m - n*B is
-    (alpha - phi) * B*m and room = C*h - k*D is (beta - q) * D*h; a sample
-    with room <= 0 is skipped.  A checked sample is a violation row when
+    With alpha = A/B, beta = C/D and c = P/Q, a class is samples q = k/h, h
+    fixed, with phi(q) = (a*k + b)/m, a >= 0 and m > 0, and one weakened
+    slack 2**-|q| = 2**-length, written s/(Q*D*h) (s = 0 when strict).  Then
+    (alpha - phi) * B*m = room - B*a*k with room = A*m - B*b, and (beta - q)
+    * D*h = C*h - D*k; a sample with C*h - D*k <= 0 is skipped.  A checked
+    sample is a violation row when
 
         undefined        phi is None
-        not below alpha  gap <= 0
-        gap bound        gap * Q*D*h >= (P*room + s) * B*m
+        not below alpha  B*a*k >= room
+        gap bound        alpha - phi >= c*(beta - q) + s/(Q*D*h), that is
+                         k * slope >= lack,  slope = B*D*(P*m - a*Q*h),
+                                             lack = B*m*(P*C*h + s) - room*Q*D*h
 
-    where s = Q*D on the weakened variant (the slack 2**-|q| = 1/h) and 0 on
-    the strict one.  Solved for k, the gap bound fails exactly when
-
-        k * slope >= lack,  slope = P*D*B*m > 0,  lack = (P*C*h + s)*B*m - gap*Q*D*h
-
-    so at one (phi, h) the rows are the k from ceil(lack / slope) up.  The
-    first two reasons make every k a row, and their terms slope = lack = 0
-    keep the same test true.  ``test(phi, h)`` returns the terms
-    (phi, reason, lack, slope, gap_dh, bm): reason is the one a row gets, and
-    (alpha - phi) / (beta - q) = gap_dh / (room * bm), with gap_dh = bm = 0
-    where no ratio exists.  ``row(q, k, h, terms)`` is the violation at a
-    row; a gap-bound row carries the bound c*(beta - q) + s/(Q*D*h), that is
-    (P*C*h - P*D*k + s) / (Q*D*h).
+    so each is one threshold in k.  The ratio (alpha - phi) / (beta - q) =
+    (room - B*a*k)*D*h / (B*m*(C*h - D*k)) rises in k where D*room > B*a*C*h
+    and falls where it is below.  ``terms(a, b, m, h, length)`` returns
+    (room, slope, lack); ``bound(h, length)`` a gap-bound row's bound as
+    (bound_0, bound_k, bound_den) = (P*C*h + s, P*D, Q*D*h).
     """
     a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
     c_num, c_den = witness.constant.numerator, witness.constant.denominator
-    qd = c_den * b_den  # Q*D
-    pc, pd = c_num * b_num, c_num * b_den  # P*C, P*D
-    slack = qd if witness.weakened else 0  # s
+    qd, pc, ad_bd = c_den * b_den, c_num * b_num, a_den * b_den  # Q*D, P*C, B*D
+    weakened = witness.weakened
 
-    def test(phi: Optional[Fraction], h: int) -> tuple:
-        if phi is None:
-            return None, REASON_UNDEFINED, 0, 0, 0, 0
-        n, m = phi.numerator, phi.denominator
-        gap = a_num * m - n * a_den
-        if gap <= 0:
-            return phi, REASON_NOT_BELOW_ALPHA, 0, 0, 0, 0
-        bm = a_den * m
-        gap_dh = gap * b_den * h
-        lack = (pc * h + slack) * bm - gap_dh * c_den
-        return phi, REASON_GAP_BOUND, lack, pd * bm, gap_dh, bm
+    def terms(a: int, b: int, m: int, h: int, length: int) -> tuple[int, int, int]:
+        room, qdh = a_num * m - a_den * b, qd * h
+        slack = qdh >> length if weakened else 0  # s
+        return room, ad_bd * (c_num * m - a * c_den * h), a_den * m * (pc * h + slack) - room * qdh
 
-    def row(q, k: int, h: int, terms: tuple) -> Violation:
-        phi, reason, _, slope, _, _ = terms
-        bound = Fraction(pc * h - pd * k + slack, qd * h) if slope else None
-        return Violation(q, reason, phi, bound)
+    def bound(h: int, length: int) -> tuple[int, int, int]:
+        return pc * h + (qd * h >> length if weakened else 0), c_num * b_den, qd * h
 
-    return test, row
+    return terms, bound
 
 
 def check_witness(
@@ -267,24 +285,22 @@ def check_witness(
     Samples at or above beta's limit are skipped (and counted).  Order of the
     input does not matter: violations come back sorted by sample value.  A
     ``Schedule`` is decided one part at a time, grid then points.  A
-    ``DyadicGrid`` against a strict witness with ``affine`` is decided in
-    closed form (``_check_grid_affine``), and one inside [0,1) against a
-    witness with ``at_length`` per canonical length
-    (``_check_grid_by_length``); every other part runs the per-sample loop
+    ``DyadicGrid`` is decided by classes of samples (``_check_grid``) for a
+    strict witness with ``affine``, and, inside [0,1), for any witness with
+    ``affine`` or ``at_length``; every other part runs the per-sample loop
     (``_check_each``).  Each returns a tally: checked, skipped, rows
     (ascending for a grid, in input order otherwise) and the largest ratio
     (alpha - phi) / (beta - q) as an integer pair.
     """
     parts = (samples.grid, samples.points) if isinstance(samples, Schedule) else (samples,)
+    by_class = witness.affine is not None or witness.at_length is not None
     checked = skipped = 0
     rows: list = []
     best_num, best_den = 0, 1
     for part in parts:
         grid = isinstance(part, DyadicGrid)
-        if grid and witness.affine is not None and not witness.weakened:
-            decide = _check_grid_affine
-        elif grid and witness.at_length is not None and part.size <= part.denominator:
-            decide = _check_grid_by_length
+        if grid and by_class and (part.size <= part.denominator or not witness.weakened and witness.affine is not None):
+            decide = _check_grid
         else:
             decide = _check_each
         part_checked, part_skipped, part_rows, (num, den) = decide(alpha, beta, witness, part)
@@ -301,17 +317,17 @@ def check_witness(
 
 
 def _merge(rows: list, points: list[Violation]) -> list:
-    """Two ascending row lists as one; a ``GridRows`` run is split around a point inside it."""
+    """Two ascending row lists as one; a ``GridRows`` is split around a point inside it."""
     if not points:
         return rows
     merged = []
     i = 0
     for row in rows:
         if type(row) is GridRows:
-            last = Fraction(row.stop - 1, 1 << row.depth)
+            last = Fraction(max(hi - step for _, hi, step, *_ in row.classes), 1 << row.depth)
             while i < len(points) and points[i].sample < last:
                 head, row = row.split(points[i].sample)
-                if head.start < head.stop:
+                if head.classes:
                     merged.append(head)
                 merged.append(points[i])
                 i += 1
@@ -323,153 +339,136 @@ def _merge(rows: list, points: list[Violation]) -> list:
     return merged + points[i:]
 
 
-def _cap_rows(count: int) -> None:
-    """Refuse a grid's rows past 2**MAX_ENUMERATION_BITS, before the first is built."""
-    if count > 1 << MAX_ENUMERATION_BITS:
-        raise PreconditionError(f"listing {count} violation rows refused (cap 2**{MAX_ENUMERATION_BITS})")
-
-
 def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, samples: Iterable[Fraction]) -> tuple:
     """The per-sample loop's tally, with rows in input order.
 
-    The terms are computed once per length h for a witness with
-    ``at_length`` and a dyadic q = k/h in [0,1), and through ``translate(q)``
-    for every other sample.  A grid of more than 2**MAX_ENUMERATION_BITS
-    samples is refused before its first one; a list is checked whatever its
-    length.
+    Each sample q = k/h in lowest terms is a class of its own, with a = 0
+    and phi = b/m; weakened, its slack is 2**-|q| = 1/h.  ``_inequality``'s
+    terms are computed once per length h for a witness with ``at_length``
+    and a dyadic q in [0,1), and through ``translate(q)`` for every other
+    sample.  A grid of more than 2**MAX_ENUMERATION_BITS samples is refused
+    before its first one; a list is checked whatever its length.
     """
     if isinstance(samples, DyadicGrid) and samples.size > 1 << MAX_ENUMERATION_BITS:
         raise PreconditionError(
             f"checking {samples.size} grid samples one by one refused (cap 2**{MAX_ENUMERATION_BITS})"
         )
+    a_den = alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
     translate, at_length, weakened = witness.translate, witness.at_length, witness.weakened
-    test, row = _tester(alpha, beta, witness)
+    terms, bound = _inequality(alpha, beta, witness)
+
+    def test(phi: Optional[Fraction], h: int) -> tuple:
+        """(phi, reason, slope, lack, room*D*h, B*m): a row when k*slope >= lack; 0s where no gap bound is tested."""
+        if phi is None:
+            return None, REASON_UNDEFINED, 0, 0, 0, 0
+        m = phi.denominator
+        room, slope, lack = terms(0, phi.numerator, m, h, h.bit_length() - 1)
+        if room <= 0:
+            return phi, REASON_NOT_BELOW_ALPHA, 0, 0, 0, 0
+        return phi, REASON_GAP_BOUND, slope, lack, room * b_den * h, a_den * m
+
     by_length: dict[int, tuple] = {}  # h -> test(at_length(log2(h)), h)
     checked = skipped = 0
     violations: list[Violation] = []
     best_num, best_den = 0, 1
     for q in samples:
         k, h = q.numerator, q.denominator
-        room = b_num * h - k * b_den  # (beta - q) * D*h
-        if room <= 0:
+        margin = b_num * h - k * b_den  # (beta - q) * D*h
+        if margin <= 0:
             skipped += 1
             continue
         checked += 1
         if at_length is not None and not h & (h - 1) and 0 <= k < h:
-            terms = by_length.get(h)
-            if terms is None:
-                terms = by_length[h] = test(at_length(h.bit_length() - 1), h)
+            tested = by_length.get(h)
+            if tested is None:
+                tested = by_length[h] = test(at_length(h.bit_length() - 1), h)
         else:
-            terms = test(translate(q), h)
-            if weakened and terms[3] and (h & (h - 1) or k < 0 or k >= h):
+            tested = test(translate(q), h)
+            if weakened and tested[2] and (h & (h - 1) or k < 0 or k >= h):
                 dyadic_length(q)  # raises the proper domain error
-        _, _, lack, slope, gap_dh, bm = terms
-        room_bm = room * bm
-        if gap_dh * best_den > best_num * room_bm:
-            best_num, best_den = gap_dh, room_bm
+        phi, reason, slope, lack, room_dh, bm = tested
+        margin_bm = margin * bm
+        if room_dh * best_den > best_num * margin_bm:
+            best_num, best_den = room_dh, margin_bm
         if k * slope >= lack:
-            violations.append(row(q, k, h, terms))
+            b0, bk, bd = bound(h, h.bit_length() - 1) if slope else (0, 0, 0)
+            violations.append(Violation(q, reason, phi, Fraction(b0 - bk * k, bd) if bd else None))
     return checked, skipped, violations, (best_num, best_den)
 
 
-def _check_grid_by_length(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, grid: DyadicGrid) -> tuple:
-    """The tally ``_check_each`` would return, for a grid inside [0,1) and
-    a witness with ``at_length``.
+def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, grid: DyadicGrid) -> tuple:
+    """The tally ``_check_each`` would return, from ``_inequality``'s
+    thresholds in k, one class of samples k/h, h = 2**e, at a time.
 
-    The samples of canonical length l are k/h with h = 2**l, at grid index
-    k * 2**(depth-l): k = 0 at l = 0 and odd k otherwise.  phi is one value
-    per length, so a length's rows are its checked k (k*step < size and
-    k < ceil(C*h / D)) from ``_tester``'s threshold ceil(lack / slope) up,
-    and its largest ratio is at its largest checked k.  Counts are closed
-    forms (a ``len(range(...))`` overflows at depth 64).  ``at_length`` is
-    called once per length with a checked sample, in
-    ``lengths_in_grid_order``, so an error it raises is the loop's.  Rows
-    past the cap are refused before the first is built; the others go into
-    one list of (grid index, violation) pairs, sorted once.
+    A strict affine witness is one class, e = depth and every k, also past
+    1, with phi = u*k/h + v.  Inside [0,1), any other witness has one class
+    per canonical length e: odd k (k = 0 at e = 0), with phi =
+    ``at_length(e)`` or u*k/h + v and the slack 2**-e.  A class's integers
+    thus grow with e, not with the depth.  Counts are closed forms (a
+    ``len(range(...))`` overflows at depth 64).  ``at_length`` is called
+    once per length with a checked sample, in ``lengths_in_grid_order``, so
+    an error it raises is the loop's.  Rows past the cap are refused before
+    the first is built; the others stay the classes of one ``GridRows``, at
+    grid indices k << (depth - e).
     """
+    a_den = alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
-    test, row = _tester(alpha, beta, witness)
-    depth, size = grid.depth, grid.size
+    terms, bound = _inequality(alpha, beta, witness)
+    depth, at_length = grid.depth, witness.at_length
+    end = max(min(grid.size, -(-(b_num << depth) // b_den)), 0)  # checked: grid index < end
+    if witness.affine is not None:
+        u, v = witness.affine
+        affine = (u.numerator * v.denominator, v.numerator * u.denominator, u.denominator * v.denominator)  # u*k/h + v = (a*k + b*h) / (m*h)
+    if witness.affine is not None and not witness.weakened:
+        at_length, classes = None, [(depth, 0, 1)]  # (e, first k, step): samples k/2**e, at grid index k << (depth - e)
+    else:
+        classes = [(l, 1 if l else 0, 2) for l in lengths_in_grid_order(depth)]
     checked = 0
     best_num, best_den = 0, 1
-    runs = []  # (start, end, h, step, terms): rows at k = start, start + 2, ... below end
-    for length in lengths_in_grid_order(depth):
-        h, step = 1 << length, 1 << (depth - length)
-        first = 1 if length else 0  # the least k of this length
-        end = min(-(-size // step), -(-b_num * h // b_den))  # checked: k < end
-        count = max(end - first + 1, 0) // 2
+    runs = []  # GridRows classes
+    for e, first, step in classes:
+        h, shift = 1 << e, depth - e
+        top = -(-end >> shift)  # checked: k < top
+        count = max(top - first + step - 1, 0) // step
         if not count:
             continue
         checked += count
-        terms = test(witness.at_length(length), h)
-        _, _, lack, slope, gap_dh, bm = terms
-        last = first + 2 * (count - 1)
-        room_bm = (b_num * h - last * b_den) * bm
-        if gap_dh * best_den > best_num * room_bm:
-            best_num, best_den = gap_dh, room_bm
-        start = max(-(-lack // slope), first) if slope else first
-        start += (start - first) & 1  # same parity as the length's k
-        if start < end:
-            runs.append((start, end, h, step, terms))
-    _cap_rows(sum((end - start + 1) // 2 for start, end, *_ in runs))
-    rows = [
-        (k * step, row(Fraction(k, h), k, h, terms))
-        for start, end, h, step, terms in runs
-        for k in range(start, end, 2)
-    ]
-    rows.sort()  # grid indices are distinct, so no two violations are compared
-    return checked, size - checked, [v for _, v in rows], (best_num, best_den)
-
-
-def _check_grid_affine(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, grid: DyadicGrid) -> tuple:
-    """The tally ``_check_each`` would return, for any grid and a strict
-    witness with ``affine`` = (u, v), in closed form.
-
-    At a grid sample q = k/h, h = 2**depth, phi(q) = u*q + v is (a*k + b)/m
-    with a, m > 0, so each of ``_tester``'s tests is one threshold in k:
-
-        checked          k < ceil(C*h / D)
-        not below alpha  k >= ceil((alpha - v) * h/u)
-        gap bound        k * slope <= lack,  where slope has the sign of u - c
-                         and lack/slope = (c*beta - alpha + v) * h/(c - u)
-
-    so the gap-bound rows lie on one side of a point, or are all or none of
-    the samples below alpha when c = u.  The ratio (alpha - phi)/(beta - q)
-    = (alpha - v - u*q)/(beta - q) is monotone in q, so the largest is at the
-    first or the last checked sample with phi < alpha.  The rows are at most
-    two ``GridRows`` runs: gap bound, then not below alpha.
-    """
-    a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
-    b_num, b_den = beta.limit.numerator, beta.limit.denominator
-    c_num, c_den = witness.constant.numerator, witness.constant.denominator
-    u, v = witness.affine
-    depth, size, h = grid.depth, grid.size, grid.denominator
-    a, b, m = u.numerator * v.denominator, v.numerator * u.denominator * h, u.denominator * v.denominator * h
-    end = max(min(size, -(-b_num * h // b_den)), 0)  # checked: 0 <= k < end
-    below = min(max(-(-(a_num * m - a_den * b) // (a_den * a)), 0), end)  # phi < alpha: k < below
-    slope = a_den * b_den * (a * c_den * h - c_num * m)
-    lack = (a_num * m - a_den * b) * c_den * b_den * h - c_num * b_num * h * a_den * m
-    if slope < 0:
-        lo, hi = max(-(-lack // slope), 0), below
-    elif slope > 0:
-        lo, hi = 0, min(lack // slope + 1, below)
-    else:
-        lo, hi = 0, below if lack >= 0 else 0
-    _cap_rows(max(hi - lo, 0) + end - below)
-    rows = []
-    if lo < hi:
-        bound = (c_num * b_num * h, c_num * b_den, c_den * b_den * h)  # c*(beta - q), as in _tester
-        rows.append(GridRows(depth, lo, hi, REASON_GAP_BOUND, (a, b, m), bound))
-    if below < end:
-        rows.append(GridRows(depth, below, end, REASON_NOT_BELOW_ALPHA, (a, b, m), None))
-    best_num, best_den = 0, 1
-    for k in (0, below - 1) if below else ():
-        num = (a_num * m - a_den * (a * k + b)) * b_den * h
-        den = a_den * m * (b_num * h - b_den * k)
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
-    return end, size - end, rows, (best_num, best_den)
+        stop = first + count * step
+        if at_length is None:
+            a, b, m = affine[0], affine[1] * h, affine[2] * h
+        else:
+            phi = at_length(e)
+            if phi is None:
+                runs.append((first << shift, stop << shift, step << shift, REASON_UNDEFINED, None, None))
+                continue
+            a, b, m = 0, phi.numerator, phi.denominator
+        room, slope, lack = terms(a, b, m, h, e)
+        if a:  # phi < alpha: k < below
+            below = _at_or_above(-(-room // (a_den * a)), first, stop, step)
+        else:
+            below = stop if room > 0 else first
+        if slope > 0:
+            lo, hi = -(-lack // slope), below
+        elif slope < 0:
+            lo, hi = first, lack // slope + 1
+        else:
+            lo, hi = first, below if lack <= 0 else first
+        if lo < hi and lo < top:  # rows at the class's checked k in [lo, hi)
+            lo, hi = _at_or_above(lo, first, below, step), _at_or_above(hi, first, below, step)
+            if lo < hi:  # a row class is kept over grid indices k << shift
+                runs.append((lo << shift, hi << shift, step << shift, REASON_GAP_BOUND, (a, b << shift, m << shift), bound(grid.denominator, e)))
+        if below < stop:
+            runs.append((below << shift, stop << shift, step << shift, REASON_NOT_BELOW_ALPHA, (a, b << shift, m << shift), None))
+        if first < below:
+            k = first if b_den * room < a_den * a * b_num * h else below - step
+            num, den = (room - a_den * a * k) * b_den * h, a_den * m * (b_num * h - b_den * k)
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+    listed = sum((hi - lo) // step for lo, hi, step, *_ in runs)
+    if listed > 1 << MAX_ENUMERATION_BITS:  # refused before the first row is built
+        raise PreconditionError(f"listing {listed} violation rows refused (cap 2**{MAX_ENUMERATION_BITS})")
+    return checked, grid.size - checked, [GridRows(depth, tuple(runs))] if runs else [], (best_num, best_den)
 
 
 def affine_witness(name: str, u: Fraction, v: Fraction, constant: Fraction) -> TranslationWitness:

@@ -238,6 +238,19 @@ class TestCheckWitness:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_grid_depth_past_the_bound_is_usage_error(self, tmp_path, capsys):
+        # The bound is the horizon's; a depth-4096 grid is still decided in closed form.
+        out = tmp_path / "report.json"
+        argv = ["check-witness", "--alpha", "geometric:1", "--beta", "geometric:1", "--witness", "identity"]
+        assert main(argv + ["--grid-depth", str(MAX_HORIZON + 1), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "grid depth must be <= 4096, got 4097\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert main(argv + ["--grid-depth", str(MAX_HORIZON), "--out", str(out)]) == 0
+        # beta's points 1 - 2**-i, i <= 64, all lie on the grid
+        assert json.loads(out.read_text())["samples_checked"] == 1 << MAX_HORIZON
+
     def test_default_schedule_past_the_row_cap_is_usage_error(self, tmp_path, capsys):
         # identity fails the gap bound at every grid sample: 2 - q >= 2 * (1 - q).
         out = tmp_path / "report.json"

@@ -882,20 +882,26 @@ class TestAffineGrid:
         grid = dyadic_grid(12, Fraction(1))
         listed = check_witness(alpha, beta, w, list(grid))
         report = check_witness(alpha, beta, w, grid)
-        assert report.rows == [GridRows(12, 1 << 10, 1 << 12, REASON_GAP_BOUND, (1, 0, 1 << 12), (2 << 12, 2, 1 << 12))]
+        assert report.rows == [GridRows(12, ((1 << 10, 1 << 12, 1, REASON_GAP_BOUND, (1, 0, 1 << 12), (2 << 12, 2, 1 << 12)),))]
+        # A per-length value 2 is not below alpha = 1 at any sample: one class per length.
+        high = per_length_witness("high", lambda length: Fraction(2), Fraction(1))
+        per_length = (check_witness(real("1"), beta, high, grid), check_witness(real("1"), beta, high, list(grid)))
+        (grid_rows,) = per_length[0].rows
+        assert len(grid_rows.classes) == 13 and {c[3] for c in grid_rows.classes} == {REASON_NOT_BELOW_ALPHA}
 
         def refuse(*args):
             raise AssertionError("a Violation was built")
 
-        monkeypatch.setattr(reducibility, "Violation", refuse)
-        assert not report.passed
-        assert report == listed and report != dataclasses.replace(listed, samples_checked=0)
-        assert report.to_json_dict() == listed.to_json_dict()
-        with pytest.raises(AssertionError, match="a Violation was built"):
-            report.violations
-        monkeypatch.undo()
-        assert report.violations == listed.violations
-        assert len(report.violations) == 3 << 10
+        for (report, listed), count in [((report, listed), 3 << 10), (per_length, 1 << 12)]:
+            monkeypatch.setattr(reducibility, "Violation", refuse)
+            assert not report.passed
+            assert report == listed and report != dataclasses.replace(listed, samples_checked=0)
+            assert report.to_json_dict() == listed.to_json_dict()
+            with pytest.raises(AssertionError, match="a Violation was built"):
+                report.violations
+            monkeypatch.undo()
+            assert report.violations == listed.violations
+            assert len(report.violations) == count
 
     @pytest.mark.parametrize("depth, size", [(4, 16), (4, 12)])
     def test_rows_past_the_cap_are_refused(self, monkeypatch, depth, size):
@@ -911,6 +917,50 @@ class TestAffineGrid:
             assert len(check_witness(alpha, real("1"), w, grid).violations) == 8
             with pytest.raises(PreconditionError, match=rf"^listing {size} violation rows refused \(cap 2\*\*3\)$"):
                 check_witness(alpha, real("1"), w, DyadicGrid(depth, size))
+
+    def test_weakened_affine_is_decided_per_length(self):
+        # Past the per-sample loop's 2**20 cap: each of the 22 lengths is one
+        # class with the slack 2**-l, so nothing is translated.
+        def translate(q):
+            raise AssertionError(f"translate({q}) called")
+
+        w = dataclasses.replace(identity_witness(Fraction(2)), weakened=True, translate=translate)
+        report = check_witness(real("1"), real("1"), w, DyadicGrid(21, 1 << 21))
+        assert report.passed and report.samples_checked == 1 << 21 and report.max_ratio_seen == 1
+        # alpha = 7/4 fails the gap bound at q >= 1/4 + 2**-|q|: interleaved rows of lengths 2 to 10.
+        w = dataclasses.replace(identity_witness(Fraction(2)), weakened=True)
+        grid = DyadicGrid(10, 1 << 10)
+        expect = reference_check_witness(real("7/4"), real("1"), w, list(grid))
+        report = check_witness(real("7/4"), real("1"), w, grid)
+        assert report.to_json_dict() == expect.to_json_dict() and report.violations == expect.violations
+        assert len(report.rows) == 1 and len(report.rows[0].classes) == 9
+
+    def test_points_split_interleaved_classes_like_the_oracle(self):
+        # beta's approximation points 1 - (3/4)**n are dyadic and off a
+        # shallow grid, so the schedule's points fall between the rows of
+        # classes of several lengths, and split the grid's GridRows there.
+        beta = geometric(Fraction(1), Fraction(3, 4), name="b")
+        witnesses = [
+            (real("7/4"), dataclasses.replace(identity_witness(Fraction(2)), weakened=True)),
+            (real("1"), per_length_witness("keyed", length_keyed(Fraction(1, 2), Fraction(3, 4)), Fraction(1, 4))),
+            # not below alpha, undefined and gap bound by turns
+            (real("5/8"), per_length_witness("table", lambda length: [Fraction(5, 8), None, Fraction(1, 2)][length % 3], Fraction(1))),
+        ]
+        splits = 0
+        for depth in range(9):
+            for alpha, w in witnesses:
+                schedule = default_samples(beta, w, depth)
+                expect = reference_check_witness(alpha, beta, w, sorted(schedule))
+                report = check_witness(alpha, beta, w, schedule)
+                assert report.to_json_dict() == expect.to_json_dict()
+                assert report.violations == expect.violations
+                rows = report.rows
+                splits += sum(
+                    type(rows[i - 1]) is type(rows[i + 1]) is GridRows
+                    and len({c[2] for c in rows[i - 1].classes + rows[i + 1].classes}) > 1
+                    for i in range(1, len(rows) - 1)
+                )
+        assert splits == 122
 
     def test_affine_slope_must_be_positive(self):
         for u in [0, -1]:
