@@ -30,6 +30,7 @@ from .errors import (
 )
 from .reals import DeskReal
 from .reducibility import TranslationWitness
+from .speedability import MAX_HORIZON
 from .util import ceil_log2
 
 _ZERO = Fraction(0)
@@ -224,9 +225,12 @@ def check_usch(
 ) -> UschReport:
     """For every length n <= n_max where the source machine codes beta's n-bit
     prefix, require the transported machine to code alpha's n-bit prefix within
-    the additive constant."""
+    the additive constant.  n_max is at most ``MAX_HORIZON``, since the loop
+    truncates both limits at every n."""
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
+    if n_max > MAX_HORIZON:
+        raise ConfigError(f"n_max must be <= {MAX_HORIZON}, got {n_max}")
     if constant < 0:
         raise ConfigError(f"constant must be >= 0, got {constant}")
     report = UschReport(constant=constant)

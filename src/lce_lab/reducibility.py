@@ -82,21 +82,39 @@ class GridRows(NamedTuple):
     lo + step, ... below hi, a multiple of step past lo, with phi = (phi_k*k
     + phi_0) / phi_den (None where undefined) and, on a gap-bound class,
     bound = (bound_0 - bound_k*k) / bound_den, every denominator positive.
-    The classes' rows may interleave; both readers merge them by k.
+    The classes' rows may interleave; both readers merge them by k, and
+    merge in the ascending ``points`` rows of a schedule's other samples.
     """
 
     depth: int
     classes: tuple  # of (lo, hi, step, reason, (phi_k, phi_0, phi_den) or None, (bound_0, bound_k, bound_den) or None)
 
-    def _in_grid_order(self, run) -> list:
-        """``run(*class)`` is one class's rows in order; all the rows, by k."""
+    def _in_order(self, run, points: list[Violation], point) -> list:
+        """``run(*class)`` is one class's rows in order and ``point(v)`` a
+        point's row; all the rows by sample, each point after the grid rows
+        below it.  Those are counted per class in integers; the points past
+        the last grid row are appended without counting."""
         runs = [run(*c) for c in self.classes]
-        if len(runs) == 1:
-            return runs[0]
-        keyed = (zip(range(lo, hi, step), rows) for (lo, hi, step, *_), rows in zip(self.classes, runs))
-        return [row for _, row in heapq.merge(*keyed)]  # classes are disjoint, so no two rows are compared
+        if len(runs) > 1:
+            keyed = (zip(range(lo, hi, step), rows) for (lo, hi, step, *_), rows in zip(self.classes, runs))
+            rows = [row for _, row in heapq.merge(*keyed)]  # classes are disjoint, so no two rows are compared
+        else:
+            rows = runs[0] if runs else []
+        depth, last = self.depth, max((hi - step for _, hi, step, *_ in self.classes), default=-1)
+        out, done, i = [], 0, 0
+        for v in points:
+            cut = -(-(v.sample.numerator << depth) // v.sample.denominator)  # grid rows below v: k < cut
+            if cut > last:  # v and every later point come after all the grid rows
+                break
+            below = sum((_at_or_above(cut, lo, hi, step) - lo) // step for lo, hi, step, *_ in self.classes)
+            out += rows[done:below]
+            out.append(point(v))
+            done, i = below, i + 1
+        out += rows[done:]
+        out += map(point, points[i:])
+        return out
 
-    def violations(self) -> list[Violation]:
+    def violations(self, points: list[Violation]) -> list[Violation]:
         h = 1 << self.depth
 
         def run(lo, hi, step, reason, phi, bound):
@@ -112,15 +130,15 @@ class GridRows(NamedTuple):
                 for k in range(lo, hi, step)
             ]
 
-        return self._in_grid_order(run)
+        return self._in_order(run, points, lambda v: v)
 
-    def to_json_rows(self) -> list[dict]:
+    def to_json_rows(self, points: list[Violation]) -> list[dict]:
         """``ViolationReport.to_json_dict``'s rows, from integers: q in lowest
         terms by a shift, phi once per class where it is constant (and phi = q
         on identity's classes), else phi and the bound each by one gcd.
         Inlined, since this runs once per row."""
         depth, h = self.depth, 1 << self.depth
-        over = [f"/{h >> shift}" for shift in range(depth)] + [""]  # "/" + the denominator of k/h, by k's shift
+        over = [f"/{h >> shift}" for shift in range(depth)] + [""] if self.classes else []  # "/" + the denominator of k/h, by k's shift
 
         def run(lo, hi, step, reason, phi_terms, bound):
             pk, p0, pd = phi_terms or (0, 0, 0)
@@ -147,19 +165,7 @@ class GridRows(NamedTuple):
                     append({"q": q, "reason": reason, "phi_q": phi, "bound": None})
             return rows
 
-        return self._in_grid_order(run)
-
-    def split(self, point: Fraction) -> tuple["GridRows", "GridRows"]:
-        """The rows below ``point``, and the rest."""
-        cut = -(-(point.numerator << self.depth) // point.denominator)
-        head, tail = [], []
-        for lo, hi, step, *rest in self.classes:
-            mid = _at_or_above(cut, lo, hi, step)
-            if lo < mid:
-                head.append((lo, mid, step, *rest))
-            if mid < hi:
-                tail.append((mid, hi, step, *rest))
-        return self._replace(classes=tuple(head)), self._replace(classes=tuple(tail))
+        return self._in_order(run, points, _violation_json_row)
 
 
 def _at_or_above(k: int, lo: int, hi: int, step: int) -> int:
@@ -180,47 +186,33 @@ def _violation_json_row(v: Violation) -> dict:
 class ViolationReport:
     """Outcome of checking one witness over a finite sample list.
 
-    ``rows`` are the violations in ascending sample order, each a
-    ``Violation`` or a ``GridRows`` of them.  Reading ``violations``
-    builds the ``Violation`` objects; ``passed``, ``==`` and
-    ``to_json_dict`` work from the rows as they are.
+    The violations are ``grid``'s rows and the ``Violation``s in ``rows``,
+    each ascending; reading ``violations`` or ``to_json_dict`` merges them
+    by sample, and only ``violations`` builds ``Violation`` objects for the
+    grid.  ``passed`` and ``==`` work from the rows as they are.
     """
 
     witness: str
     samples_checked: int
     skipped: int
-    rows: list = field(default_factory=list)
+    rows: list[Violation] = field(default_factory=list)
     max_ratio_seen: Optional[Fraction] = None
+    grid: GridRows = GridRows(0, ())
 
     @property
     def violations(self) -> list[Violation]:
-        out = []
-        for row in self.rows:
-            if type(row) is GridRows:
-                out += row.violations()
-            else:
-                out.append(row)
-        return out
+        return self.grid.violations(self.rows)
 
     @property
     def passed(self) -> bool:
-        return not self.rows
-
-    def _json_rows(self) -> list[dict]:
-        out = []
-        for row in self.rows:
-            if type(row) is GridRows:
-                out += row.to_json_rows()
-            else:
-                out.append(_violation_json_row(row))
-        return out
+        return not self.rows and not self.grid.classes
 
     def __eq__(self, other):
         if not isinstance(other, ViolationReport):
             return NotImplemented
         head = (self.witness, self.samples_checked, self.skipped, self.max_ratio_seen)
         other_head = (other.witness, other.samples_checked, other.skipped, other.max_ratio_seen)
-        return head == other_head and self._json_rows() == other._json_rows()
+        return head == other_head and self.grid.to_json_rows(self.rows) == other.grid.to_json_rows(other.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -231,7 +223,7 @@ class ViolationReport:
             "max_ratio_seen": (
                 rational_str(self.max_ratio_seen) if self.max_ratio_seen is not None else None
             ),
-            "violations": self._json_rows(),
+            "violations": self.grid.to_json_rows(self.rows),
         }
 
 
@@ -288,59 +280,36 @@ def check_witness(
     ``DyadicGrid`` is decided by classes of samples (``_check_grid``) for a
     strict witness with ``affine``, and, inside [0,1), for any witness with
     ``affine`` or ``at_length``; every other part runs the per-sample loop
-    (``_check_each``).  Each returns a tally: checked, skipped, rows
-    (ascending for a grid, in input order otherwise) and the largest ratio
-    (alpha - phi) / (beta - q) as an integer pair.
+    (``_check_each``).  Each returns a tally: checked, skipped, rows (one
+    ``GridRows`` from the first, ``Violation``s in input order from the
+    second, all of which are sorted here once) and the largest ratio (alpha
+    - phi) / (beta - q) as an integer pair.  The report merges the two row
+    sequences by sample when it is read.
     """
     parts = (samples.grid, samples.points) if isinstance(samples, Schedule) else (samples,)
     by_class = witness.affine is not None or witness.at_length is not None
     checked = skipped = 0
-    rows: list = []
+    grid, rows = GridRows(0, ()), []
     best_num, best_den = 0, 1
     for part in parts:
-        grid = isinstance(part, DyadicGrid)
-        if grid and by_class and (part.size <= part.denominator or not witness.weakened and witness.affine is not None):
-            decide = _check_grid
+        if isinstance(part, DyadicGrid) and by_class and (part.size <= part.denominator or not witness.weakened and witness.affine is not None):
+            part_checked, part_skipped, grid, (num, den) = _check_grid(alpha, beta, witness, part)
         else:
-            decide = _check_each
-        part_checked, part_skipped, part_rows, (num, den) = decide(alpha, beta, witness, part)
+            part_checked, part_skipped, part_rows, (num, den) = _check_each(alpha, beta, witness, part)
+            rows += part_rows
         checked += part_checked
         skipped += part_skipped
-        if not grid:
-            part_rows.sort(key=attrgetter("sample"))
-        rows = _merge(rows, part_rows) if rows else part_rows
         if num * best_den > best_num * den:
             best_num, best_den = num, den
+    rows.sort(key=attrgetter("sample"))
     return ViolationReport(
-        witness.name, checked, skipped, rows, Fraction(best_num, best_den) if best_num else None
+        witness.name, checked, skipped, rows, Fraction(best_num, best_den) if best_num else None, grid
     )
 
 
-def _merge(rows: list, points: list[Violation]) -> list:
-    """Two ascending row lists as one; a ``GridRows`` is split around a point inside it."""
-    if not points:
-        return rows
-    merged = []
-    i = 0
-    for row in rows:
-        if type(row) is GridRows:
-            last = Fraction(max(hi - step for _, hi, step, *_ in row.classes), 1 << row.depth)
-            while i < len(points) and points[i].sample < last:
-                head, row = row.split(points[i].sample)
-                if head.classes:
-                    merged.append(head)
-                merged.append(points[i])
-                i += 1
-        else:
-            while i < len(points) and points[i].sample < row.sample:
-                merged.append(points[i])
-                i += 1
-        merged.append(row)
-    return merged + points[i:]
-
-
 def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, samples: Iterable[Fraction]) -> tuple:
-    """The per-sample loop's tally, with rows in input order.
+    """The per-sample loop's tally, with rows in input order for
+    ``check_witness`` to sort.
 
     Each sample q = k/h in lowest terms is a class of its own, with a = 0
     and phi = b/m; weakened, its slack is 2**-|q| = 1/h.  ``_inequality``'s
@@ -468,7 +437,7 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
     listed = sum((hi - lo) // step for lo, hi, step, *_ in runs)
     if listed > 1 << MAX_ENUMERATION_BITS:  # refused before the first row is built
         raise PreconditionError(f"listing {listed} violation rows refused (cap 2**{MAX_ENUMERATION_BITS})")
-    return checked, grid.size - checked, [GridRows(depth, tuple(runs))] if runs else [], (best_num, best_den)
+    return checked, grid.size - checked, GridRows(depth, tuple(runs)), (best_num, best_den)
 
 
 def affine_witness(name: str, u: Fraction, v: Fraction, constant: Fraction) -> TranslationWitness:

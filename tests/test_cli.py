@@ -671,6 +671,18 @@ class TestMachines:
             ]
         ) == 1
 
+    def test_n_max_past_the_bound_is_usage_error(self, tmp_path, three_code_file, capsys):
+        # The bound is the horizon's; the check truncates both limits at every n <= n_max.
+        out = tmp_path / "check.json"
+        argv = ["cmm-check", "--A", three_code_file, "--B", three_code_file, "--alpha", "set:evens", "--beta", "set:evens"]
+        assert main(argv + ["--n-max", str(MAX_HORIZON + 1), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "n_max must be <= 4096, got 4097\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert main(argv + ["--n-max", str(MAX_HORIZON), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["first_failure"] is None
+
 
 class TestGallery:
     def test_build_and_report(self, tmp_path):

@@ -882,11 +882,11 @@ class TestAffineGrid:
         grid = dyadic_grid(12, Fraction(1))
         listed = check_witness(alpha, beta, w, list(grid))
         report = check_witness(alpha, beta, w, grid)
-        assert report.rows == [GridRows(12, ((1 << 10, 1 << 12, 1, REASON_GAP_BOUND, (1, 0, 1 << 12), (2 << 12, 2, 1 << 12)),))]
+        assert report.rows == [] and report.grid == GridRows(12, ((1 << 10, 1 << 12, 1, REASON_GAP_BOUND, (1, 0, 1 << 12), (2 << 12, 2, 1 << 12)),))
         # A per-length value 2 is not below alpha = 1 at any sample: one class per length.
         high = per_length_witness("high", lambda length: Fraction(2), Fraction(1))
         per_length = (check_witness(real("1"), beta, high, grid), check_witness(real("1"), beta, high, list(grid)))
-        (grid_rows,) = per_length[0].rows
+        grid_rows = per_length[0].grid
         assert len(grid_rows.classes) == 13 and {c[3] for c in grid_rows.classes} == {REASON_NOT_BELOW_ALPHA}
 
         def refuse(*args):
@@ -933,12 +933,12 @@ class TestAffineGrid:
         expect = reference_check_witness(real("7/4"), real("1"), w, list(grid))
         report = check_witness(real("7/4"), real("1"), w, grid)
         assert report.to_json_dict() == expect.to_json_dict() and report.violations == expect.violations
-        assert len(report.rows) == 1 and len(report.rows[0].classes) == 9
+        assert report.rows == [] and len(report.grid.classes) == 9
 
     def test_points_split_interleaved_classes_like_the_oracle(self):
         # beta's approximation points 1 - (3/4)**n are dyadic and off a
         # shallow grid, so the schedule's points fall between the rows of
-        # classes of several lengths, and split the grid's GridRows there.
+        # classes of several lengths, where the readers merge them in.
         beta = geometric(Fraction(1), Fraction(3, 4), name="b")
         witnesses = [
             (real("7/4"), dataclasses.replace(identity_witness(Fraction(2)), weakened=True)),
@@ -946,21 +946,31 @@ class TestAffineGrid:
             # not below alpha, undefined and gap bound by turns
             (real("5/8"), per_length_witness("table", lambda length: [Fraction(5, 8), None, Fraction(1, 2)][length % 3], Fraction(1))),
         ]
-        splits = 0
-        for depth in range(9):
-            for alpha, w in witnesses:
-                schedule = default_samples(beta, w, depth)
-                expect = reference_check_witness(alpha, beta, w, sorted(schedule))
-                report = check_witness(alpha, beta, w, schedule)
-                assert report.to_json_dict() == expect.to_json_dict()
-                assert report.violations == expect.violations
-                rows = report.rows
-                splits += sum(
-                    type(rows[i - 1]) is type(rows[i + 1]) is GridRows
-                    and len({c[2] for c in rows[i - 1].classes + rows[i + 1].classes}) > 1
-                    for i in range(1, len(rows) - 1)
-                )
-        assert splits == 122
+        cases = [(alpha, w, default_samples(beta, w, depth)) for depth in range(9) for alpha, w in witnesses]
+        # identity against alpha = 7/4 fails the gap bound at every q >= 1/4
+        identity = identity_witness(Fraction(2))
+        cases += [
+            (real("7/4"), identity, Schedule(DyadicGrid(1, 2), (Fraction(3, 8),))),  # a point below the first grid row
+            (real("7/4"), identity, Schedule(DyadicGrid(2, 3), (Fraction(5, 8), Fraction(7, 8)))),  # points past the last
+            (real("7/4"), identity, Schedule(DyadicGrid(2, 4), (Fraction(1, 2),))),  # two equal rows at 1/2
+            (real("7/4"), identity, Schedule(DyadicGrid(2, 1), (Fraction(1, 3), Fraction(2, 3)))),  # rows at points only
+            (real("1"), identity, Schedule(DyadicGrid(2, 4), (Fraction(1, 3),))),  # no rows
+        ]
+        inside, samples = 0, []
+        for alpha, w, schedule in cases:
+            expect = reference_check_witness(alpha, beta, w, sorted(schedule))
+            report = check_witness(alpha, beta, w, schedule)
+            assert report.to_json_dict() == expect.to_json_dict()
+            assert report.violations == expect.violations
+            h = 1 << report.grid.depth
+            inside += sum(
+                sum(lo < v.sample * h < hi - step for lo, hi, step, *_ in report.grid.classes) > 1 for v in report.rows
+            )
+            samples.append([str(v.sample) for v in report.violations])
+        assert inside == 125
+        assert samples[-5:] == [
+            ["3/8", "1/2"], ["1/4", "1/2", "5/8", "7/8"], ["1/4", "1/2", "1/2", "3/4"], ["1/3", "2/3"], []
+        ]
 
     def test_affine_slope_must_be_positive(self):
         for u in [0, -1]:
