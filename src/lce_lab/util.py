@@ -91,7 +91,9 @@ def dump_json(obj) -> str:
     writer here instead: strings through the C ``encode_basestring_ascii``,
     ints through ``int.__repr__``, and a list of flat dicts sharing one key set
     (violation rows, machine entries) through fixed row pieces joined once
-    per item.  Any other value or key type, a float, a tuple, a subclass, hands
+    per item, one column at a time: a str column with nothing to escape is
+    copied as it is, and a column of None is part of the fixed text.  Any
+    other value or key type, a float, a tuple, a subclass, hands
     the whole document to that ``json.dumps`` call, as does a recursion too
     deep for the writer, so such documents get the stdlib's output or error.
     """
@@ -145,7 +147,12 @@ def _json_rows(items: list, indent: str):
     """The items of a list of flat dicts with one key set, or None for any other list.
 
     Each column is encoded in one pass, and each row is one join of those
-    values between fixed pieces ('{', the indented keys, '}') built once.
+    values between fixed pieces ('{', the indented keys, '}') built once.  A
+    column of str values takes one ``encode_basestring_ascii`` call on the
+    column joined: if that adds only the two quotes, no value needs escaping,
+    so the values go in as they are and the quotes join the fixed pieces.  A
+    column of None values is fixed ``null`` text, and a list whose columns
+    are all None is one row text repeated.
     """
     first = items[0]
     if type(first) is not dict or not first:
@@ -157,20 +164,34 @@ def _json_rows(items: list, indent: str):
         return None
     inner = indent + "  "
     pieces = []
+    text, sep = "", "{"  # the fixed text since the last column; what opens a key
     for key in sorted(first):
         try:
             column = list(map(itemgetter(key), items))
         except KeyError:
             return None
+        text += sep + inner + _json_str(key) + ": "
+        sep = ","
         kinds = set(map(type, column))
         if kinds == {str}:
-            encoded = map(_json_str, column)
+            joined = "".join(column)
+            if len(_json_str(joined)) == len(joined) + 2:
+                pieces += [repeat(text + '"'), column]
+                text = '"'
+            else:
+                pieces += [repeat(text), map(_json_str, column)]
+                text = ""
+        elif kinds == {type(None)}:
+            text += "null"
         elif kinds <= _SCALAR_TYPES:
-            encoded = map(_json_scalar, column)
+            pieces += [repeat(text), map(_json_scalar, column)]
+            text = ""
         else:
             return None
-        pieces += [repeat(("," if pieces else "{") + inner + _json_str(key) + ": "), encoded]
-    pieces.append(repeat(indent + "}"))
+    text += indent + "}"
+    if not pieces:  # every column is null: zip over repeats alone would never end
+        return [text] * len(items)
+    pieces.append(repeat(text))
     return list(map("".join, zip(*pieces)))
 
 

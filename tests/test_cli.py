@@ -701,6 +701,16 @@ class TestMachines:
             ]
         ) == 1
 
+    @pytest.mark.parametrize("c, pads", [("1099511627776", 41), ("524287", 19)])
+    def test_transport_past_the_code_cap_is_usage_error(self, c, pads, tmp_path, three_code_file, capsys):
+        # Three codes with 2**19 pads each would be 1,572,864 codes; 2**41 pads would never end.
+        out = tmp_path / "A.json"
+        assert main(["cmm-build", "--B", three_code_file, "--witness", "identity", "--c", c, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"transporting 3 codes with 2**{pads} pads each refused (cap 2**20 codes)\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_n_max_past_the_bound_is_usage_error(self, tmp_path, three_code_file, capsys):
         # The bound is the horizon's; the check truncates both limits at every n <= n_max.
         out = tmp_path / "check.json"

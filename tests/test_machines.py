@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from lce_lab.errors import (
     MachineFormatError,
     PrefixFreeError,
 )
+from lce_lab import machines
 from lce_lab.machines import OVERFLOW_ERROR, find_prefix_violation, shortest_codes
 
 
@@ -98,6 +100,12 @@ class TestValidation:
             a != b and b.startswith(a) for a in codes for b in codes
         )
         assert (find_prefix_violation(codes) is not None) == brute
+
+    @given(st.lists(binary, min_size=0, max_size=12, unique=True))
+    def test_violation_finder_names_the_first_sorted_neighbor_pair(self, codes):
+        ordered = sorted(codes)
+        first = next(((a, b) for a, b in zip(ordered, ordered[1:]) if b.startswith(a)), None)
+        assert find_prefix_violation(codes) == first
 
 
 class TestMeasure:
@@ -289,6 +297,50 @@ class TestUniformizeAgainstFractionLoop:
         assert _transport(uniformize, *case) == _transport(reference_uniformize, *case)
 
 
+def _never_called(q):
+    raise AssertionError(f"translate({q}) called")
+
+
+class TestAffineTransport:
+    """An affine witness's images come from integers; ``translate`` is not called."""
+
+    @pytest.mark.parametrize(
+        "witness",
+        [identity_witness(Fraction(3)), scaling_witness(Fraction(3, 4), "forward"), scaling_witness(Fraction(3), "forward")],
+        ids=["identity", "scaling-3/4", "scaling-3"],
+    )
+    @pytest.mark.parametrize("overflow", ["saturate", OVERFLOW_ERROR])
+    def test_same_transport_without_translate(self, witness, overflow):
+        b = PrefixMachine("b", {"0": "1", "10": "", "110": "0110", "111": "11"})
+        blind = dataclasses.replace(witness, translate=_never_called)
+        assert _transport(uniformize, b, blind, overflow) == _transport(uniformize, b, witness, overflow)
+        assert _transport(uniformize, b, blind, overflow) == _transport(reference_uniformize, b, witness, overflow)
+
+    def test_more_pads_than_codes(self):
+        # 2**5 pads for two codes: each code's outputs are built as one row
+        b = PrefixMachine("b", {"0": "1010", "1": ""})
+        w = identity_witness(Fraction(31))
+        assert _transport(uniformize, b, w) == _transport(reference_uniformize, b, w, "saturate")
+        assert uniformize(b, w).table["011111"] == "1111"
+
+
+class TestTransportCap:
+    def test_refused_before_any_pad_or_translation(self):
+        # 2 codes with 2**41 pads each; the witness would raise if it were asked
+        w = TranslationWitness("huge", _never_called, Fraction(2**40))
+        with pytest.raises(ConfigError) as err:
+            uniformize(PrefixMachine("b", {"0": "1", "1": "0"}), w)
+        assert str(err.value) == "transporting 2 codes with 2**41 pads each refused (cap 2**20 codes)"
+
+    def test_exactly_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(machines, "MAX_ENUMERATION_BITS", 4)
+        b = PrefixMachine("b", {"0": "1", "1": "0"})
+        assert len(uniformize(b, identity_witness(Fraction(7))).table) == 16  # 2 codes, 2**3 pads
+        assert len(uniformize(PrefixMachine("c", {"": "1"}), identity_witness(Fraction(15))).table) == 16
+        with pytest.raises(ConfigError, match=r"^transporting 2 codes with 2\*\*4 pads each refused \(cap 2\*\*4 codes\)$"):
+            uniformize(b, identity_witness(Fraction(15)))
+
+
 def fifth_machine():
     """Code 1**(n-1) 0 outputs the first n bits of 1/5, for n = 1..16."""
     return PrefixMachine(
@@ -453,3 +505,24 @@ class TestMachineFiles:
         entry = {"code": "10", "output": "1", field: bad}
         with pytest.raises(MachineFormatError, match="must be a binary string"):
             machine_from_dict({"entries": [{"code": "0", "output": "1"}, entry]})
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ({"code": "1111111"}, "entry 99 needs code and output"),
+            ({"code": "0000000", "output": "1"}, "duplicate code '0000000'"),
+            ({"code": [0, 1], "output": "1"}, "entry 99 code must be a binary string, got [0, 1]"),
+            (["1111111", "1"], "entry 99 needs code and output"),
+        ],
+        ids=["missing-output", "duplicate", "unhashable-code", "not-a-dict"],
+    )
+    def test_fault_in_the_last_of_many_entries_is_named(self, last, message):
+        entries = [{"code": format(i, "07b"), "output": "1"} for i in range(99)] + [last]
+        with pytest.raises(MachineFormatError) as err:
+            machine_from_dict({"entries": entries})
+        assert str(err.value) == message
+
+    def test_entry_dict_subclass_is_read_as_today(self):
+        # A Counter answers 0 for its missing "output"; the entry still lacks one.
+        with pytest.raises(MachineFormatError, match="^entry 0 needs code and output$"):
+            machine_from_dict({"entries": [Counter(code="0")]})

@@ -128,6 +128,9 @@ class TestDumpJson:
             [{"a": 1}, {"a": 2, "b": 3}],
             [{"%s": "%", "%%": None, "k%d": True}, {"%s": "x", "%%": -5, "k%d": False}],
             {"rows": [{"n": 10**100, "m": -(10**100)}]},
+            [{"a": None}, {"a": None}],
+            [{"a": None, "b": None}],
+            [{"s": "0101", "t": "x"}, {"s": 'a"b', "t": "y"}, {"s": "", "t": "z"}],
         ],
     )
     def test_edge_shapes(self, doc):
