@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, repeat
-from operator import add, itemgetter
+from itertools import repeat
 from typing import Optional
 
 from .dyadic import is_binary, kraft_mass, truncate
@@ -31,7 +30,7 @@ from .errors import (
     PrefixFreeError,
 )
 from .reals import DeskReal
-from .reducibility import MAX_ENUMERATION_BITS, TranslationWitness
+from .reducibility import MAX_ENUMERATION_BITS, TranslationWitness, affine_integers
 from .speedability import MAX_HORIZON
 from .util import ceil_log2
 
@@ -50,14 +49,13 @@ def find_prefix_violation(codes) -> Optional[tuple[str, str]]:
     """First (shorter, longer) pair where one code prefixes another, if any.
 
     In lexicographic order every violated code is immediately followed by one
-    of its extensions, so testing neighbors suffices: one ``str.startswith``
-    map over the sorted codes and their successors, and ``compress`` keeps
-    the first pair it marks.
+    of its extensions, so scanning neighbors suffices.
     """
     ordered = sorted(codes)
-    successors = ordered[1:]
-    marked = compress(zip(ordered, successors), map(str.startswith, successors, ordered))
-    return next(marked, None)
+    for a, b in zip(ordered, ordered[1:]):
+        if b.startswith(a):
+            return (a, b)
+    return None
 
 
 @dataclass(frozen=True)
@@ -117,12 +115,6 @@ def pad_width(constant: Fraction) -> int:
     return ceil_log2(constant + 1)
 
 
-def _pad_row(base: int, ones: int, fmt: str, pad_count: int):
-    """One code's outputs at pads 0..pad_count-1: base + w, saturating at ``ones``."""
-    fits = min(pad_count, ones + 1 - base)
-    return chain(map(format, range(base, base + fits), repeat(fmt)), repeat(format(ones, fmt), pad_count - fits))
-
-
 def uniformize(
     source: PrefixMachine, witness: TranslationWitness, overflow: str = OVERFLOW_SATURATE
 ) -> PrefixMachine:
@@ -139,11 +131,10 @@ def uniformize(
     An affine witness (``witness.affine = (u, v)``) is not called: with
     s = int(sigma, 2) and u*q + v = (a*q + b)/m in integers, the image is
     (a*s + b*2**n) / (m*2**n), and its truncation is the numerator floored by
-    m.  Any other witness is asked for ``translate(q)``.  With at most as
-    many pads as codes, the outputs are then built one pad at a time, a
-    column of every kept code's output at that pad, and the columns are
-    interleaved code by code; otherwise each code's outputs are built in one
-    pass, which shares the saturated string as one value.
+    m.  Any other witness is asked for ``translate(q)``.  Each kept code's
+    outputs are then appended in one C-level ``map(format, ...)`` over the
+    pads that fit in n bits, and the overflowing pads share one saturated
+    string.
 
     More than 2**MAX_ENUMERATION_BITS emitted codes are refused with a
     ``ConfigError`` before any pad is built.  Under the ``error`` policy a
@@ -163,15 +154,10 @@ def uniformize(
     pad_count = 1 << width
     affine = witness.affine
     if affine is not None:
-        u, v = affine
-        a, b, m = u.numerator * v.denominator, v.numerator * u.denominator, u.denominator * v.denominator
+        a, b, m = affine_integers(witness)
 
     kept: list[str] = []
-    bases: list[int] = []  # the truncated image of each kept code's output
-    ones: list[int] = []  # its largest n-bit value, where the pads saturate
-    fmts: list[str] = []
-    empty: list[str] = []  # kept codes with an empty output
-    shapes: dict[int, tuple[int, str]] = {}  # (ones, fmt) by output length, built once
+    outputs: list[str] = []  # one per pad for each kept code, in pad order
     bad_codes: list[str] = []
     for code in sorted(source.table):
         sigma = source.table[code]
@@ -192,28 +178,20 @@ def uniformize(
             raise ConstructionError(
                 f"pad overflow at code {code!r} with pad {top}", [code]
             )
-        shape = shapes.get(n) or shapes.setdefault(n, ((1 << n) - 1, f"0{n}b"))
         kept.append(code)
-        bases.append(base)
-        ones.append(shape[0])
-        fmts.append(shape[1])
-        if not n:
-            empty.append(code)
+        fits = min(top, pad_count)
+        if n:
+            outputs += map(format, range(base, base + fits), repeat(f"0{n}b"))
+        else:  # format(0, "00b") is "0"; an empty output stays empty
+            outputs.append("")
+        if fits < pad_count:
+            outputs += repeat("1" * n, pad_count - fits)  # the overflowing pads saturate
     if bad_codes:
         raise ConstructionError(
             f"translated output outside [0,1) for codes {bad_codes}", bad_codes
         )
-    # Each output is min(base + w, ones) in n bits, so the overflowing pads
-    # saturate at the all-ones string.
-    if pad_count <= len(kept):
-        columns = [list(map(format, map(min, map(add, bases, repeat(w)), ones), fmts)) for w in range(pad_count)]
-        outputs = chain.from_iterable(zip(*columns))
-    else:
-        outputs = chain.from_iterable(map(_pad_row, bases, ones, fmts, repeat(pad_count)))
     pads = [format(w, f"0{width}b") for w in range(pad_count)]
     table = dict(zip([code + pad for code in kept for pad in pads], outputs))
-    # format(0, "00b") is "0": an empty output stays empty at every pad
-    table.update(dict.fromkeys([code + pad for code in empty for pad in pads], ""))
     return PrefixMachine(name=f"{source.name}+pads", table=table, pad_length=width)
 
 
@@ -310,35 +288,13 @@ def check_usch(
 def machine_from_dict(doc: dict) -> PrefixMachine:
     """{"name"?, "pad_length"?, "entries": [{"code", "output"}, ...]}
 
-    Checks the document's shape; ``PrefixMachine`` checks the strings.  The
-    table is read in one pass per column: a type check over the entries, then
-    the codes and the outputs zipped into a dict.  Only when that pass fails
-    (an entry that is not exactly a dict, a missing key, an unhashable code)
-    or drops an entry (a duplicate code) are the entries walked one by one,
-    to name the first fault.
+    Checks the document's shape; ``PrefixMachine`` checks the strings.
     """
     if not isinstance(doc, dict) or "entries" not in doc:
         raise MachineFormatError("machine document needs an entries list")
     entries = doc["entries"]
     if not isinstance(entries, list):
         raise MachineFormatError("entries must be a list")
-    table = None
-    if set(map(type, entries)) <= {dict}:  # a subclass may answer a missing key
-        try:
-            table = dict(zip(map(itemgetter("code"), entries), map(itemgetter("output"), entries)))
-        except (KeyError, TypeError):
-            pass
-    if table is None or len(table) != len(entries):
-        table = _first_fault(entries)
-    pad = doc.get("pad_length")
-    if pad is not None and (type(pad) is not int or pad < 0):
-        raise MachineFormatError(f"pad_length must be an integer >= 0, got {pad!r}")
-    return PrefixMachine(name=str(doc.get("name", "machine")), table=table, pad_length=pad)
-
-
-def _first_fault(entries: list) -> dict:
-    """The table of ``entries``, built one entry at a time, so the first
-    malformed entry or duplicate code is the one named."""
     table: dict[str, str] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "code" not in entry or "output" not in entry:
@@ -350,7 +306,10 @@ def _first_fault(entries: list) -> dict:
         except TypeError:  # unhashable, so not a string either
             raise MachineFormatError(f"entry {i} code must be a binary string, got {code!r}") from None
         table[code] = entry["output"]
-    return table
+    pad = doc.get("pad_length")
+    if pad is not None and (type(pad) is not int or pad < 0):
+        raise MachineFormatError(f"pad_length must be an integer >= 0, got {pad!r}")
+    return PrefixMachine(name=str(doc.get("name", "machine")), table=table, pad_length=pad)
 
 
 def machine_to_dict(machine: PrefixMachine) -> dict:

@@ -374,8 +374,7 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
     depth, at_length = grid.depth, witness.at_length
     end = max(min(grid.size, -(-(b_num << depth) // b_den)), 0)  # checked: grid index < end
     if witness.affine is not None:
-        u, v = witness.affine
-        affine = (u.numerator * v.denominator, v.numerator * u.denominator, u.denominator * v.denominator)  # u*k/h + v = (a*k + b*h) / (m*h)
+        affine = affine_integers(witness)  # u*k/h + v = (a*k + b*h) / (m*h)
     if witness.affine is not None and not witness.weakened:
         at_length, classes = None, [(depth, 0, 1)]  # (e, first k, step): samples k/2**e, at grid index k << (depth - e)
     else:
@@ -425,6 +424,13 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
     if listed > 1 << MAX_ENUMERATION_BITS:  # refused before the first row is built
         raise PreconditionError(f"listing {listed} violation rows refused (cap 2**{MAX_ENUMERATION_BITS})")
     return checked, grid.size - checked, GridRows(depth, tuple(runs)), (best_num, best_den)
+
+
+def affine_integers(witness: TranslationWitness) -> tuple[int, int, int]:
+    """The integers (a, b, m) with u*q + v = (a*q + b) / m, for an affine
+    witness's ``affine = (u, v)``."""
+    u, v = witness.affine
+    return u.numerator * v.denominator, v.numerator * u.denominator, u.denominator * v.denominator
 
 
 def affine_witness(name: str, u: Fraction, v: Fraction, constant: Fraction) -> TranslationWitness:
