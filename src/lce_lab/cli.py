@@ -25,12 +25,6 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
 
-# The bound on --grid-depth, as on --horizon: a grid of depth d is decided in
-# up to d + 1 classes of d-bit integers, as a trace of horizon d holds d + 1
-# exact ratios.
-MAX_GRID_DEPTH = MAX_HORIZON
-
-
 def _emit(text: str, out_path):
     if out_path:
         atomic_write_text(out_path, text)
@@ -85,8 +79,10 @@ def _cmd_check_witness(args) -> int:
     witness = _witness(args, Fraction(2), alpha)
     if args.samples is not None:
         samples = dyadic_samples(beta.limit, args.samples)
-    elif args.grid_depth > MAX_GRID_DEPTH:
-        raise ConfigError(f"grid depth must be <= {MAX_GRID_DEPTH}, got {args.grid_depth}")
+    elif args.grid_depth > MAX_HORIZON:
+        # The horizon's bound: a grid of depth d is decided in up to d + 1
+        # classes of d-bit integers, as a trace of horizon d holds d + 1 exact ratios.
+        raise ConfigError(f"grid depth must be <= {MAX_HORIZON}, got {args.grid_depth}")
     else:
         samples = default_samples(beta, witness, args.grid_depth)
     report = check_witness(alpha, beta, witness, samples)

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .reals import DeskReal
 from .reducibility import MAX_ENUMERATION_BITS, TranslationWitness, affine_integers
-from .speedability import MAX_HORIZON
+from .speedability import check_horizon
 from .util import ceil_log2
 
 _ZERO = Fraction(0)
@@ -255,10 +255,7 @@ def check_usch(
     prefix, require the transported machine to code alpha's n-bit prefix within
     the additive constant.  n_max is at most ``MAX_HORIZON``, since the loop
     truncates both limits at every n."""
-    if n_max < 1:
-        raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    if n_max > MAX_HORIZON:
-        raise ConfigError(f"n_max must be <= {MAX_HORIZON}, got {n_max}")
+    check_horizon(n_max, "n_max")
     if constant < 0:
         raise ConfigError(f"constant must be >= 0, got {constant}")
     report = UschReport(constant=constant)

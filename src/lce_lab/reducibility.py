@@ -15,13 +15,12 @@ quantified statement.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .dyadic import canonical_length, dyadic_length, is_dyadic, lengths_in_grid_order
@@ -76,49 +75,72 @@ class Violation(NamedTuple):
     bound: Optional[Fraction]
 
 
-class GridRows(NamedTuple):
-    """The violation rows at grid samples k/2**depth, as ``classes`` of them.
-    A class (lo, hi, step, reason, phi, bound) has one row at each k = lo,
-    lo + step, ... below hi, a multiple of step past lo, with phi = (phi_k*k
-    + phi_0) / phi_den (None where undefined) and, on a gap-bound class,
-    bound = (bound_0 - bound_k*k) / bound_den, every denominator positive.
-    The classes' rows may interleave; the one reader, ``to_json_rows``,
-    merges them by k, and merges in the ascending ``points`` rows of a
-    schedule's other samples.
+def _at_or_above(k: int, lo: int, hi: int, step: int) -> int:
+    """The least of lo, lo + step, ... that is at least k, but at most hi (a multiple of step past lo)."""
+    return min(max(lo - (lo - k) // step * step, lo), hi)
+
+
+def _violation_json_row(v: Violation) -> dict:
+    return {
+        "q": rational_str(v.sample),
+        "reason": v.reason,
+        "phi_q": None if v.phi is None else rational_str(v.phi),
+        "bound": None if v.bound is None else rational_str(v.bound),
+    }
+
+
+def _fraction(text: Optional[str]) -> Optional[Fraction]:
+    return None if text is None else Fraction(text)
+
+
+@dataclass(eq=False)
+class ViolationReport:
+    """Outcome of checking one witness over a finite sample list.
+
+    The violations are the rows of ``classes`` at grid samples k/2**depth
+    and the ``Violation``s in ``rows``, ascending.  A class (lo, hi, step,
+    reason, phi, bound) has one row at each k = lo, lo + step, ... below hi,
+    a multiple of step past lo, with phi = (phi_k*k + phi_0) / phi_den (None
+    where undefined) and, on a gap-bound class, bound = (bound_0 -
+    bound_k*k) / bound_den, every denominator positive.  ``to_json_dict``
+    formats all of them, merged by sample, and ``violations`` reads those
+    formatted rows back as exact ``Fraction``s, so the report has one reader
+    of its rows.  ``passed`` works from the rows as they are, and ``==``
+    compares ``to_json_dict``.
     """
 
-    depth: int
-    classes: tuple  # of (lo, hi, step, reason, (phi_k, phi_0, phi_den) or None, (bound_0, bound_k, bound_den) or None)
+    witness: str
+    samples_checked: int
+    skipped: int
+    rows: list[Violation] = field(default_factory=list)
+    max_ratio_seen: Optional[Fraction] = None
+    depth: int = 0
+    classes: tuple = ()  # of (lo, hi, step, reason, (phi_k, phi_0, phi_den) or None, (bound_0, bound_k, bound_den) or None)
 
-    def _in_order(self, runs: list[list[dict]], points: list[Violation]) -> list[dict]:
-        """All the rows by sample, from ``runs`` (each class's rows in order)
-        and the ``points``, each point after the grid rows below it.  Those
-        are counted per class in integers; the points past the last grid row
-        are appended without counting."""
-        if len(runs) > 1:
-            keyed = (zip(range(lo, hi, step), rows) for (lo, hi, step, *_), rows in zip(self.classes, runs))
-            rows = [row for _, row in heapq.merge(*keyed)]  # classes are disjoint, so no two rows are compared
-        else:
-            rows = runs[0] if runs else []
-        depth, last = self.depth, max((hi - step for _, hi, step, *_ in self.classes), default=-1)
-        out, done, i = [], 0, 0
-        for v in points:
-            cut = -(-(v.sample.numerator << depth) // v.sample.denominator)  # grid rows below v: k < cut
-            if cut > last:  # v and every later point come after all the grid rows
-                break
-            below = sum((_at_or_above(cut, lo, hi, step) - lo) // step for lo, hi, step, *_ in self.classes)
-            out += rows[done:below]
-            out.append(_violation_json_row(v))
-            done, i = below, i + 1
-        out += rows[done:]
-        out += map(_violation_json_row, points[i:])
-        return out
+    @property
+    def violations(self) -> list[Violation]:
+        return [
+            Violation(Fraction(row["q"]), row["reason"], _fraction(row["phi_q"]), _fraction(row["bound"]))
+            for row in self._json_rows()
+        ]
 
-    def to_json_rows(self, points: list[Violation]) -> list[dict]:
-        """``ViolationReport.to_json_dict``'s rows, from integers: q in lowest
-        terms by a shift, phi once per class where it is constant (and phi = q
-        on identity's classes), else phi and the bound each by one gcd.
-        Inlined, since this runs once per row."""
+    @property
+    def passed(self) -> bool:
+        return not self.rows and not self.classes
+
+    def __eq__(self, other):
+        if not isinstance(other, ViolationReport):
+            return NotImplemented
+        return self.to_json_dict() == other.to_json_dict()
+
+    def _json_rows(self) -> list[dict]:
+        """``to_json_dict``'s rows.  A class's rows come from integers: q in
+        lowest terms by a shift, phi once per class where it is constant (and
+        phi = q on identity's classes), else phi and the bound each by one
+        gcd; inlined, since this runs once per row.  Two or more sources of
+        rows are merged by one stable sort on a key, 2k + 1 for grid row k and
+        2*ceil(p * 2**depth) for a point p, so each point comes after the grid
+        rows below it and the points keep their order."""
         depth, h = self.depth, 1 << self.depth
         over = [f"/{h >> shift}" for shift in range(depth)] + [""] if self.classes else []  # "/" + the denominator of k/h, by k's shift
         runs = []
@@ -146,60 +168,13 @@ class GridRows(NamedTuple):
                 else:
                     append({"q": q, "reason": reason, "phi_q": phi, "bound": None})
             runs.append(rows)
-        return self._in_order(runs, points)
-
-
-def _at_or_above(k: int, lo: int, hi: int, step: int) -> int:
-    """The least of lo, lo + step, ... that is at least k, but at most hi (a multiple of step past lo)."""
-    return min(max(lo - (lo - k) // step * step, lo), hi)
-
-
-def _violation_json_row(v: Violation) -> dict:
-    return {
-        "q": rational_str(v.sample),
-        "reason": v.reason,
-        "phi_q": None if v.phi is None else rational_str(v.phi),
-        "bound": None if v.bound is None else rational_str(v.bound),
-    }
-
-
-def _fraction(text: Optional[str]) -> Optional[Fraction]:
-    return None if text is None else Fraction(text)
-
-
-@dataclass(eq=False)
-class ViolationReport:
-    """Outcome of checking one witness over a finite sample list.
-
-    The violations are ``grid``'s rows and the ``Violation``s in ``rows``,
-    each ascending; ``to_json_dict`` formats them, merged by sample, and
-    ``violations`` reads those formatted rows back as exact ``Fraction``s,
-    so the report has one reader of its rows.  ``passed`` works from the
-    rows as they are, and ``==`` compares ``to_json_dict``.
-    """
-
-    witness: str
-    samples_checked: int
-    skipped: int
-    rows: list[Violation] = field(default_factory=list)
-    max_ratio_seen: Optional[Fraction] = None
-    grid: GridRows = GridRows(0, ())
-
-    @property
-    def violations(self) -> list[Violation]:
-        return [
-            Violation(Fraction(row["q"]), row["reason"], _fraction(row["phi_q"]), _fraction(row["bound"]))
-            for row in self.grid.to_json_rows(self.rows)
-        ]
-
-    @property
-    def passed(self) -> bool:
-        return not self.rows and not self.grid.classes
-
-    def __eq__(self, other):
-        if not isinstance(other, ViolationReport):
-            return NotImplemented
-        return self.to_json_dict() == other.to_json_dict()
+        if self.rows:
+            runs.append(list(map(_violation_json_row, self.rows)))
+        if len(runs) == 1:
+            return runs[0]
+        keys = [range(2 * lo + 1, 2 * hi + 1, 2 * step) for lo, hi, step, *_ in self.classes]
+        keys.append([2 * _count_below(depth, v.sample) for v in self.rows])
+        return [row for _, row in sorted(chain.from_iterable(map(zip, keys, runs)), key=itemgetter(0))]
 
     def to_json_dict(self) -> dict:
         return {
@@ -210,7 +185,7 @@ class ViolationReport:
             "max_ratio_seen": (
                 rational_str(self.max_ratio_seen) if self.max_ratio_seen is not None else None
             ),
-            "violations": self.grid.to_json_rows(self.rows),
+            "violations": self._json_rows(),
         }
 
 
@@ -267,20 +242,21 @@ def check_witness(
     ``DyadicGrid`` is decided by classes of samples (``_check_grid``) for a
     strict witness with ``affine``, and, inside [0,1), for any witness with
     ``affine`` or ``at_length``; every other part runs the per-sample loop
-    (``_check_each``).  Each returns a tally: checked, skipped, rows (one
-    ``GridRows`` from the first, ``Violation``s in input order from the
-    second, all of which are sorted here once) and the largest ratio (alpha
-    - phi) / (beta - q) as an integer pair.  The report merges the two row
-    sequences by sample when it is read.
+    (``_check_each``).  Each returns a tally: checked, skipped, rows (the
+    report's ``classes`` from the first, ``Violation``s in input order from
+    the second, all of which are sorted here once) and the largest ratio
+    (alpha - phi) / (beta - q) as an integer pair.  The report merges the two
+    row sequences by sample when it is read.
     """
     parts = (samples.grid, samples.points) if isinstance(samples, Schedule) else (samples,)
     by_class = witness.affine is not None or witness.at_length is not None
     checked = skipped = 0
-    grid, rows = GridRows(0, ()), []
+    depth, classes, rows = 0, (), []
     best_num, best_den = 0, 1
     for part in parts:
         if isinstance(part, DyadicGrid) and by_class and (part.size <= part.denominator or not witness.weakened and witness.affine is not None):
-            part_checked, part_skipped, grid, (num, den) = _check_grid(alpha, beta, witness, part)
+            part_checked, part_skipped, classes, (num, den) = _check_grid(alpha, beta, witness, part)
+            depth = part.depth
         else:
             part_checked, part_skipped, part_rows, (num, den) = _check_each(alpha, beta, witness, part)
             rows += part_rows
@@ -290,7 +266,7 @@ def check_witness(
             best_num, best_den = num, den
     rows.sort(key=attrgetter("sample"))
     return ViolationReport(
-        witness.name, checked, skipped, rows, Fraction(best_num, best_den) if best_num else None, grid
+        witness.name, checked, skipped, rows, Fraction(best_num, best_den) if best_num else None, depth, classes
     )
 
 
@@ -365,14 +341,14 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
     ``len(range(...))`` overflows at depth 64).  ``at_length`` is called
     once per length with a checked sample, in ``lengths_in_grid_order``, so
     an error it raises is the loop's.  Rows past the cap are refused before
-    the first is built; the others stay the classes of one ``GridRows``, at
-    grid indices k << (depth - e).
+    the first is built; the others stay the report's ``classes``, at grid
+    indices k << (depth - e).
     """
     a_den = alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
     terms, bound = _inequality(alpha, beta, witness)
     depth, at_length = grid.depth, witness.at_length
-    end = max(min(grid.size, -(-(b_num << depth) // b_den)), 0)  # checked: grid index < end
+    end = min(grid.size, _count_below(depth, beta.limit))  # checked: grid index < end
     if witness.affine is not None:
         affine = affine_integers(witness)  # u*k/h + v = (a*k + b*h) / (m*h)
     if witness.affine is not None and not witness.weakened:
@@ -381,7 +357,7 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
         classes = [(l, 1 if l else 0, 2) for l in lengths_in_grid_order(depth)]
     checked = 0
     best_num, best_den = 0, 1
-    runs = []  # GridRows classes
+    runs = []  # the report's classes
     for e, first, step in classes:
         h, shift = 1 << e, depth - e
         top = -(-end >> shift)  # checked: k < top
@@ -423,7 +399,7 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
     listed = sum((hi - lo) // step for lo, hi, step, *_ in runs)
     if listed > 1 << MAX_ENUMERATION_BITS:  # refused before the first row is built
         raise PreconditionError(f"listing {listed} violation rows refused (cap 2**{MAX_ENUMERATION_BITS})")
-    return checked, grid.size - checked, GridRows(depth, tuple(runs)), (best_num, best_den)
+    return checked, grid.size - checked, tuple(runs), (best_num, best_den)
 
 
 def affine_integers(witness: TranslationWitness) -> tuple[int, int, int]:
@@ -622,9 +598,10 @@ def default_samples(beta: DeskReal, witness: TranslationWitness, grid_depth: int
     """The grid of depth ``grid_depth`` below beta's limit, then beta's
     approximation points 0..64 below the limit and off that grid, ascending;
     the approximation points are the proof-relevant witnesses.  A weakened
-    witness keeps only the dyadic ones, the only samples its check takes.
+    witness keeps only the dyadic ones in [0,1), the only samples its check
+    takes.
     """
     grid = dyadic_grid(grid_depth, beta.limit)
     points = {beta.approx(i) for i in range(65)}
-    off_grid = (p for p in points if p < beta.limit and p not in grid and (is_dyadic(p) or not witness.weakened))
+    off_grid = (p for p in points if p < beta.limit and p not in grid and (not witness.weakened or 0 <= p < 1 and is_dyadic(p)))
     return Schedule(grid, tuple(sorted(off_grid)))

@@ -133,12 +133,16 @@ def gallery_from_config(config) -> list[DeskReal]:
     names the entry's index."""
     if not isinstance(config, list):
         raise ConfigError("gallery config must be a list of entries")
+    names = []
     for i, raw in enumerate(config):
         if not isinstance(raw, dict) or "kind" not in raw:
             raise ConfigError(f"gallery entry {i}: need an object with a kind")
+        names.append(str(raw.get("name", f"entry{i}")))
+        parameters = raw.get("parameters", {})
+        if not isinstance(parameters, dict):
+            raise ConfigError(f"gallery entry {i} ({names[i]!r}): parameters must be an object, got {parameters!r}")
     reals = []
-    for i, raw in enumerate(config):
-        name = str(raw.get("name", f"entry{i}"))
+    for i, (raw, name) in enumerate(zip(config, names)):
         try:
             reals.append(build_real(str(raw["kind"]), raw.get("parameters", {}), name))
         except (ConfigError, KeyError, TypeError, ValueError) as e:

@@ -86,10 +86,7 @@ def amplify(g: TranslationMap, k: int) -> TranslationMap:
     k is at most MAX_HORIZON: an affine map's k-fold image carries k-bit
     integers, and every probe of a check evaluates it, so the cost grows
     with k squared."""
-    if k < 1:
-        raise ConfigError(f"amplification count must be >= 1, got {k}")
-    if k > MAX_HORIZON:
-        raise ConfigError(f"amplification count must be <= {MAX_HORIZON}, got {k}")
+    check_horizon(k, "amplification count")
     if k == 1:
         return g
 
@@ -306,12 +303,14 @@ def default_probes(x: DeskReal, horizon: int) -> list[Fraction]:
     return [base + (limit - base) * (1 - Fraction(1, 1 << k)) for k in range(1, horizon + 1)]
 
 
-def check_horizon(horizon: int) -> int:
-    """horizon, if it lies in [1, MAX_HORIZON]: the rule of every ``--horizon`` and trace."""
+def check_horizon(horizon: int, what: str = "horizon") -> int:
+    """horizon, if it lies in [1, MAX_HORIZON]: the rule of every ``--horizon``
+    and trace, and of the other counts it bounds; ``what`` names the value in
+    the message."""
     if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+        raise ConfigError(f"{what} must be >= 1, got {horizon}")
     if horizon > MAX_HORIZON:
-        raise ConfigError(f"horizon must be <= {MAX_HORIZON}, got {horizon}")
+        raise ConfigError(f"{what} must be <= {MAX_HORIZON}, got {horizon}")
     return horizon
 
 

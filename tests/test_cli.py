@@ -146,6 +146,14 @@ class TestCheckWitness:
         assert code == 0
         assert out.read_text() == dump_json(report.to_json_dict())
 
+    def test_weakened_default_schedule_drops_points_outside_the_unit_interval(self, tmp_path):
+        # geometric:1:1/2:2 starts its approximation at -1; the grid itself lies in [0,1)
+        out = tmp_path / "report.json"
+        argv = ["check-witness", "--alpha", "geometric:5/8", "--beta", "geometric:1:1/2:2", "--witness", "least"]
+        assert main(argv + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["samples_checked"], doc["skipped"]) == (1077, 0)
+
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_nonpositive_sample_count_is_usage_error(self, count, capsys):
         code = main(
@@ -802,6 +810,16 @@ class TestGallery:
         )
         assert main(["gallery", "--config", str(config)]) == 2
         assert "entry 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parameters", [[["limit", "1"]], "x"])
+    def test_parameters_must_be_an_object(self, parameters, tmp_path, capsys):
+        # A list of pairs would otherwise be read as a dict, and a string fail inside dict().
+        config = tmp_path / "gallery.json"
+        config.write_text(json.dumps([{"name": "g", "kind": "geometric", "parameters": parameters}]))
+        out = tmp_path / "report.json"
+        assert main(["gallery", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"gallery entry 0 ('g'): parameters must be an object, got {parameters!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("gaps", ["21", {"0": "1"}, "1/2"])
     def test_staircase_gaps_must_be_a_list(self, gaps, tmp_path, capsys):

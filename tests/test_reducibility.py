@@ -38,7 +38,6 @@ from lce_lab.reducibility import (
     REASON_GAP_BOUND,
     REASON_NOT_BELOW_ALPHA,
     REASON_UNDEFINED,
-    GridRows,
     Violation,
     ViolationReport,
     _count_below,
@@ -882,12 +881,12 @@ class TestAffineGrid:
         grid = dyadic_grid(12, Fraction(1))
         listed = check_witness(alpha, beta, w, list(grid))
         report = check_witness(alpha, beta, w, grid)
-        assert report.rows == [] and report.grid == GridRows(12, ((1 << 10, 1 << 12, 1, REASON_GAP_BOUND, (1, 0, 1 << 12), (2 << 12, 2, 1 << 12)),))
+        assert report.rows == [] and (report.depth, report.classes) == (12, ((1 << 10, 1 << 12, 1, REASON_GAP_BOUND, (1, 0, 1 << 12), (2 << 12, 2, 1 << 12)),))
         # A per-length value 2 is not below alpha = 1 at any sample: one class per length.
         high = per_length_witness("high", lambda length: Fraction(2), Fraction(1))
         per_length = (check_witness(real("1"), beta, high, grid), check_witness(real("1"), beta, high, list(grid)))
-        grid_rows = per_length[0].grid
-        assert len(grid_rows.classes) == 13 and {c[3] for c in grid_rows.classes} == {REASON_NOT_BELOW_ALPHA}
+        classes = per_length[0].classes
+        assert len(classes) == 13 and {c[3] for c in classes} == {REASON_NOT_BELOW_ALPHA}
 
         def refuse(*args):
             raise AssertionError("a Violation was built")
@@ -933,7 +932,7 @@ class TestAffineGrid:
         expect = reference_check_witness(real("7/4"), real("1"), w, list(grid))
         report = check_witness(real("7/4"), real("1"), w, grid)
         assert report.to_json_dict() == expect.to_json_dict() and report.violations == expect.violations
-        assert report.rows == [] and len(report.grid.classes) == 9
+        assert report.rows == [] and len(report.classes) == 9
 
     def test_points_split_interleaved_classes_like_the_oracle(self):
         # beta's approximation points 1 - (3/4)**n are dyadic and off a
@@ -962,9 +961,9 @@ class TestAffineGrid:
             report = check_witness(alpha, beta, w, schedule)
             assert report.to_json_dict() == expect.to_json_dict()
             assert report.violations == expect.violations
-            h = 1 << report.grid.depth
+            h = 1 << report.depth
             inside += sum(
-                sum(lo < v.sample * h < hi - step for lo, hi, step, *_ in report.grid.classes) > 1 for v in report.rows
+                sum(lo < v.sample * h < hi - step for lo, hi, step, *_ in report.classes) > 1 for v in report.rows
             )
             samples.append([str(v.sample) for v in report.violations])
         assert inside == 125
