@@ -42,7 +42,6 @@ from .hyperimmunity import (
     odds,
     powers_of_two,
     principal,
-    set_from_config,
     squares,
     total_witness_from_majorizer,
 )

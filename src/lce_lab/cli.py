@@ -151,7 +151,7 @@ def _cmd_speed_check(args) -> int:
 def _cmd_cmm_build(args) -> int:
     source = _load_machine(args.B)
     witness = _witness(args, Fraction(1), registry.parse_real(args.alpha) if args.alpha else None)
-    built = uniformize(source, witness, overflow=args.overflow)
+    built = uniformize(source, witness)
     _emit_json(machine_to_dict(built), args.out)
     sys.stderr.write(
         f"measure {rational_str(measure(built))} (source {rational_str(measure(source))})\n"
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", required=True)
     p.add_argument("--c", help="witness constant for identity (num/den), default 1")
     p.add_argument("--alpha", help="real spec, needed by the least witness")
-    p.add_argument("--overflow", choices=("saturate", "error"), default="saturate")
     p.add_argument("--out", help="machine output path (default stdout)")
     p.set_defaults(func=_cmd_cmm_build)
 

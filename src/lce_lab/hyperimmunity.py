@@ -112,15 +112,7 @@ def builtin_set(kind: str) -> NaturalSet:
     try:
         return _BUILTINS[kind]()
     except KeyError:
-        raise ConfigError(f"unknown set kind {kind!r}; know {sorted(_BUILTINS)} and explicit")
-
-
-def set_from_config(spec: dict) -> NaturalSet:
-    """{"kind": "evens" | "squares" | "powers" | "explicit" | ..., "elements"?: [...]}"""
-    kind = spec.get("kind")
-    if kind == "explicit":
-        return explicit_set(spec.get("elements", []), name=spec.get("name", "explicit"))
-    return builtin_set(kind)
+        raise ConfigError(f"unknown set kind {kind!r}; know {sorted(_BUILTINS)}")
 
 
 def _next_member(a: NaturalSet, start: int) -> int:

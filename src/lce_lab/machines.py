@@ -11,8 +11,8 @@ and complexity of a string is the length of its shortest code.  Only
 of length n spawns 2**L padded codes x.w (|w| = L derived from the witness
 constant), mapping to the n-bit int floor(phi(0.sigma) * 2**n) shifted by the
 pad's integer value.  Pads that would overflow the n-bit range
-saturate at the all-ones string by default, which is what keeps the domain
-mass exactly equal to the source machine's.
+saturate at the all-ones string, which is what keeps the domain mass exactly
+equal to the source machine's.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .dyadic import is_binary, kraft_mass, truncate
 from .errors import (
     ConfigError,
     ConstructionError,
+    DomainError,
     MachineFormatError,
     PrefixFreeError,
 )
@@ -35,9 +36,6 @@ from .speedability import check_horizon
 from .util import ceil_log2
 
 _ZERO = Fraction(0)
-
-OVERFLOW_SATURATE = "saturate"
-OVERFLOW_ERROR = "error"
 
 
 def _check_binary(s: str, what: str) -> None:
@@ -115,9 +113,7 @@ def pad_width(constant: Fraction) -> int:
     return ceil_log2(constant + 1)
 
 
-def uniformize(
-    source: PrefixMachine, witness: TranslationWitness, overflow: str = OVERFLOW_SATURATE
-) -> PrefixMachine:
+def uniformize(source: PrefixMachine, witness: TranslationWitness) -> PrefixMachine:
     """Transport a machine along a total translation witness.
 
     For each code x with output sigma (n bits, value q = 0.sigma): translate q,
@@ -125,8 +121,8 @@ def uniformize(
     n-bit values above the truncation, one per pad value; L is ``pad_width``
     of the witness's own constant.  Translated values outside [0,1) are
     construction errors reported per code.  The result keeps the source's
-    Kraft mass exactly (saturating policy) and stays prefix-free because all
-    pads share the fixed width L.
+    Kraft mass exactly and stays prefix-free because all pads share the fixed
+    width L.
 
     An affine witness (``witness.affine = (u, v)``) is not called: with
     s = int(sigma, 2) and u*q + v = (a*q + b)/m in integers, the image is
@@ -137,14 +133,10 @@ def uniformize(
     string.
 
     More than 2**MAX_ENUMERATION_BITS emitted codes are refused with a
-    ``ConfigError`` before any pad is built.  Under the ``error`` policy a
-    pad overflow at an in-range code is raised at once, before the error
-    naming the codes outside [0,1).
+    ``ConfigError`` before any pad is built.
     """
     if not witness.total:
         raise ConfigError("uniformization needs a total witness")
-    if overflow not in (OVERFLOW_SATURATE, OVERFLOW_ERROR):
-        raise ConfigError(f"unknown overflow policy {overflow!r}")
     width = pad_width(witness.constant)
     if len(source.table) << width > 1 << MAX_ENUMERATION_BITS:
         raise ConfigError(
@@ -173,13 +165,8 @@ def uniformize(
         if base is None:
             bad_codes.append(code)
             continue
-        top = (1 << n) - base  # the first pad whose value overflows n bits
-        if top < pad_count and overflow == OVERFLOW_ERROR:
-            raise ConstructionError(
-                f"pad overflow at code {code!r} with pad {top}", [code]
-            )
         kept.append(code)
-        fits = min(top, pad_count)
+        fits = min((1 << n) - base, pad_count)  # the pads whose value fits n bits
         if n:
             outputs += map(format, range(base, base + fits), repeat(f"0{n}b"))
         else:  # format(0, "00b") is "0"; an empty output stays empty
@@ -254,10 +241,14 @@ def check_usch(
     """For every length n <= n_max where the source machine codes beta's n-bit
     prefix, require the transported machine to code alpha's n-bit prefix within
     the additive constant.  n_max is at most ``MAX_HORIZON``, since the loop
-    truncates both limits at every n."""
+    truncates both limits at every n; both limits must lie in [0,1), alpha's
+    checked first."""
     check_horizon(n_max, "n_max")
     if constant < 0:
         raise ConfigError(f"constant must be >= 0, got {constant}")
+    for role, real in (("alpha", alpha), ("beta", beta)):
+        if not 0 <= real.limit < 1:
+            raise DomainError(f"{role} limit must lie in [0,1), got {real.limit}")
     report = UschReport(constant=constant)
     a_shortest, b_shortest = shortest_codes(a_machine), shortest_codes(b_machine)
     for n in range(1, n_max + 1):

@@ -598,10 +598,10 @@ def default_samples(beta: DeskReal, witness: TranslationWitness, grid_depth: int
     """The grid of depth ``grid_depth`` below beta's limit, then beta's
     approximation points 0..64 below the limit and off that grid, ascending;
     the approximation points are the proof-relevant witnesses.  A weakened
-    witness keeps only the dyadic ones in [0,1), the only samples its check
-    takes.
+    witness takes only dyadic samples in [0,1), so its grid stops below
+    min(beta, 1) and it keeps only such points.
     """
-    grid = dyadic_grid(grid_depth, beta.limit)
+    grid = dyadic_grid(grid_depth, min(beta.limit, _ONE) if witness.weakened else beta.limit)
     points = {beta.approx(i) for i in range(65)}
     off_grid = (p for p in points if p < beta.limit and p not in grid and (not witness.weakened or 0 <= p < 1 and is_dyadic(p)))
     return Schedule(grid, tuple(sorted(off_grid)))

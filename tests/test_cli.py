@@ -236,15 +236,25 @@ class TestCheckWitness:
         doc = json.loads(out.read_text())
         assert doc["samples_checked"] == checked and doc["skipped"] == 0
 
-    def test_default_schedule_past_the_per_sample_cap_is_usage_error(self, tmp_path, capsys):
-        # least's depth-40 grid below 2 reaches past 1, so it runs the loop.
+    def test_default_schedule_below_two_with_least_stops_its_grid_at_one(self, tmp_path):
+        # least takes only samples in [0,1), so its depth-40 grid below 2 stops
+        # at 1 and is decided per length; beta's points past 0 are all >= 1.
         out = tmp_path / "report.json"
         argv = ["check-witness", "--alpha", "geometric:5/8", "--beta", "geometric:2", "--witness", "least"]
-        assert main(argv + ["--grid-depth", "40", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "checking 2199023255552 grid samples one by one refused (cap 2**20)\n"
-        assert captured.out == ""
-        assert not out.exists()
+        assert main(argv + ["--grid-depth", "40", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["samples_checked"] == 1 << 40 and doc["skipped"] == 0
+        assert doc["max_ratio_seen"] == "1/8" and doc["violations"] == []
+
+    def test_weakened_default_schedule_is_the_clipped_library_check(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["check-witness", "--alpha", "geometric:5/8", "--beta", "geometric:2", "--witness", "least"]
+        assert main(argv + ["--out", str(out)]) == 0
+        alpha, beta = parse_real("geometric:5/8"), parse_real("geometric:2")
+        witness = computable_least_witness(alpha)
+        samples = default_samples(beta, witness)
+        assert samples.grid.size == 1 << 10  # [0, 1) at depth 10, not [0, 2)
+        assert out.read_text() == dump_json(check_witness(alpha, beta, witness, samples).to_json_dict())
 
     def test_grid_depth_past_the_bound_is_usage_error(self, tmp_path, capsys):
         # The bound is the horizon's; a depth-4096 grid is still decided in closed form.
@@ -718,6 +728,33 @@ class TestMachines:
         assert captured.err == f"transporting 3 codes with 2**{pads} pads each refused (cap 2**20 codes)\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_removed_overflow_flag_is_usage_error(self, tmp_path, three_code_file, capsys):
+        out = tmp_path / "A.json"
+        argv = ["cmm-build", "--B", three_code_file, "--witness", "identity", "--overflow", "error", "--out", str(out)]
+        assert main(argv) == 2
+        assert "unrecognized arguments: --overflow error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [
+            ("geometric:1", "set:evens", "alpha limit must lie in [0,1), got 1"),
+            ("set:evens", "geometric:1", "beta limit must lie in [0,1), got 1"),
+        ],
+    )
+    def test_limit_outside_the_unit_interval_is_usage_error(self, alpha, beta, message, tmp_path, three_code_file, capsys):
+        # An empty B codes no prefix of beta, so no row would ever truncate alpha.
+        empty = tmp_path / "empty.json"
+        empty.write_text(dump_json({"entries": []}))
+        out = tmp_path / "check.json"
+        for b in (three_code_file, str(empty)):
+            argv = ["cmm-check", "--A", three_code_file, "--B", b, "--alpha", alpha, "--beta", beta, "--out", str(out)]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == message + "\n"
+            assert captured.out == ""
+            assert not out.exists()
 
     def test_n_max_past_the_bound_is_usage_error(self, tmp_path, three_code_file, capsys):
         # The bound is the horizon's; the check truncates both limits at every n <= n_max.

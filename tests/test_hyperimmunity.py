@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lce_lab import (
     TranslationWitness,
+    builtin_set,
     check_witness,
     evens,
     explicit_set,
@@ -24,7 +25,6 @@ from lce_lab import (
     per_length_witness,
     principal,
     real_from_set,
-    set_from_config,
     set_real,
     squares,
     total_witness_from_majorizer,
@@ -83,9 +83,9 @@ class TestPrincipalAndGaps:
         assert least_beyond(a, 2) == 4
         assert least_beyond(a, 50) == 50
 
-    def test_set_from_config(self):
-        assert set_from_config({"kind": "squares"}).contains(49)
-        e = set_from_config({"kind": "explicit", "elements": [1, 5]})
+    def test_squares_and_explicit_membership(self):
+        assert squares().contains(49)
+        e = explicit_set([1, 5])
         assert e.contains(5) and not e.contains(2)
 
 
@@ -176,7 +176,7 @@ class TestTotalWitnessFromMajorizer:
         ),
     )
     def test_translate_is_at_length_of_canonical_length(self, kind, b, q):
-        a = set_from_config({"kind": kind})
+        a = builtin_set(kind)
         w = total_witness_from_majorizer(a, lambda n: n + b)
         length = canonical_length(q)
         assert w.translate(q) == w.at_length(length) == real_from_set(a.contains, length + b + 1)
@@ -238,7 +238,7 @@ class TestKBoundFromWitness:
         "g", [lambda n: n, lambda n: n + 3, lambda n: 2 * n + 1, lambda n: n * n // 3]
     )
     def test_per_length_bound_matches_full_enumeration(self, kind, g):
-        a = set_from_config({"kind": kind})
+        a = builtin_set(kind)
         alpha = geometric(Fraction(2, 3), name="two-thirds")
         for n in range(13):
             keyed = total_witness_from_majorizer(a, g)

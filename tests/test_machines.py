@@ -25,11 +25,12 @@ from lce_lab import (
 from lce_lab.errors import (
     ConfigError,
     ConstructionError,
+    DomainError,
     MachineFormatError,
     PrefixFreeError,
 )
 from lce_lab import machines
-from lce_lab.machines import OVERFLOW_ERROR, find_prefix_violation, shortest_codes
+from lce_lab.machines import find_prefix_violation, shortest_codes
 
 
 def three_code():
@@ -172,17 +173,6 @@ class TestUniformize:
         with pytest.raises(ConfigError):
             uniformize(three_code(), w)
 
-    def test_error_overflow_policy(self):
-        with pytest.raises(ConstructionError):
-            uniformize(three_code(), identity_witness(Fraction(1)), overflow=OVERFLOW_ERROR)
-
-    def test_error_names_the_first_overflowing_pad(self):
-        # 0.10 + pad w fits two bits for w < 2: pad 2 is the first to overflow
-        b = PrefixMachine("b", {"0": "00", "1": "10"})
-        with pytest.raises(ConstructionError) as err:
-            uniformize(b, identity_witness(Fraction(3)), overflow=OVERFLOW_ERROR)
-        assert str(err.value) == "pad overflow at code '1' with pad 2" and err.value.codes == ("1",)
-
     def test_empty_output_saturates_to_empty_outputs(self):
         b = PrefixMachine("b", {"0": "", "1": "1"})
         a = uniformize(b, identity_witness(Fraction(3)))
@@ -193,24 +183,10 @@ class TestUniformize:
         }
         assert measure(a) == measure(b)
 
-    def test_empty_output_overflows_at_pad_one(self):
-        # zero bits hold only the value 0, so pad 1 is the first to overflow
-        b = PrefixMachine("b", {"0": "1", "1": ""})
-        with pytest.raises(ConstructionError) as err:
-            uniformize(b, identity_witness(Fraction(1)), overflow=OVERFLOW_ERROR)
-        assert str(err.value) == "pad overflow at code '0' with pad 1"
-        b = PrefixMachine("b", {"0": "0", "1": ""})
-        with pytest.raises(ConstructionError) as err:
-            uniformize(b, identity_witness(Fraction(1)), overflow=OVERFLOW_ERROR)
-        assert str(err.value) == "pad overflow at code '1' with pad 1" and err.value.codes == ("1",)
-
-    def test_overflow_error_comes_before_codes_outside_the_unit_interval(self):
-        # 2 * 0.11 is outside [0,1); 2 * 0.01 = 0.10 overflows two bits at pad 2
+    def test_codes_outside_the_unit_interval_named_past_saturating_pads(self):
+        # 2 * 0.11 is outside [0,1); 2 * 0.01 = 0.10 saturates two bits from pad 2
         w = TranslationWitness("double", lambda q: q * 2, Fraction(3))
         b = PrefixMachine("b", {"0": "11", "10": "01", "11": "00"})
-        with pytest.raises(ConstructionError) as err:
-            uniformize(b, w, overflow=OVERFLOW_ERROR)
-        assert str(err.value) == "pad overflow at code '10' with pad 2"
         with pytest.raises(ConstructionError) as err:
             uniformize(b, w)
         assert str(err.value) == "translated output outside [0,1) for codes ['0']"
@@ -225,7 +201,7 @@ class TestUniformize:
         assert len(a.table) == len(b.table) * (1 << a.pad_length)
 
 
-def reference_uniformize(source, witness, overflow):
+def reference_uniformize(source, witness):
     """The transport as a plain Fraction loop, one pad at a time."""
     width = pad_width(witness.constant)
     table, bad_codes = {}, []
@@ -241,10 +217,8 @@ def reference_uniformize(source, witness, overflow):
             shifted = base + w
             if shifted < (1 << n):
                 output = format(shifted, f"0{n}b") if n else ""
-            elif overflow == "saturate":
-                output = "1" * n
             else:
-                raise ConstructionError(f"pad overflow at code {code!r} with pad {w}", [code])
+                output = "1" * n
             table[code + format(w, f"0{width}b")] = output
     if bad_codes:
         raise ConstructionError(f"translated output outside [0,1) for codes {bad_codes}", bad_codes)
@@ -262,7 +236,7 @@ def _transport(build, *args):
 @st.composite
 def transport_cases(draw):
     """Random prefix-free machines with outputs of 0-8 bits, and witnesses
-    whose images stay inside [0,1), leave it, or overflow the pads."""
+    whose images stay inside [0,1), leave it, or saturate the pads."""
     codes = draw(prefix_free_codes())
     outputs = st.text(alphabet="01", max_size=8)
     source = PrefixMachine("b", {c: draw(outputs) for c in codes})
@@ -280,7 +254,7 @@ def transport_cases(draw):
             ]
         )
     )
-    return source, witness, draw(st.sampled_from(["saturate", OVERFLOW_ERROR]))
+    return source, witness
 
 
 class TestUniformizeAgainstFractionLoop:
@@ -302,18 +276,17 @@ class TestAffineTransport:
         [identity_witness(Fraction(3)), scaling_witness(Fraction(3, 4), "forward"), scaling_witness(Fraction(3), "forward")],
         ids=["identity", "scaling-3/4", "scaling-3"],
     )
-    @pytest.mark.parametrize("overflow", ["saturate", OVERFLOW_ERROR])
-    def test_same_transport_without_translate(self, witness, overflow):
+    def test_same_transport_without_translate(self, witness):
         b = PrefixMachine("b", {"0": "1", "10": "", "110": "0110", "111": "11"})
         blind = dataclasses.replace(witness, translate=_never_called)
-        assert _transport(uniformize, b, blind, overflow) == _transport(uniformize, b, witness, overflow)
-        assert _transport(uniformize, b, blind, overflow) == _transport(reference_uniformize, b, witness, overflow)
+        assert _transport(uniformize, b, blind) == _transport(uniformize, b, witness)
+        assert _transport(uniformize, b, blind) == _transport(reference_uniformize, b, witness)
 
     def test_pads_saturate_past_the_all_ones_output(self):
         # 2**5 pads for two codes: pads 6..31 of code "0" saturate at "1111"
         b = PrefixMachine("b", {"0": "1010", "1": ""})
         w = identity_witness(Fraction(31))
-        assert _transport(uniformize, b, w) == _transport(reference_uniformize, b, w, "saturate")
+        assert _transport(uniformize, b, w) == _transport(reference_uniformize, b, w)
         assert uniformize(b, w).table["011111"] == "1111"
 
 
@@ -407,6 +380,21 @@ class TestCheckUsch:
         assert len(report.rows) == 32
         for row in report.rows:
             assert row.alpha_complexity <= row.beta_complexity + 1
+
+    @pytest.mark.parametrize(
+        "alpha_limit, beta_limit, message",
+        [
+            (Fraction(1), Fraction(2, 3), "alpha limit must lie in [0,1), got 1"),
+            (Fraction(2, 3), Fraction(3, 2), "beta limit must lie in [0,1), got 3/2"),
+            (Fraction(3, 2), Fraction(1), "alpha limit must lie in [0,1), got 3/2"),  # alpha first
+        ],
+    )
+    def test_limit_outside_the_unit_interval_refused_by_role(self, alpha_limit, beta_limit, message):
+        # The empty machine codes no prefix of beta, so no row would truncate either limit.
+        for b in (three_code(), PrefixMachine("empty", {})):
+            with pytest.raises(DomainError) as err:
+                check_usch(three_code(), b, geometric(alpha_limit), geometric(beta_limit), 1, 8)
+            assert str(err.value) == message
 
 
 def reference_usch_rows(a_machine, b_machine, alpha, beta, constant, n_max):

@@ -462,10 +462,15 @@ class TestSampleSchedules:
         least = computable_least_witness(alpha)
         for w in [identity_witness(), least]:
             assert default_samples(beta, w, 40).grid == dyadic_grid(40, beta.limit)
-        # least's grid reaches past 1 below beta = 2, so it runs the loop.
+        # Below beta = 2, least's grid stops at 1 and is decided per length; a
+        # grid reaching past 1 would run the loop, which refuses it.
         wide = real("2")
+        clipped = default_samples(wide, least, 40)
+        assert clipped.grid == dyadic_grid(40, Fraction(1)) and clipped.points == ()
+        report = check_witness(alpha, wide, least, clipped)
+        assert report.passed and report.samples_checked == 1 << 40
         with pytest.raises(PreconditionError, match=r"^checking 2199023255552 grid samples one by one refused"):
-            check_witness(alpha, wide, least, default_samples(wide, least, 40))
+            check_witness(alpha, wide, least, dyadic_grid(40, wide.limit))
         # identity's phi = q is not below alpha = 5/8 at 3/8 of the depth-40 grid.
         with pytest.raises(PreconditionError, match=r"^listing 412316860416 violation rows refused \(cap 2\*\*20\)$"):
             check_witness(alpha, beta, identity_witness(), default_samples(beta, identity_witness(), 40))
