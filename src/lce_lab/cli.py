@@ -271,7 +271,9 @@ def main(argv=None) -> int:
     except OSError as e:
         sys.stderr.write(f"i/o failure: {e}\n")
         return EXIT_ERROR
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        # An input file that is not JSON text, or not UTF-8 at all: the input
+        # is at fault, not the report (UnicodeDecodeError is a ValueError).
         sys.stderr.write(f"bad JSON input: {e}\n")
         return EXIT_ERROR
     except ValueError as e:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
+from operator import itemgetter
 from typing import Optional
 
 from .dyadic import is_binary, kraft_mass, truncate
@@ -35,7 +36,8 @@ from .reducibility import MAX_ENUMERATION_BITS, TranslationWitness, affine_integ
 from .speedability import check_horizon
 from .util import ceil_log2
 
-_ZERO = Fraction(0)
+_TAIL = itemgetter(slice(3, None))  # bin(2**n + v)[3:] spells v in n bits
+_CODE, _OUTPUT = itemgetter("code"), itemgetter("output")
 
 
 def _check_binary(s: str, what: str) -> None:
@@ -47,12 +49,15 @@ def find_prefix_violation(codes) -> Optional[tuple[str, str]]:
     """First (shorter, longer) pair where one code prefixes another, if any.
 
     In lexicographic order every violated code is immediately followed by one
-    of its extensions, so scanning neighbors suffices.
+    of its extensions, so testing neighbours suffices.  One C-level
+    ``str.startswith`` pass over them answers whether there is a pair; only
+    then are they walked, to name the first.
     """
     ordered = sorted(codes)
-    for a, b in zip(ordered, ordered[1:]):
-        if b.startswith(a):
-            return (a, b)
+    if any(map(str.startswith, ordered[1:], ordered)):
+        for a, b in zip(ordered, ordered[1:]):
+            if b.startswith(a):
+                return (a, b)
     return None
 
 
@@ -61,7 +66,10 @@ class PrefixMachine:
     """Finite prefix-free code -> output table.
 
     ``pad_length`` records the pad width for machines produced by
-    ``uniformize``; plain machines leave it unset.
+    ``uniformize``; plain machines leave it unset.  The constructor is the
+    one check that codes and outputs are binary strings and the domain is
+    prefix-free; only ``uniformize``, whose tables are both by construction,
+    builds through ``_built`` without it.
     """
 
     name: str
@@ -82,6 +90,14 @@ class PrefixMachine:
         violation = find_prefix_violation(self.table)
         if violation is not None:
             raise PrefixFreeError(*violation)
+
+    @classmethod
+    def _built(cls, name: str, table: dict[str, str], pad_length: Optional[int]) -> PrefixMachine:
+        """A machine over a table that is binary and prefix-free by construction, unchecked."""
+        machine = object.__new__(cls)
+        for attr, value in (("name", name), ("table", table), ("pad_length", pad_length)):
+            object.__setattr__(machine, attr, value)
+        return machine
 
 
 def measure(machine: PrefixMachine) -> Fraction:
@@ -127,10 +143,13 @@ def uniformize(source: PrefixMachine, witness: TranslationWitness) -> PrefixMach
     An affine witness (``witness.affine = (u, v)``) is not called: with
     s = int(sigma, 2) and u*q + v = (a*q + b)/m in integers, the image is
     (a*s + b*2**n) / (m*2**n), and its truncation is the numerator floored by
-    m.  Any other witness is asked for ``translate(q)``.  Each kept code's
-    outputs are then appended in one C-level ``map(format, ...)`` over the
-    pads that fit in n bits, and the overflowing pads share one saturated
-    string.
+    m.  Any other witness is asked for ``translate(q)``.  Each kept code
+    then appends 2**n + v to one int list for every pad value v that fits in
+    n bits, and one C-level pass of ``bin(...)[3:]`` spells them all as n-bit
+    strings (the empty string when n = 0).  The overflowing pads of a code
+    saturate: their run of outputs is one shared all-ones string.  The table
+    is binary and prefix-free by construction, so the machine is built
+    without ``PrefixMachine``'s check.
 
     More than 2**MAX_ENUMERATION_BITS emitted codes are refused with a
     ``ConfigError`` before any pad is built.
@@ -149,37 +168,40 @@ def uniformize(source: PrefixMachine, witness: TranslationWitness) -> PrefixMach
         a, b, m = affine_integers(witness)
 
     kept: list[str] = []
-    outputs: list[str] = []  # one per pad for each kept code, in pad order
+    values: list[int] = []  # 2**n + each pad's output value, for each kept code in pad order
+    saturated: list[tuple[int, int, str]] = []  # (start, stop, all ones) of each run of overflowing pads
     bad_codes: list[str] = []
     for code in sorted(source.table):
         sigma = source.table[code]
         n = len(sigma)
-        s = int(sigma, 2) if n else 0
+        s = int("0" + sigma, 2)
+        one = 1 << n
         if affine is not None:
             num = a * s + (b << n)
             base = num // m if 0 <= num < m << n else None
         else:
-            value = witness.translate(Fraction(s, 1 << n) if n else _ZERO)
+            value = witness.translate(Fraction(s, one))
             in_range = value is not None and 0 <= value.numerator < value.denominator
             base = (value.numerator << n) // value.denominator if in_range else None  # truncate(value, n)
         if base is None:
             bad_codes.append(code)
             continue
         kept.append(code)
-        fits = min((1 << n) - base, pad_count)  # the pads whose value fits n bits
-        if n:
-            outputs += map(format, range(base, base + fits), repeat(f"0{n}b"))
-        else:  # format(0, "00b") is "0"; an empty output stays empty
-            outputs.append("")
-        if fits < pad_count:
-            outputs += repeat("1" * n, pad_count - fits)  # the overflowing pads saturate
+        fits = min(one - base, pad_count)  # the pads whose value fits n bits
+        values += range(one + base, one + base + fits)
+        if fits < pad_count:  # the overflowing pads saturate; 1 spells "" until the run is filled in
+            saturated.append((len(values), len(values) + pad_count - fits, "1" * n))
+            values += repeat(1, pad_count - fits)
     if bad_codes:
         raise ConstructionError(
             f"translated output outside [0,1) for codes {bad_codes}", bad_codes
         )
-    pads = [format(w, f"0{width}b") for w in range(pad_count)]
+    pads = list(map(_TAIL, map(bin, range(pad_count, 2 * pad_count))))
+    outputs = list(map(_TAIL, map(bin, values)))
+    for start, stop, ones in saturated:  # one shared string per run, not one per pad
+        outputs[start:stop] = repeat(ones, stop - start)
     table = dict(zip([code + pad for code in kept for pad in pads], outputs))
-    return PrefixMachine(name=f"{source.name}+pads", table=table, pad_length=width)
+    return PrefixMachine._built(f"{source.name}+pads", table, width)
 
 
 @dataclass(frozen=True)
@@ -276,24 +298,35 @@ def check_usch(
 def machine_from_dict(doc: dict) -> PrefixMachine:
     """{"name"?, "pad_length"?, "entries": [{"code", "output"}, ...]}
 
-    Checks the document's shape; ``PrefixMachine`` checks the strings.
+    Checks the document's shape; ``PrefixMachine`` checks the strings.  The
+    table is built in one C-level pass over the code and output columns; only
+    when that pass fails (an entry that is not a dict, a missing key, an
+    unhashable code) or loses an entry (a duplicate code) are the entries
+    walked one by one, to name the first fault.
     """
     if not isinstance(doc, dict) or "entries" not in doc:
         raise MachineFormatError("machine document needs an entries list")
     entries = doc["entries"]
     if not isinstance(entries, list):
         raise MachineFormatError("entries must be a list")
-    table: dict[str, str] = {}
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "code" not in entry or "output" not in entry:
-            raise MachineFormatError(f"entry {i} needs code and output")
-        code = entry["code"]
+    table = None
+    if all(map(isinstance, entries, repeat(dict))):
         try:
-            if code in table:
-                raise MachineFormatError(f"duplicate code {code!r}")
-        except TypeError:  # unhashable, so not a string either
-            raise MachineFormatError(f"entry {i} code must be a binary string, got {code!r}") from None
-        table[code] = entry["output"]
+            table = dict(zip(map(_CODE, entries), map(_OUTPUT, entries)))
+        except (KeyError, TypeError):
+            pass
+    if table is None or len(table) != len(entries):
+        table = {}
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or "code" not in entry or "output" not in entry:
+                raise MachineFormatError(f"entry {i} needs code and output")
+            code = entry["code"]
+            try:
+                if code in table:
+                    raise MachineFormatError(f"duplicate code {code!r}")
+            except TypeError:  # unhashable, so not a string either
+                raise MachineFormatError(f"entry {i} code must be a binary string, got {code!r}") from None
+            table[code] = entry["output"]
     pad = doc.get("pad_length")
     if pad is not None and (type(pad) is not int or pad < 0):
         raise MachineFormatError(f"pad_length must be an integer >= 0, got {pad!r}")

@@ -11,7 +11,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 
@@ -91,11 +91,12 @@ def dump_json(obj) -> str:
     writer here instead: strings through the C ``encode_basestring_ascii``,
     ints through ``int.__repr__``, and a list of flat dicts sharing one key set
     (violation rows, machine entries) through fixed row pieces joined once
-    per item, one column at a time: a str column with nothing to escape is
-    copied as it is, and a column of None is part of the fixed text.  Any
-    other value or key type, a float, a tuple, a subclass, hands
-    the whole document to that ``json.dumps`` call, as does a recursion too
-    deep for the writer, so such documents get the stdlib's output or error.
+    per item, one column at a time: only the first row's key types are read,
+    a str column with nothing to escape is copied as it is, and a column of
+    None is part of the fixed text.  Any other value or key type, a float, a
+    tuple, a subclass, hands the whole document to that ``json.dumps`` call,
+    as does a recursion too deep for the writer, so such documents get the
+    stdlib's output or error.
     """
     try:
         return _json_value(obj, "\n") + "\n"
@@ -146,8 +147,10 @@ def _json_value(value, indent: str) -> str:
 def _json_rows(items: list, indent: str):
     """The items of a list of flat dicts with one key set, or None for any other list.
 
-    Each column is encoded in one pass, and each row is one join of those
-    values between fixed pieces ('{', the indented keys, '}') built once.  A
+    A row of the first row's size that holds each of the first row's keys
+    holds no other, so key types are read from the first row alone.  Each
+    column is encoded in one pass, and each row is one join of those values
+    between fixed pieces ('{', the indented keys, '}') built once.  A
     column of str values takes one ``encode_basestring_ascii`` call on the
     column joined: if that adds only the two quotes, no value needs escaping,
     so the values go in as they are and the quotes join the fixed pieces.  A
@@ -160,7 +163,7 @@ def _json_rows(items: list, indent: str):
     width = len(first)
     if set(map(type, items)) != {dict} or set(map(len, items)) != {width}:
         return None
-    if set(map(type, chain.from_iterable(items))) != {str}:
+    if set(map(type, first)) != {str}:
         return None
     inner = indent + "  "
     pieces = []

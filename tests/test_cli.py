@@ -900,6 +900,33 @@ class TestGallery:
         assert main([]) == 2
 
 
+class TestUndecodableInput:
+    """An input file that is not UTF-8 is bad input, named as such; it is not
+    blamed on the report (UnicodeDecodeError is a ValueError)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cmm-build", "--B", "{bad}", "--witness", "identity"],
+            ["gallery", "--config", "{bad}"],
+            ["cmm-check", "--A", "{bad}", "--B", "{good}", "--alpha", "set:evens", "--beta", "set:evens"],
+            ["cmm-check", "--A", "{good}", "--B", "{bad}", "--alpha", "set:evens", "--beta", "set:evens"],
+            ["check-witness", "--alpha", "geometric:1/2", "--beta", "omega:{bad}", "--witness", "identity"],
+        ],
+        ids=["cmm-build-B", "gallery-config", "cmm-check-A", "cmm-check-B", "omega-file"],
+    )
+    def test_non_utf8_file_is_bad_input(self, argv, tmp_path, three_code_file, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out.json"
+        argv = [arg.format(bad=bad, good=three_code_file) for arg in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad JSON input: "), captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; later calls must behave
     as if each ran in a fresh process."""

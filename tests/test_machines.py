@@ -2,7 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lce_lab import (
@@ -102,6 +102,22 @@ class TestValidation:
         assert (find_prefix_violation(codes) is not None) == brute
 
 
+def neighbour_scan(codes):
+    """The first (shorter, longer) neighbours in sorted order where one prefixes the other."""
+    ordered = sorted(codes)
+    for a, b in zip(ordered, ordered[1:]):
+        if b.startswith(a):
+            return (a, b)
+    return None
+
+
+class TestPrefixViolationAgainstScan:
+    @settings(max_examples=300)
+    @given(st.lists(binary, max_size=16))
+    def test_same_first_pair_as_a_neighbour_scan(self, codes):
+        assert find_prefix_violation(codes) == neighbour_scan(codes)
+
+
 class TestMeasure:
     def test_complete_three_code_machine(self):
         assert measure(three_code()) == 1
@@ -137,6 +153,23 @@ class TestComplexity:
     def test_target_must_be_binary(self):
         with pytest.raises(MachineFormatError, match="target string must be a binary string, got '0_1'"):
             complexity(three_code(), "0_1")
+
+
+def shortest_by_loop(table):
+    """Each output's shortest code length, as a plain loop over every code."""
+    best = {}
+    for code, output in table.items():
+        best[output] = min(best.get(output, len(code)), len(code))
+    return best
+
+
+class TestShortestCodesAgainstLoop:
+    @settings(max_examples=300)
+    @given(prefix_free_codes(), st.data())
+    def test_repeated_outputs_keep_their_shortest_code(self, codes, data):
+        # few distinct outputs, so most are shared by codes of several lengths
+        table = {c: data.draw(st.sampled_from(["", "0", "1", "01"])) for c in codes}
+        assert shortest_codes(PrefixMachine("m", table)) == shortest_by_loop(table)
 
 
 class TestUniformize:
@@ -262,6 +295,45 @@ class TestUniformizeAgainstFractionLoop:
     @given(transport_cases())
     def test_same_table_pad_and_errors(self, case):
         assert _transport(uniformize, *case) == _transport(reference_uniformize, *case)
+
+
+@st.composite
+def unchecked_cases(draw):
+    """Sources with the code "" or a split tree, empty and short outputs, and
+    an affine witness, the same witness asked through ``translate``, or one
+    whose images leave [0,1) (scaling up by 3)."""
+    codes = draw(prefix_free_codes())
+    source = PrefixMachine("b", {c: draw(st.text(alphabet="01", max_size=6)) for c in codes})
+    affine = draw(
+        st.sampled_from(
+            [
+                identity_witness(Fraction(1)),
+                identity_witness(Fraction(7)),
+                identity_witness(Fraction(15)),
+                scaling_witness(Fraction(3, 4), "forward"),
+                scaling_witness(Fraction(3), "forward"),
+            ]
+        )
+    )
+    return source, draw(st.sampled_from([affine, dataclasses.replace(affine, affine=None)]))
+
+
+class TestUncheckedConstruction:
+    """``uniformize`` builds its machine without ``PrefixMachine``'s check; the
+    table must be the reference's, and the check must accept it."""
+
+    @settings(max_examples=300)
+    @given(unchecked_cases())
+    @example((PrefixMachine("b", {"": "1"}), identity_witness(Fraction(3))))  # 3 of 4 pads saturate
+    @example((PrefixMachine("b", {"": ""}), dataclasses.replace(identity_witness(Fraction(7)), affine=None)))
+    @example((PrefixMachine("b", {"0": "11", "1": ""}), scaling_witness(Fraction(3), "forward")))
+    def test_same_table_as_the_reference_and_accepted_by_the_check(self, case):
+        got = _transport(uniformize, *case)
+        assert got == _transport(reference_uniformize, *case)
+        if got[0] != "error":
+            built = uniformize(*case)
+            assert PrefixMachine(built.name, built.table, built.pad_length) == built
+            assert set(map(type, built.table.values())) <= {str}
 
 
 def _never_called(q):
@@ -486,6 +558,54 @@ class TestMachineFiles:
         entry = {"code": "10", "output": "1", field: bad}
         with pytest.raises(MachineFormatError, match="must be a binary string"):
             machine_from_dict({"entries": [{"code": "0", "output": "1"}, entry]})
+
+    @staticmethod
+    def hundred_entries():
+        return [{"code": format(i, "07b"), "output": "1"} for i in range(100)]
+
+    @pytest.mark.parametrize("at", [0, 50, 99], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "fault", ["duplicate", "not-a-dict", "missing-output", "unhashable-code", "non-str-output"]
+    )
+    def test_fault_anywhere_in_many_entries_is_named(self, fault, at):
+        entries = self.hundred_entries()
+        if fault == "duplicate":  # entry 0 takes entry 1's code, so entry 1 is the duplicate
+            code = entries[at - 1 if at else 1]["code"]
+            entries[at]["code"] = code
+            message = f"duplicate code {code!r}"
+        elif fault == "not-a-dict":
+            entries[at] = [entries[at]["code"], "1"]
+            message = f"entry {at} needs code and output"
+        elif fault == "missing-output":
+            del entries[at]["output"]
+            message = f"entry {at} needs code and output"
+        elif fault == "unhashable-code":
+            entries[at]["code"] = [0, 1]
+            message = f"entry {at} code must be a binary string, got [0, 1]"
+        else:
+            entries[at]["output"] = 1
+            message = "output must be a binary string, got 1"
+        with pytest.raises(MachineFormatError) as err:
+            machine_from_dict({"entries": entries})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            ({30: {"code": "0000000", "output": "1"}, 70: {"code": "1111111"}}, "duplicate code '0000000'"),
+            ({20: ["0010100", "1"], 80: {"code": "0000000", "output": "1"}}, "entry 20 needs code and output"),
+            ({10: {"code": [0], "output": "1"}, 60: "x"}, "entry 10 code must be a binary string, got [0]"),
+            ({40: {"code": "0101000", "output": 2}, 90: {"code": "0000000", "output": "1"}}, "duplicate code '0000000'"),
+        ],
+        ids=["duplicate-before-missing", "not-a-dict-before-duplicate", "unhashable-before-not-a-dict", "duplicate-before-output"],
+    )
+    def test_the_first_of_two_faults_is_named(self, faults, message):
+        entries = self.hundred_entries()
+        for at, entry in faults.items():
+            entries[at] = entry
+        with pytest.raises(MachineFormatError) as err:
+            machine_from_dict({"entries": entries})
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "last, message",

@@ -145,6 +145,9 @@ class TestDumpJson:
             {"t": (1, 2)},
             {1: "a", 2: "b"},
             [{1: "a"}, {1: "b"}],
+            # a later row of first's size with a key that is not a str
+            [{"a": 1}, {1: 1}],
+            [{"a": 1}, {True: 1}, {"a": 2}],
             {"n": IntSubclass(3)},
             [{"n": IntSubclass(3)}, {"n": 4}],
             {True: 1, False: 2},
@@ -158,6 +161,10 @@ class TestDumpJson:
         [
             {1: "a", "b": 2},
             [{1: "a", "b": 2}],
+            # a later row of first's size with a key that is not a str
+            [{"a": 1, "b": 2}, {"a": 1, 2: 2}, {"a": 1, "b": 2}],
+            [{"a": "x", "b": None}, {"b": None, None: "y"}],
+            [{"a": 1, "b": 2}, {"a": 1, (1,): 2}],
             {True: 1, None: 2},
             {"x": object()},
             {"x": {1, 2}},
