@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
-from math import gcd
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -27,7 +26,7 @@ from .dyadic import canonical_length, dyadic_length, is_dyadic, lengths_in_grid_
 from .dyadic import truncate  # noqa: F401  module attribute that perfbench/tracer.py wraps
 from .errors import ConfigError, PreconditionError
 from .reals import DeskReal
-from .util import rational_str
+from .util import fraction_texts, rational_str
 
 _ONE = Fraction(1)
 
@@ -103,10 +102,10 @@ class ViolationReport:
     a multiple of step past lo, with phi = (phi_k*k + phi_0) / phi_den (None
     where undefined) and, on a gap-bound class, bound = (bound_0 -
     bound_k*k) / bound_den, every denominator positive.  ``to_json_dict``
-    formats all of them, merged by sample, and ``violations`` reads those
-    formatted rows back as exact ``Fraction``s, so the report has one reader
-    of its rows.  ``passed`` works from the rows as they are, and ``==``
-    compares ``to_json_dict``.
+    formats all of them by ``fraction_texts``, merged by sample, and
+    ``violations`` reads those rows back as exact ``Fraction``s, so the
+    report has one reader of its rows.  ``passed`` works from the rows as
+    they are, and ``==`` compares ``to_json_dict``.
     """
 
     witness: str
@@ -134,46 +133,23 @@ class ViolationReport:
         return self.to_json_dict() == other.to_json_dict()
 
     def _json_rows(self) -> list[dict]:
-        """``to_json_dict``'s rows.  A class's rows come from integers: q in
-        lowest terms by a shift, phi once per class where it is constant (and
-        phi = q on identity's classes), else phi and the bound each by one
-        gcd; inlined, since this runs once per row.  Two or more sources of
-        rows are merged by one stable sort on a key, 2k + 1 for grid row k and
-        2*ceil(p * 2**depth) for a point p, so each point comes after the grid
-        rows below it and the points keep their order."""
-        depth, h = self.depth, 1 << self.depth
-        over = [f"/{h >> shift}" for shift in range(depth)] + [""] if self.classes else []  # "/" + the denominator of k/h, by k's shift
-        runs = []
-        for lo, hi, step, reason, phi_terms, bound in self.classes:
-            pk, p0, pd = phi_terms or (0, 0, 0)
-            b0, bk, bd = bound or (0, 0, 0)
-            phi_is_q = phi_terms == (1, 0, h)
-            phi_varies = pk and not phi_is_q
-            phi = rational_str(Fraction(p0, pd)) if pd and not pk else None
-            rows = []
-            append = rows.append
-            for k in range(lo, hi, step):
-                shift = min((k & -k).bit_length() - 1, depth) if k else depth
-                q = f"{k >> shift}{over[shift]}"
-                if phi_varies:
-                    n = pk * k + p0
-                    g = gcd(n, pd)
-                    phi = f"{n // g}/{pd // g}" if g != pd else str(n // g)
-                elif phi_is_q:
-                    phi = q
-                if bd:
-                    n = b0 - bk * k
-                    g = gcd(n, bd)
-                    append({"q": q, "reason": reason, "phi_q": phi, "bound": f"{n // g}/{bd // g}" if g != bd else str(n // g)})
-                else:
-                    append({"q": q, "reason": reason, "phi_q": phi, "bound": None})
-            runs.append(rows)
+        """``to_json_dict``'s rows: a class's q, phi_q and bound columns by
+        ``fraction_texts``, zipped.  Two or more sources merge by one stable
+        sort on a key, 2k + 1 for grid row k and 2*ceil(p * 2**depth) for a
+        point p: each point follows the grid rows below it, in their order."""
+        h, runs = 1 << self.depth, []
+        for lo, hi, step, reason, phi, bound in self.classes:
+            (pk, p0, pd), (b0, bk, bd), count = phi or (0, 0, 0), bound or (0, 0, 0), (hi - lo) // step
+            qs = fraction_texts(lo, step, count, h)
+            phis = qs if phi == (1, 0, h) else fraction_texts(p0 + pk * lo, pk * step, count, pd) if pd else repeat(None)
+            bounds = fraction_texts(b0 - bk * lo, -bk * step, count, bd) if bd else repeat(None)
+            runs.append([{"q": q, "reason": reason, "phi_q": p, "bound": b} for q, p, b in zip(qs, phis, bounds)])
         if self.rows:
             runs.append(list(map(_violation_json_row, self.rows)))
         if len(runs) == 1:
             return runs[0]
         keys = [range(2 * lo + 1, 2 * hi + 1, 2 * step) for lo, hi, step, *_ in self.classes]
-        keys.append([2 * _count_below(depth, v.sample) for v in self.rows])
+        keys.append([2 * _count_below(self.depth, v.sample) for v in self.rows])
         return [row for _, row in sorted(chain.from_iterable(map(zip, keys, runs)), key=itemgetter(0))]
 
     def to_json_dict(self) -> dict:

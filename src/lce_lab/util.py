@@ -1,8 +1,9 @@
 """Shared plumbing: exact-rational text forms and deterministic reports.
 
-Rationals never pass through floats.  On the wire they are "num/den" strings;
-on input we also accept bare integers, integer strings, and {"num": ..., "den": ...}
-objects so gallery files written by hand stay readable.
+Rationals never pass through floats.  On the wire they are "num/den" strings,
+a violation class's from ``fraction_texts``; on input we also accept bare
+integers, integer strings, and {"num": ..., "den": ...} objects so gallery
+files written by hand stay readable.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import tempfile
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
+from math import gcd
 from operator import itemgetter
 
 from .errors import ConfigError
@@ -65,6 +67,31 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def fraction_texts(first: int, step: int, count: int, den: int) -> list[str]:
+    """``rational_str`` of each (first + j*step)/den, j < count, den > 0, one
+    int-to-text per cell.  Reduced, the gcd with den is fixed where the value's
+    power of two (up to den's) and j mod den's odd part prime to step are: one
+    comprehension per class, or a gcd per cell if classes are under 8 cells."""
+    if not step:
+        return [rational_str(Fraction(first, den))] * count
+    g = gcd(first, step, den)
+    first, step, den = first // g, step // g, den // g
+    two = den & -den if step & 1 else 1  # with an even step, den is odd or every value is
+    period, inv = den // (den & -den), pow(step, -1, two)
+    while (g := gcd(period, step)) > 1:
+        period //= g
+    if period * two.bit_length() > count // 8:
+        return [f"{n // g}/{den // g}" if (g := gcd(n, den)) != den else str(n // g) for n in range(first, first + count * step, step)]
+    column, powers = [None] * count, range(two.bit_length() - 1)  # below: (start, stride, g), g the gcd's power of two where j = start mod stride
+    for start, stride, g in [(((1 << s) - first) * inv % (2 << s), 2 << s, 1 << s) for s in powers] + [(-first * inv % two, two, two)]:
+        for j in range(start, min(start + stride * period, count), stride):
+            n = first + j * step
+            d = g * gcd(n, period)
+            suffix, inc = f"/{den // d}" if d != den else "", stride * period * step // d
+            column[j::stride * period] = [f"{v}{suffix}" for v in range(n // d, n // d + len(range(j, count, stride * period)) * inc, inc)]
+    return column
+
+
 def ceil_log2(x: Fraction) -> int:
     """Smallest integer t with 2**t >= x, computed exactly; x must be positive."""
     if x <= 0:
@@ -90,13 +117,10 @@ def dump_json(obj) -> str:
     str keys, lists, str, int, bool and None (exact types) go through a small
     writer here instead: strings through the C ``encode_basestring_ascii``,
     ints through ``int.__repr__``, and a list of flat dicts sharing one key set
-    (violation rows, machine entries) through fixed row pieces joined once
-    per item, one column at a time: only the first row's key types are read,
-    a str column with nothing to escape is copied as it is, and a column of
-    None is part of the fixed text.  Any other value or key type, a float, a
-    tuple, a subclass, hands the whole document to that ``json.dumps`` call,
-    as does a recursion too deep for the writer, so such documents get the
-    stdlib's output or error.
+    (violation rows, machine entries) one column at a time (``_json_rows``).
+    Any other value or key type, a float, a tuple, a subclass, hands the whole
+    document to that ``json.dumps`` call, as does a recursion too deep for the
+    writer, so such documents get the stdlib's output or error.
     """
     try:
         return _json_value(obj, "\n") + "\n"

@@ -789,6 +789,42 @@ class TestIntegerKernelAgainstFractionLoop:
         assert peak < 1 << 20
 
 
+class TestDepth13Reports:
+    """Reports at the size of the sweep-violations benchmark, against the
+    Fraction loop on the same samples: phi columns with the odd periods 3, 5
+    and 9 or powers of two alone, and q, phi and bound columns of identity."""
+
+    GRID = dyadic_grid(13, Fraction(1))
+
+    @pytest.mark.parametrize(
+        "alpha, witness",
+        [("1", scaling_witness(Fraction(r), "backward")) for r in ["1/2", "3/5", "5/8", "4/7", "5/9"]]
+        # identity with c = 2 fails the gap bound exactly at q >= t
+        + [(str(2 - Fraction(t)), identity_witness(Fraction(2))) for t in ["1/2", "5/8", "9/16", "17/32", "7/16"]],
+        ids=lambda value: value if isinstance(value, str) else value.name,
+    )
+    def test_sweep_reports_match(self, alpha, witness):
+        alpha, beta = real(alpha, "a"), real("1", "b")
+        report = check_witness(alpha, beta, witness, self.GRID)
+        assert report.classes and not report.rows
+        assert report == reference_check_witness(alpha, beta, witness, list(self.GRID))
+
+    def test_default_schedule_merges_points_with_grid_rows(self):
+        # beta's approximation points 1 - (3/4)**n leave the depth-13 grid from n = 7 on
+        alpha, beta, w = real("7/4", "a"), geometric(Fraction(1), Fraction(3, 4), name="b"), identity_witness()
+        schedule = default_samples(beta, w, 13)
+        report = check_witness(alpha, beta, w, schedule)
+        assert report.classes and report.rows
+        assert report == reference_check_witness(alpha, beta, w, sorted(schedule))
+
+    def test_least_report_with_a_not_below_alpha_class(self):
+        # least(2/3) reads 1/2 at lengths 0 and 1, then 5/8 or more: not below alpha = 5/8
+        alpha, beta, w = real("5/8", "a"), real("1", "b"), computable_least_witness(real("2/3"))
+        report = check_witness(alpha, beta, w, self.GRID)
+        assert REASON_NOT_BELOW_ALPHA in {reason for _, _, _, reason, *_ in report.classes}
+        assert report == reference_check_witness(alpha, beta, w, list(self.GRID))
+
+
 class TestPerLengthGrid:
     """A grid inside [0,1) against a witness with at_length is decided one
     canonical length at a time, so its cost does not grow with the grid."""

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from lce_lab.errors import ConfigError
 from lce_lab import util
-from lce_lab.util import ceil_log2, dump_json, parse_rational, rational_str
+from lce_lab.util import ceil_log2, dump_json, fraction_texts, parse_rational, rational_str
 
 
 class TestParseRational:
@@ -66,6 +67,54 @@ class TestCeilLog2:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             ceil_log2(Fraction(0))
+
+
+def fraction_loop(first, step, count, den):
+    return [rational_str(Fraction(first + j * step, den)) for j in range(count)]
+
+
+_dens = st.one_of(
+    st.just(1),
+    st.builds(lambda k: 1 << k, st.integers(0, 64)),
+    st.builds(lambda k, odd: odd << k, st.integers(0, 64), st.sampled_from([3, 5, 9, 105])),
+    # primes above any count drawn: an odd period no class can use
+    st.sampled_from([307, 1009, (1 << 61) - 1]),
+)
+_steps = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-(10**6), 10**6).map(lambda n: 2 * n),
+    st.integers(-(10**6), 10**6).map(lambda n: 2 * n + 1),
+    st.integers(-(1 << 80), 1 << 80),
+)
+
+
+class TestFractionTexts:
+    """fraction_texts gives the Fraction loop's texts, one class of j at a time."""
+
+    @settings(max_examples=400)
+    @given(st.integers(-(10**9), 10**9) | st.integers(-3, 0), _steps, st.integers(0, 300), _dens)
+    def test_matches_the_fraction_loop(self, first, step, count, den):
+        assert fraction_texts(first, step, count, den) == fraction_loop(first, step, count, den)
+
+    @pytest.mark.parametrize(
+        "args, gcds",
+        [
+            ((6, 0, 5, 4), range(0, 1)),  # a constant column
+            ((-48, 1, 200, 3 << 4), range(1, 30)),  # by parity and mod 3: one gcd per class
+            ((-5, 3, 200, 1009), range(200, 203)),  # a period above the count: one gcd per cell
+        ],
+        ids=["constant", "classes", "per-cell"],
+    )
+    def test_each_path(self, monkeypatch, args, gcds):
+        calls = []
+
+        def counted(*values):
+            calls.append(values)
+            return math.gcd(*values)
+
+        monkeypatch.setattr(util, "gcd", counted)
+        assert fraction_texts(*args) == fraction_loop(*args)
+        assert len(calls) in gcds
 
 
 def stdlib_json(doc) -> str:
