@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Optional
 
@@ -108,8 +108,12 @@ def measure(machine: PrefixMachine) -> Fraction:
 def shortest_codes(machine: PrefixMachine) -> dict[str, int]:
     """{output: length of its shortest code} over the machine's range, in one
     pass over the table."""
+    return _shortest(machine.table.items())
+
+
+def _shortest(entries) -> dict[str, int]:
     best: dict[str, int] = {}
-    for code, output in machine.table.items():
+    for code, output in entries:
         k = len(code)
         if k < best.get(output, k + 1):
             best[output] = k
@@ -262,9 +266,10 @@ def check_usch(
 ) -> UschReport:
     """For every length n <= n_max where the source machine codes beta's n-bit
     prefix, require the transported machine to code alpha's n-bit prefix within
-    the additive constant.  n_max is at most ``MAX_HORIZON``, since the loop
-    truncates both limits at every n; both limits must lie in [0,1), alpha's
-    checked first."""
+    the additive constant.  Each limit's n-bit prefix is the first n digits
+    of its n_max-bit truncation, which the loop cuts at every n, so n_max is
+    at most ``MAX_HORIZON``; both limits must lie in [0,1), alpha's checked
+    first."""
     check_horizon(n_max, "n_max")
     if constant < 0:
         raise ConfigError(f"constant must be >= 0, got {constant}")
@@ -272,14 +277,13 @@ def check_usch(
         if not 0 <= real.limit < 1:
             raise DomainError(f"{role} limit must lie in [0,1), got {real.limit}")
     report = UschReport(constant=constant)
-    a_shortest, b_shortest = shortest_codes(a_machine), shortest_codes(b_machine)
+    a_bits, b_bits = (format(truncate(real.limit, n_max), f"0{n_max}b") for real in (alpha, beta))
+    a_shortest, b_shortest = _shortest_prefixes(a_machine, a_bits), _shortest_prefixes(b_machine, b_bits)
     for n in range(1, n_max + 1):
-        beta_bits = format(truncate(beta.limit, n), f"0{n}b")
-        k_beta = b_shortest.get(beta_bits)
+        k_beta = b_shortest.get(b_bits[:n])
         if k_beta is None:
             continue
-        alpha_bits = format(truncate(alpha.limit, n), f"0{n}b")
-        k_alpha = a_shortest.get(alpha_bits)
+        k_alpha = a_shortest.get(a_bits[:n])
         report.rows.append(
             UschRow(
                 n=n,
@@ -289,6 +293,14 @@ def check_usch(
             )
         )
     return report
+
+
+def _shortest_prefixes(machine: PrefixMachine, bits: str) -> dict[str, int]:
+    """``shortest_codes`` over the outputs that are non-empty prefixes of
+    ``bits``, the only ones ``check_usch`` looks up: one C-level pass over the
+    table keeps just their entries."""
+    table, targets = machine.table, {bits[:n] for n in range(1, len(bits) + 1)}
+    return _shortest(compress(table.items(), map(targets.__contains__, table.values())))
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,17 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .dyadic import canonical_length, dyadic_length, is_dyadic, lengths_in_grid_order
 from .dyadic import truncate  # noqa: F401  module attribute that perfbench/tracer.py wraps
 from .errors import ConfigError, PreconditionError
 from .reals import DeskReal
-from .util import fraction_texts, rational_str
+from .util import Rows, fraction_texts, rational_str
 
 _ONE = Fraction(1)
+_NO_ROWS = Rows({})  # a passing report's rows; a Rows is read-only, so one serves all
 
 REASON_UNDEFINED = "undefined"
 REASON_NOT_BELOW_ALPHA = "not_below_alpha"
@@ -79,17 +80,12 @@ def _at_or_above(k: int, lo: int, hi: int, step: int) -> int:
     return min(max(lo - (lo - k) // step * step, lo), hi)
 
 
-def _violation_json_row(v: Violation) -> dict:
-    return {
-        "q": rational_str(v.sample),
-        "reason": v.reason,
-        "phi_q": None if v.phi is None else rational_str(v.phi),
-        "bound": None if v.bound is None else rational_str(v.bound),
-    }
-
-
 def _fraction(text: Optional[str]) -> Optional[Fraction]:
     return None if text is None else Fraction(text)
+
+
+def _text(q: Optional[Fraction]) -> Optional[str]:
+    return None if q is None else rational_str(q)
 
 
 @dataclass(eq=False)
@@ -102,10 +98,11 @@ class ViolationReport:
     a multiple of step past lo, with phi = (phi_k*k + phi_0) / phi_den (None
     where undefined) and, on a gap-bound class, bound = (bound_0 -
     bound_k*k) / bound_den, every denominator positive.  ``to_json_dict``
-    formats all of them by ``fraction_texts``, merged by sample, and
-    ``violations`` reads those rows back as exact ``Fraction``s, so the
-    report has one reader of its rows.  ``passed`` works from the rows as
-    they are, and ``==`` compares ``to_json_dict``.
+    lists all of them, merged by sample, as one ``Rows`` of text columns, a
+    class's by ``fraction_texts``; ``violations`` reads the same columns back
+    as exact ``Fraction``s, so the report has one reader of its rows.
+    ``passed`` works from the rows as they are, and ``==`` compares
+    ``to_json_dict``.
     """
 
     witness: str
@@ -118,10 +115,8 @@ class ViolationReport:
 
     @property
     def violations(self) -> list[Violation]:
-        return [
-            Violation(Fraction(row["q"]), row["reason"], _fraction(row["phi_q"]), _fraction(row["bound"]))
-            for row in self._json_rows()
-        ]
+        qs, reasons, phis, bounds = self._columns()
+        return list(map(Violation, map(Fraction, qs), reasons, map(_fraction, phis), map(_fraction, bounds)))
 
     @property
     def passed(self) -> bool:
@@ -132,25 +127,34 @@ class ViolationReport:
             return NotImplemented
         return self.to_json_dict() == other.to_json_dict()
 
-    def _json_rows(self) -> list[dict]:
-        """``to_json_dict``'s rows: a class's q, phi_q and bound columns by
-        ``fraction_texts``, zipped.  Two or more sources merge by one stable
-        sort on a key, 2k + 1 for grid row k and 2*ceil(p * 2**depth) for a
-        point p: each point follows the grid rows below it, in their order."""
+    def _json_rows(self) -> Rows:
+        if self.passed:
+            return _NO_ROWS
+        return Rows(dict(zip(("q", "reason", "phi_q", "bound"), self._columns())))
+
+    def _columns(self) -> tuple[list, list, list, list]:
+        """The rows' q, reason, phi_q and bound texts, a class's by
+        ``fraction_texts``.  Two or more sources merge by one stable sort on a
+        key, 2k + 1 for grid row k and 2*ceil(p * 2**depth) for a point p, so
+        each point follows the grid rows below it, in their order; the sorted
+        positions then reorder each column."""
         h, runs = 1 << self.depth, []
         for lo, hi, step, reason, phi, bound in self.classes:
             (pk, p0, pd), (b0, bk, bd), count = phi or (0, 0, 0), bound or (0, 0, 0), (hi - lo) // step
             qs = fraction_texts(lo, step, count, h)
-            phis = qs if phi == (1, 0, h) else fraction_texts(p0 + pk * lo, pk * step, count, pd) if pd else repeat(None)
-            bounds = fraction_texts(b0 - bk * lo, -bk * step, count, bd) if bd else repeat(None)
-            runs.append([{"q": q, "reason": reason, "phi_q": p, "bound": b} for q, p, b in zip(qs, phis, bounds)])
+            phis = qs if phi == (1, 0, h) else fraction_texts(p0 + pk * lo, pk * step, count, pd) if pd else [None] * count
+            bounds = fraction_texts(b0 - bk * lo, -bk * step, count, bd) if bd else [None] * count
+            runs.append((qs, [reason] * count, phis, bounds))
         if self.rows:
-            runs.append(list(map(_violation_json_row, self.rows)))
-        if len(runs) == 1:
-            return runs[0]
-        keys = [range(2 * lo + 1, 2 * hi + 1, 2 * step) for lo, hi, step, *_ in self.classes]
-        keys.append([2 * _count_below(self.depth, v.sample) for v in self.rows])
-        return [row for _, row in sorted(chain.from_iterable(map(zip, keys, runs)), key=itemgetter(0))]
+            samples, reasons, phis, bounds = zip(*self.rows)
+            runs.append((list(map(rational_str, samples)), list(reasons), list(map(_text, phis)), list(map(_text, bounds))))
+        if len(runs) <= 1:
+            return runs[0] if runs else ([], [], [], [])
+        keys = list(chain(*(range(2 * lo + 1, 2 * hi + 1, 2 * step) for lo, hi, step, *_ in self.classes)))
+        keys += [2 * _count_below(self.depth, v.sample) for v in self.rows]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        columns = (list(chain.from_iterable(parts)) for parts in zip(*runs))  # each source's part in turn
+        return tuple(list(map(column.__getitem__, order)) for column in columns)
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,9 +1,10 @@
 """Shared plumbing: exact-rational text forms and deterministic reports.
 
 Rationals never pass through floats.  On the wire they are "num/den" strings,
-a violation class's from ``fraction_texts``; on input we also accept bare
-integers, integer strings, and {"num": ..., "den": ...} objects so gallery
-files written by hand stay readable.
+a violation class's from ``fraction_texts``, and a report's rows are a
+``Rows`` of such columns; on input we also accept bare integers, integer
+strings, and {"num": ..., "den": ...} objects so gallery files written by hand
+stay readable.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
@@ -108,24 +110,73 @@ def ceil_log2(x: Fraction) -> int:
     return t
 
 
+class Rows(Sequence):
+    """A read-only list of flat dicts with one key set, stored as one list of
+    JSON scalars per key.  It reads as that list: ``rows[i]`` and iteration
+    give fresh dicts, ``==`` holds against the list, and its ``repr`` is the
+    list's.  Lists passed in are kept, not copied, so they must not change."""
+
+    __slots__ = ("_columns", "_len")
+
+    def __init__(self, columns: dict):
+        lengths = set(map(len, columns.values()))
+        if len(lengths) > 1:
+            raise ValueError(f"Rows columns differ in length: {sorted(lengths)}")
+        self._columns = {key: column if type(column) is list else list(column) for key, column in columns.items()}
+        self._len = lengths.pop() if lengths else 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Rows({key: column[index] for key, column in self._columns.items()})
+        if not self._columns:
+            raise IndexError("Rows index out of range")
+        return {key: column[index] for key, column in self._columns.items()}
+
+    def __iter__(self):
+        return map(dict, map(zip, repeat(tuple(self._columns)), zip(*self._columns.values())))
+
+    def __eq__(self, other):
+        if isinstance(other, Rows) and self._columns.keys() == other._columns.keys():
+            return self._columns == other._columns
+        if isinstance(other, (Rows, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 def dump_json(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indentation, trailing newline.
 
-    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
-    of the running Python, byte for byte.  Before 3.14 that call never uses
-    the C encoder once ``indent`` is set, so documents built from dicts with
-    str keys, lists, str, int, bool and None (exact types) go through a small
-    writer here instead: strings through the C ``encode_basestring_ascii``,
-    ints through ``int.__repr__``, and a list of flat dicts sharing one key set
-    (violation rows, machine entries) one column at a time (``_json_rows``).
-    Any other value or key type, a float, a tuple, a subclass, hands the whole
-    document to that ``json.dumps`` call, as does a recursion too deep for the
-    writer, so such documents get the stdlib's output or error.
+    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2,
+    default=_expand_rows) + "\\n"`` of the running Python, the hook writing
+    a ``Rows`` as its list of dicts.  Before 3.14 that call never uses the C
+    encoder once ``indent`` is set, so documents of dicts with str keys,
+    lists, ``Rows``, str, int, bool and None (exact types) go through a small
+    writer here instead, a ``Rows`` or a list of flat dicts with one key set
+    one column at a time (``_json_table``).  Any other value or key type, or
+    a recursion too deep for the writer, hands the whole document to that
+    call, so it gets the stdlib's output or error.
     """
+    out: list[str] = []
     try:
-        return _json_value(obj, "\n") + "\n"
+        _json_value(obj, "\n", out)
     except (_Unsupported, RecursionError):
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return json.dumps(obj, sort_keys=True, indent=2, default=_expand_rows) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _expand_rows(value):
+    """``json.dumps``'s ``default``: a ``Rows`` is its list of dicts, and
+    anything else raises the stdlib's own ``TypeError``."""
+    if isinstance(value, Rows):
+        return list(value)
+    return json.JSONEncoder().default(value)
 
 
 class _Unsupported(Exception):
@@ -148,78 +199,117 @@ def _json_scalar(value) -> str:
     raise _Unsupported
 
 
-def _json_value(value, indent: str) -> str:
-    """``value`` as JSON; ``indent`` is the newline and indentation of its line."""
+def _json_value(value, indent: str, out: list) -> None:
+    """Append ``value``'s JSON text to ``out``; ``indent`` is the newline and
+    indentation of its line.  The pieces are joined once, at the end."""
     kind = type(value)
     if kind is dict:
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         if any(type(key) is not str for key in value):
             raise _Unsupported
         inner = indent + "  "
-        items = [_json_str(key) + ": " + _json_value(value[key], inner) for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if kind is list:
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _json_str(key) + ": ")
+            _json_value(value[key], inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif kind is list or kind is Rows:
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         inner = indent + "  "
-        items = _json_rows(value, inner) or [_json_value(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    return _json_scalar(value)
+        columns = value._columns if kind is Rows else _json_rows(value)
+        rows = columns and _json_table(columns, inner)
+        if rows is None:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _json_value(item, inner, out)
+                sep = "," + inner
+        else:
+            out += rows
+        out.append(indent + "]")
+    else:
+        out.append(_json_scalar(value))
 
 
-def _json_rows(items: list, indent: str):
-    """The items of a list of flat dicts with one key set, or None for any other list.
-
-    A row of the first row's size that holds each of the first row's keys
-    holds no other, so key types are read from the first row alone.  Each
-    column is encoded in one pass, and each row is one join of those values
-    between fixed pieces ('{', the indented keys, '}') built once.  A
-    column of str values takes one ``encode_basestring_ascii`` call on the
-    column joined: if that adds only the two quotes, no value needs escaping,
-    so the values go in as they are and the quotes join the fixed pieces.  A
-    column of None values is fixed ``null`` text, and a list whose columns
-    are all None is one row text repeated.
-    """
+def _json_rows(items: list):
+    """The columns of a list of flat dicts with one key set, or None for any
+    other list.  A row of the first row's size that holds each of the first
+    row's keys holds no other."""
     first = items[0]
     if type(first) is not dict or not first:
         return None
     width = len(first)
     if set(map(type, items)) != {dict} or set(map(len, items)) != {width}:
         return None
-    if set(map(type, first)) != {str}:
+    try:
+        return {key: list(map(itemgetter(key), items)) for key in first}
+    except KeyError:
+        return None
+
+
+_ESCAPED = bytes(range(0x20)) + b'"\\\x7f'  # the ASCII that encode_basestring_ascii escapes
+
+
+def _json_table(columns: dict, indent: str):
+    """The text pieces of the rows of non-empty, equally long columns of JSON
+    scalars under str keys, from the list's '[' to the last row's '}', or None
+    if a key or value is of another type.
+
+    Each column is encoded in one pass, and the pieces alternate between the
+    columns' values and fixed text ('[' or ',', '{', the indented keys, '}')
+    built once.  A column of str values is joined once and taken as it is if
+    the join holds no character ``encode_basestring_ascii`` escapes: its
+    quotes join the fixed text.  A str subclass is written as its str, as
+    ``json.dumps`` writes it.  A column of None values is fixed ``null``
+    text, and rows whose columns are all None are one row text repeated.
+    """
+    if any(type(key) is not str for key in columns):
         return None
     inner = indent + "  "
-    pieces = []
-    text, sep = "", "{"  # the fixed text since the last column; what opens a key
-    for key in sorted(first):
-        try:
-            column = list(map(itemgetter(key), items))
-        except KeyError:
-            return None
+    fixed, cells = [], []  # the fixed text before each column of cells, and those columns
+    text, sep = "{", ""  # the fixed text since the last column; what comes before a key
+    for key in sorted(columns):
+        column = columns[key]
         text += sep + inner + _json_str(key) + ": "
         sep = ","
-        kinds = set(map(type, column))
-        if kinds == {str}:
-            joined = "".join(column)
-            if len(_json_str(joined)) == len(joined) + 2:
-                pieces += [repeat(text + '"'), column]
-                text = '"'
-            else:
-                pieces += [repeat(text), map(_json_str, column)]
-                text = ""
-        elif kinds == {type(None)}:
-            text += "null"
-        elif kinds <= _SCALAR_TYPES:
-            pieces += [repeat(text), map(_json_scalar, column)]
-            text = ""
+        try:
+            joined = "".join(column)  # a TypeError unless every value is a str
+        except TypeError:
+            kinds = set(map(type, column))
+            if kinds == {type(None)}:
+                text += "null"
+                continue
+            if not kinds <= _SCALAR_TYPES:
+                return None
+            column = list(map(_json_scalar, column))
         else:
-            return None
+            if joined.isascii() and len(joined.encode().translate(None, _ESCAPED)) == len(joined):
+                fixed.append(text + '"')
+                cells.append(column)
+                text = '"'
+                continue
+            column = list(map(_json_str, column))
+        fixed.append(text)
+        cells.append(column)
+        text = ""
     text += indent + "}"
-    if not pieces:  # every column is null: zip over repeats alone would never end
-        return [text] * len(items)
-    pieces.append(repeat(text))
-    return list(map("".join, zip(*pieces)))
+    count = len(column)
+    if not cells:
+        return ["[" + indent + text] + ["," + indent + text] * (count - 1)
+    width = 2 * len(cells)
+    pieces = [text + "," + indent + fixed[0]] * (width * count)
+    pieces[0] = "[" + indent + fixed[0]
+    for j, column in enumerate(cells):
+        if j:
+            pieces[2 * j :: width] = [fixed[j]] * count
+        pieces[2 * j + 1 :: width] = column
+    pieces.append(text)
+    return pieces
 
 
 def atomic_write_text(path: str, text: str) -> None:

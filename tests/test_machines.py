@@ -512,6 +512,65 @@ class TestCheckUschAgainstScan:
         assert rows == reference_usch_rows(*case)
 
 
+def usch_rows_from_full_tables(a_machine, b_machine, alpha, beta, constant, n_max):
+    """check_usch's rows with ``shortest_codes`` of each whole table and one
+    truncation of each limit per length."""
+    a_shortest, b_shortest = shortest_codes(a_machine), shortest_codes(b_machine)
+    rows = []
+    for n in range(1, n_max + 1):
+        k_beta = b_shortest.get(format(truncate(beta.limit, n), f"0{n}b"))
+        if k_beta is not None:
+            rows.append((n, a_shortest.get(format(truncate(alpha.limit, n), f"0{n}b")), k_beta, k_beta + constant))
+    return rows
+
+
+def _prefix_machine(name, limit, lengths, codes=None):
+    """Codes 1^i 0 (or ``codes``) for the ``lengths``-bit prefixes of ``limit``, in order."""
+    outputs = [format(truncate(limit, n), f"0{n}b") for n in lengths]
+    codes = codes or ["1" * i + "0" for i in range(len(outputs))]
+    return PrefixMachine(name, dict(zip(codes, outputs)))
+
+
+class TestCheckUschAgainstFullTables:
+    """check_usch keeps only the entries whose outputs it looks up; its rows,
+    and the shortest codes of those outputs, match the whole tables'."""
+
+    ALPHA, BETA = geometric(Fraction(5, 7)), geometric(Fraction(2, 3))
+
+    @pytest.mark.parametrize(
+        "a_machine, b_machine, n_max",
+        [
+            # every output is a target
+            (_prefix_machine("a", Fraction(5, 7), range(1, 9)), _prefix_machine("b", Fraction(2, 3), range(1, 9)), 8),
+            # no output is a target: each is a prefix, one bit too long for n_max, or the wrong digits
+            (
+                _prefix_machine("a", Fraction(2, 7), range(1, 6)),
+                PrefixMachine("b", {"0": "0", "10": "11", "110": format(truncate(Fraction(2, 3), 9), "09b"), "111": ""}),
+                8,
+            ),
+            # several codes share a target, the shortest not first in the table
+            (
+                PrefixMachine("a", {"111": "1", "0": "1", "10": "10", "110": "10"}),
+                PrefixMachine("b", {"1110": "1", "110": "10", "0": "10", "10": "1", "1111": "101"}),
+                6,
+            ),
+        ],
+        ids=["all-targets", "no-targets", "shared-targets"],
+    )
+    def test_rows_and_filtered_codes_match(self, a_machine, b_machine, n_max):
+        case = (a_machine, b_machine, self.ALPHA, self.BETA, 2, n_max)
+        rows = [(r.n, r.alpha_complexity, r.beta_complexity, r.bound) for r in check_usch(*case).rows]
+        assert rows == usch_rows_from_full_tables(*case)
+        for machine, limit in ((a_machine, self.ALPHA.limit), (b_machine, self.BETA.limit)):
+            targets = {format(truncate(limit, n), f"0{n}b") for n in range(1, n_max + 1)}
+            full = {output: k for output, k in shortest_codes(machine).items() if output in targets}
+            assert machines._shortest_prefixes(machine, format(truncate(limit, n_max), f"0{n_max}b")) == full
+
+    def test_no_target_machine_gives_no_rows(self):
+        b = PrefixMachine("b", {"0": "0", "10": "11"})  # 2/3 = 0.1010...: neither output is a prefix
+        assert check_usch(three_code(), b, self.ALPHA, self.BETA, 1, 8).rows == []
+
+
 class TestMutationControl:
     def test_dropping_a_pad_breaks_measure_equality(self):
         b = three_code()

@@ -42,6 +42,7 @@ from lce_lab.reducibility import (
     ViolationReport,
     _count_below,
 )
+from lce_lab.util import dump_json, rational_str
 
 
 def real(limit, name="r"):
@@ -825,6 +826,53 @@ class TestDepth13Reports:
         assert report == reference_check_witness(alpha, beta, w, list(self.GRID))
 
 
+def plain_report_json(report):
+    """A report's file text from its ``Violation``s alone: ``json.dumps`` of
+    one dict per row."""
+    text = lambda q: None if q is None else rational_str(q)  # noqa: E731
+    doc = {
+        "witness": report.witness,
+        "passed": report.passed,
+        "samples_checked": report.samples_checked,
+        "skipped": report.skipped,
+        "max_ratio_seen": text(report.max_ratio_seen),
+        "violations": [
+            {"q": rational_str(v.sample), "reason": v.reason, "phi_q": text(v.phi), "bound": text(v.bound)}
+            for v in report.rows
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class TestMergedReports:
+    """Depth-13 default schedules whose off-grid points merge with grid
+    classes: the report's bytes, rows and ``==`` against the Fraction loop."""
+
+    @pytest.mark.parametrize(
+        "alpha, witness",
+        [
+            ("7/4", identity_witness()),  # gap-bound classes and points
+            ("5/8", computable_least_witness(real("2/3"))),  # not_below_alpha classes and points
+            ("7/8", identity_witness(Fraction(1, 2))),  # gap bound below 3/4, not below alpha from 7/8
+        ],
+        ids=["identity", "least", "mixed-reasons"],
+    )
+    def test_merged_rows_match_the_fraction_loop(self, alpha, witness):
+        # beta's approximation points 1 - (3/4)**n leave the depth-13 grid from n = 7 on
+        alpha, beta = real(alpha, "a"), geometric(Fraction(1), Fraction(3, 4), name="b")
+        schedule = default_samples(beta, witness, 13)
+        report = check_witness(alpha, beta, witness, schedule)
+        expect = reference_check_witness(alpha, beta, witness, sorted(schedule))
+        assert report.classes and report.rows
+        if witness.name.startswith("least"):
+            assert {reason for _, _, _, reason, *_ in report.classes} == {REASON_NOT_BELOW_ALPHA}
+        assert dump_json(report.to_json_dict()) == plain_report_json(expect)
+        assert report.violations == expect.rows
+        assert report == expect and expect == report
+        rows = report.to_json_dict()["violations"]
+        assert rows == expect.to_json_dict()["violations"] and json.loads(plain_report_json(expect))["violations"] == rows
+
+
 class TestPerLengthGrid:
     """A grid inside [0,1) against a witness with at_length is decided one
     canonical length at a time, so its cost does not grow with the grid."""
@@ -1052,7 +1100,7 @@ class TestReportSerialization:
             {"q": "15/64", "reason": "gap_bound_failed", "phi_q": "15/64", "bound": "1/64"}
         ]
         assert doc["passed"] is False
-        assert json.dumps(doc, sort_keys=True) == json.dumps(report.to_json_dict(), sort_keys=True)
+        assert dump_json(doc) == dump_json(report.to_json_dict())
 
     def test_integer_values_drop_the_denominator(self):
         report = ViolationReport(

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lce_lab import check_witness, dyadic_grid, geometric, identity_witness, util
 from lce_lab.errors import ConfigError
-from lce_lab import util
-from lce_lab.util import ceil_log2, dump_json, fraction_texts, parse_rational, rational_str
+from lce_lab.util import Rows, ceil_log2, dump_json, fraction_texts, parse_rational, rational_str
 
 
 class TestParseRational:
@@ -149,6 +149,54 @@ _documents = st.recursive(
 )
 
 
+@st.composite
+def _rows_tables(draw):
+    """A ``Rows`` whose columns are each all None, str (some needing escapes),
+    str mixed with None, int, bool, or any scalars; sometimes no row at all."""
+    keys = draw(st.lists(st.one_of(_text, st.sampled_from(["q", "phi_q", "%s"])), max_size=4, unique=True))
+    count = draw(st.integers(0, 5))
+    kinds = {
+        "null": st.none(),
+        "str": _text,
+        "plain": st.sampled_from(["1/2", "-3", "gap_bound_failed", ""]),
+        "str-or-null": st.one_of(st.none(), _text),
+        "int": st.integers(-(10**30), 10**30),
+        "bool": st.booleans(),
+        "scalar": _scalars,
+    }
+    columns = {}
+    for key in keys:
+        values = kinds[draw(st.sampled_from(sorted(kinds)))]
+        columns[key] = draw(st.lists(values, min_size=count, max_size=count))
+    return Rows(columns)
+
+
+def as_lists(doc):
+    """``doc`` with each ``Rows`` replaced by its list of dicts."""
+    if isinstance(doc, Rows):
+        return list(doc)
+    if isinstance(doc, dict):
+        return {key: as_lists(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [as_lists(item) for item in doc]
+    return doc
+
+
+def stdlib_rows_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, default=util._expand_rows) + "\n"
+
+
+_rows_documents = st.recursive(
+    st.one_of(_scalars, _rows_tables()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_text, inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+class StrSubclass(str):
+    pass
+
+
 class IntSubclass(int):
     pass
 
@@ -253,6 +301,122 @@ class TestDumpJson:
 
         monkeypatch.setattr(util.json, "dumps", refuse)
         assert [dump_json(doc) for doc in docs] == expected
+
+
+class TestRows:
+    """A ``Rows`` reads as its list of dicts, and ``dump_json`` writes it as
+    ``json.dumps`` writes that list."""
+
+    ROWS = [
+        {"q": "1/4", "reason": "gap_bound_failed", "phi_q": "1/4", "bound": "1/8"},
+        {"q": "1/2", "reason": "not_below_alpha", "phi_q": "3/2", "bound": None},
+        {"q": "3/4", "reason": "undefined", "phi_q": None, "bound": None},
+    ]
+
+    def table(self):
+        return Rows({key: [row[key] for row in self.ROWS] for key in self.ROWS[0]})
+
+    def test_reads_as_its_list(self):
+        rows = self.table()
+        assert len(rows) == 3 and rows and not Rows({}) and not Rows({"q": []})
+        assert list(rows) == self.ROWS and all(type(row) is dict for row in rows)
+        assert rows[0] == self.ROWS[0] and rows[-1] == self.ROWS[-1] and rows[-3] == self.ROWS[0]
+        assert rows[1:] == self.ROWS[1:] and rows[::-1] == self.ROWS[::-1]
+        assert repr(rows) == repr(self.ROWS)
+        assert repr(Rows({})) == repr(Rows({"q": []})) == "[]"
+
+    @pytest.mark.parametrize("index", [3, -4, 10**20])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(IndexError):
+            self.table()[index]
+        with pytest.raises(IndexError):
+            Rows({})[0]
+
+    def test_rows_are_fresh_dicts(self):
+        rows = self.table()
+        rows[0]["q"] = "0"
+        next(iter(rows))["phi_q"] = "0"
+        assert list(rows) == self.ROWS
+
+    def test_equality_both_ways(self):
+        rows = self.table()
+        assert rows == self.ROWS and self.ROWS == rows and not rows != self.ROWS
+        assert rows == self.table() and rows == Rows({key: tuple(row[key] for row in self.ROWS) for key in self.ROWS[0]})
+        assert rows != self.ROWS[:2] and self.ROWS[:2] != rows and rows != self.ROWS[::-1]
+        assert rows != [{**self.ROWS[0], "bound": None}] + self.ROWS[1:]
+        assert Rows({}) == [] and [] == Rows({"q": []}) and Rows({}) == Rows({"q": []})
+        assert Rows({"a": [1]}) != Rows({"b": [1]}) and Rows({"a": [1]}) == Rows({"a": (1,)})
+        assert Rows({"a": [1], "b": [2]}) != Rows({"b": [2], "a": [3]}) and Rows({"a": [1]}) != Rows({"a": [1, 1]})
+        assert rows != tuple(self.ROWS) and rows != "rows" and rows != None  # noqa: E711
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(self.table())
+
+    def test_columns_of_one_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            Rows({"a": [1, 2], "b": [1]})
+
+    @settings(max_examples=400)
+    @given(_rows_documents)
+    def test_matches_the_list_and_stdlib(self, doc):
+        text = dump_json(doc)
+        assert text == dump_json(as_lists(doc)) == stdlib_rows_json(doc) == stdlib_json(as_lists(doc))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            Rows({}),
+            {"v": Rows({"q": []})},
+            {"v": Rows({"q": ["1/2"]})},
+            {"v": Rows({"a": [None, None], "b": [None, None]})},
+            {"v": Rows({"a": ["x", None], "b": [None, 'a"b']})},
+            {"v": Rows({"s": ["\x7f", "\\", "\n", "é", "\U0001F600"]})},
+            # one escaped character in an otherwise plain column: DEL, a control character, a quote, a backslash
+            {"v": Rows({"s": ["1/2", "a\x7f"], "t": ["~", "x\x1f"], "u": ['"', "b"], "w": ["\\", "c"]})},
+            {"v": Rows({"n": [1, -(10**40)], "ok": [True, False]})},
+            {"v": Rows({"s": [StrSubclass("a"), StrSubclass('"')]})},
+            {"v": [Rows({"a": [1]}), [Rows({"b": ["x"]})]]},
+            # values and keys the writer leaves to json.dumps and its default hook
+            {"v": Rows({"x": [0.5, 1]})},
+            {"v": Rows({"x": [[1], {"a": None}]})},
+            {"v": Rows({"n": [IntSubclass(3)]})},
+            {"v": Rows({1: ["a"], 2: ["c"]})},
+            {"v": Rows({"s": [StrSubclass("a"), None]})},
+        ],
+    )
+    def test_edge_tables(self, doc):
+        assert dump_json(doc) == dump_json(as_lists(doc)) == stdlib_rows_json(doc) == stdlib_json(as_lists(doc))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rows": Rows({"q": ["1/2"]}), "x": {1, 2}},
+            {"rows": Rows({"q": ["1/2"]}), "x": object()},
+            {"rows": Rows({"q": [b"x"]})},
+            {"rows": Rows({1: ["a"], "b": ["c"]})},
+        ],
+    )
+    def test_other_objects_raise_the_stdlib_error(self, doc):
+        with pytest.raises(TypeError) as stdlib_error:
+            stdlib_json(as_lists(doc))
+        with pytest.raises(TypeError) as ours:
+            dump_json(doc)
+        assert str(ours.value) == str(stdlib_error.value)
+
+    def test_report_rows_skip_the_row_inference_and_the_stdlib_encoder(self, monkeypatch):
+        # identity with c = 1 against alpha = 2, beta = 1 fails at every sample
+        report = check_witness(geometric(Fraction(2)), geometric(Fraction(1)), identity_witness(), dyadic_grid(13, Fraction(1)))
+        doc = report.to_json_dict()
+        assert type(doc["violations"]) is Rows and len(doc["violations"]) == 1 << 13
+        expected = stdlib_rows_json(doc)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("took the list-of-dicts path or json.dumps")
+
+        monkeypatch.setattr(util, "_json_rows", refuse)
+        monkeypatch.setattr(util.json, "dumps", refuse)
+        assert dump_json(doc) == expected
 
 
 class TestAtomicWriteText:
