@@ -43,7 +43,7 @@ def main():
                 report = check_witness(
                     alpha, beta, w, dyadic_samples(beta.limit, args.samples)
                 )
-                verdict = "pass" if report.passed else f"{len(report.violations)} violations"
+                verdict = "pass" if report.passed else f"{len(report.to_json_dict()['violations'])} violations"
                 failures += not report.passed
                 print(
                     f"{x.name:<16}{rational_str(r):>6}  {direction:<9}"

@@ -59,6 +59,7 @@ from .machines import (
 from .reals import (
     DeskReal,
     approx_at,
+    approximations,
     gap,
     geometric,
     omega_toy,

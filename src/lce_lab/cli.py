@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import registry
 from .errors import ConfigError, LabError
 from .machines import check_usch, machine_from_dict, machine_to_dict, measure, uniformize
+from .reals import approximations
 from .reducibility import check_witness, default_samples, dyadic_samples
 from .registry import gallery_from_config
 from .speedability import MAX_HORIZON, amplify, check_horizon, check_rho, check_total_speedup, liminf_record, speedup_from_translation, translation_from_speedup
@@ -56,10 +57,7 @@ def _cmd_gallery(args) -> int:
         reals = gallery_from_config(json.load(fh))
     entries = []
     for x in reals:
-        values = [x.approx(n) for n in range(horizon + 1)]
-        for a, b in zip(values, values[1:]):
-            if b < a:
-                raise LabError(f"{x.name}: approximation decreased inside horizon")
+        values = approximations(x, horizon + 1)
         entries.append(
             {
                 "name": x.name,
@@ -113,7 +111,7 @@ def _cmd_convert(args) -> int:
         translation = translation_from_speedup(real, speedup)
         probes = [parse_rational(p) for p in (args.probes.split(",") if args.probes else [])]
         if not probes:
-            probes = [real.approx(i) for i in range(check_horizon(args.horizon) + 1)]
+            probes = approximations(real, check_horizon(args.horizon) + 1)
         mappings = []
         for q in probes:
             value = translation.evaluate(q)

@@ -5,7 +5,10 @@ with the exact limit the sequence converges to.  The limit is an oracle in
 the following sense: construction code for witnesses must never read it;
 only checkers and reporters may.  That discipline is by convention, not
 enforcement, and is what lets finite experiments mirror statements about
-non-computable truth.
+non-computable truth.  Monotonicity is checked where a prefix is read in
+bulk: ``approximations`` refuses a decreasing one.  Closed-form values
+(geometric, a staircase's geometric tail) are built from integers, one
+``Fraction(num, den)`` each.
 
 Kinds of desk real (``registry`` maps gallery entries and spec strings onto
 these constructors):
@@ -27,10 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import gt, le
 from typing import Callable, Optional, Sequence
 
 from .dyadic import is_binary, kraft_mass, real_from_set
-from .errors import ConfigError, DegenerateApproximationError, DomainError
+from .errors import ConfigError, DegenerateApproximationError, DomainError, PreconditionError
 
 _HALF = Fraction(1, 2)
 
@@ -57,6 +61,15 @@ def approx_at(x: DeskReal, n: int) -> Fraction:
     return x.approx(n)
 
 
+def approximations(x: DeskReal, stop: int) -> list[Fraction]:
+    """[a_0, ..., a_{stop-1}], refused with the index where the sequence decreases."""
+    values = list(map(x.approx, range(stop)))
+    if not all(map(le, values, values[1:])):
+        i = next(i for i in range(stop - 1) if values[i + 1] < values[i])
+        raise PreconditionError(f"{x.name}: approximation decreased at index {i + 1} (a_{i + 1} < a_{i})")
+    return values
+
+
 def gap(x: DeskReal, n: int) -> Fraction:
     """Exact remaining gap limit - a_n; must be strictly positive."""
     g = x.limit - approx_at(x, n)
@@ -80,8 +93,12 @@ def geometric(
     if g0 <= 0:
         raise ConfigError(f"geometric initial gap must be positive, got {g0}")
 
+    # (L_n*G_d*r_d**n - G_n*L_d*r_n**n) / (L_d*G_d*r_d**n), reduced by one gcd
+    high, low, den, rn, rd = limit.numerator * g0.denominator, g0.numerator * limit.denominator, limit.denominator * g0.denominator, ratio.numerator, ratio.denominator
+
     def a(n: int) -> Fraction:
-        return limit - g0 * ratio**n
+        power = rd**n
+        return Fraction(high * power - low * rn**n, den * power)
 
     return DeskReal(
         name=name or f"geometric({limit})",
@@ -131,19 +148,17 @@ def staircase(
 ) -> DeskReal:
     """a_n = limit - G(n) for a strictly decreasing positive gap schedule G.
 
-    Validation samples the schedule through ``validate_through``; callables
-    must keep decreasing beyond that on their own honor.
+    Validation samples the schedule through ``validate_through``, and the
+    approximations reuse those gaps; callables must keep decreasing beyond
+    that on their own honor.
     """
-    prev = None
-    for n in range(validate_through + 1):
-        g = gaps(n)
-        if g <= 0:
-            raise ConfigError(f"staircase gap G({n}) = {g} is not positive")
-        if prev is not None and g >= prev:
-            raise ConfigError(
-                f"staircase schedule not strictly decreasing at {n}: {g} >= {prev}"
-            )
-        prev = g
+    gaps = cache(gaps)
+    schedule = list(map(gaps, range(validate_through + 1)))
+    if schedule and not (schedule[-1] > 0 and all(map(gt, schedule, schedule[1:]))):
+        n = next(n for n, g in enumerate(schedule) if g <= 0 or n and g >= schedule[n - 1])
+        if schedule[n] <= 0:
+            raise ConfigError(f"staircase gap G({n}) = {schedule[n]} is not positive")
+        raise ConfigError(f"staircase schedule not strictly decreasing at {n}: {schedule[n]} >= {schedule[n - 1]}")
     return DeskReal(
         name=name,
         approx=cache(lambda n: limit - gaps(n)),
@@ -159,10 +174,12 @@ def schedule_from_list(head: Sequence[Fraction], tail_ratio: Fraction) -> Callab
     if not 0 < tail_ratio < 1:
         raise ConfigError(f"staircase tail_ratio must lie in (0,1), got {tail_ratio}")
 
+    last, hn, hd, tn, td = len(head) - 1, head[-1].numerator, head[-1].denominator, tail_ratio.numerator, tail_ratio.denominator
+
     def g(n: int) -> Fraction:
-        if n < len(head):
+        if n <= last:
             return head[n]
-        return head[-1] * tail_ratio ** (n - len(head) + 1)
+        return Fraction(hn * tn ** (n - last), hd * td ** (n - last))
 
     return g
 

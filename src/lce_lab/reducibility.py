@@ -15,6 +15,7 @@ quantified statement.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
@@ -25,7 +26,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .dyadic import canonical_length, dyadic_length, is_dyadic, lengths_in_grid_order
 from .dyadic import truncate  # noqa: F401  module attribute that perfbench/tracer.py wraps
 from .errors import ConfigError, PreconditionError
-from .reals import DeskReal
+from .reals import DeskReal, approximations
 from .util import Rows, fraction_texts, rational_str
 
 _ONE = Fraction(1)
@@ -81,7 +82,11 @@ def _at_or_above(k: int, lo: int, hi: int, step: int) -> int:
 
 
 def _fraction(text: Optional[str]) -> Optional[Fraction]:
-    return None if text is None else Fraction(text)
+    """The value of a ``rational_str`` text, read as two ints."""
+    if text is None:
+        return None
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den or 1))
 
 
 def _text(q: Optional[Fraction]) -> Optional[str]:
@@ -116,7 +121,7 @@ class ViolationReport:
     @property
     def violations(self) -> list[Violation]:
         qs, reasons, phis, bounds = self._columns()
-        return list(map(Violation, map(Fraction, qs), reasons, map(_fraction, phis), map(_fraction, bounds)))
+        return list(map(Violation, map(_fraction, qs), reasons, map(_fraction, phis), map(_fraction, bounds)))
 
     @property
     def passed(self) -> bool:
@@ -581,7 +586,11 @@ def default_samples(beta: DeskReal, witness: TranslationWitness, grid_depth: int
     witness takes only dyadic samples in [0,1), so its grid stops below
     min(beta, 1) and it keeps only such points.
     """
-    grid = dyadic_grid(grid_depth, min(beta.limit, _ONE) if witness.weakened else beta.limit)
-    points = {beta.approx(i) for i in range(65)}
-    off_grid = (p for p in points if p < beta.limit and p not in grid and (not witness.weakened or 0 <= p < 1 and is_dyadic(p)))
-    return Schedule(grid, tuple(sorted(off_grid)))
+    below = min(beta.limit, _ONE) if witness.weakened else beta.limit
+    grid = dyadic_grid(grid_depth, below)
+    values = approximations(beta, 65)
+    points: list[Fraction] = []
+    for p in values[: bisect_left(values, below)]:  # nondecreasing: one pass, no sort
+        if p not in grid and (not points or p != points[-1]) and (not witness.weakened or p >= 0 and is_dyadic(p)):
+            points.append(p)
+    return Schedule(grid, tuple(points))

@@ -22,13 +22,13 @@ for q in [a_i, a_{i+1}) is exact and testable sample by sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
 
 from .errors import ConfigError, PreconditionError, SearchExhaustedError
-from .reals import DeskReal, gap
+from .reals import DeskReal, approximations, gap
 from .util import rational_str
 
 _ZERO = Fraction(0)
@@ -58,11 +58,13 @@ def linear_speedup(factor: int) -> SpeedUp:
 
 @dataclass(frozen=True)
 class TranslationMap:
-    """A rational acceleration map; partial maps return None off their domain."""
+    """A rational acceleration map; partial maps return None off their domain.
+    ``affine`` is (target, s) on a map made by ``affine_toward``."""
 
     name: str
     evaluate: Callable[[Fraction], Optional[Fraction]]
     total: bool = True
+    affine: Optional[tuple[Fraction, Fraction]] = None
 
 
 def affine_toward(target: Fraction, s: Fraction) -> TranslationMap:
@@ -73,6 +75,7 @@ def affine_toward(target: Fraction, s: Fraction) -> TranslationMap:
     return TranslationMap(
         name=f"affine({s}->{target})",
         evaluate=lambda q: target - s * (target - q),
+        affine=(target, s),
     )
 
 
@@ -81,14 +84,17 @@ def identity_translation() -> TranslationMap:
 
 
 def amplify(g: TranslationMap, k: int) -> TranslationMap:
-    """k-fold composition of g with itself; contracts affine maps k times as hard.
+    """k-fold composition of g with itself; an affine map's is affine with
+    factor s**k, evaluated once, so the speeding constant costs no loop.
 
     k is at most MAX_HORIZON: an affine map's k-fold image carries k-bit
-    integers, and every probe of a check evaluates it, so the cost grows
-    with k squared."""
+    integers, and any other map is evaluated k times per probe."""
     check_horizon(k, "amplification count")
     if k == 1:
         return g
+    if g.affine is not None:
+        target, s = g.affine
+        return replace(affine_toward(target, s**k), name=f"{g.name}^{k}")
 
     def evaluate(q: Fraction) -> Optional[Fraction]:
         for _ in range(k):
@@ -170,7 +176,8 @@ def liminf_record(x: DeskReal, f: SpeedUp, horizon: int) -> RatioTrace:
 
     A finite stand-in for the limit-inferior: callers read the running minimum
     as rho-evidence when it drops to rho, and nothing more.  Also validates
-    that f is nondecreasing with n <= f(n) across the horizon.
+    that f is nondecreasing with n <= f(n) across the horizon, and refuses
+    any f(n) above DEFAULT_SEARCH_CAP before approximating there.
     """
     check_horizon(horizon)
     trace = RatioTrace()
@@ -179,6 +186,8 @@ def liminf_record(x: DeskReal, f: SpeedUp, horizon: int) -> RatioTrace:
         fn = _speedup_value(f, n)
         if prev is not None and fn < prev:
             raise PreconditionError(f"{f.name}: f({n}) = {fn} dropped below f({n - 1}) = {prev}")
+        if fn > DEFAULT_SEARCH_CAP:
+            raise SearchExhaustedError(f"{f.name}: f({n}) = {fn} is past the index cap {DEFAULT_SEARCH_CAP}")
         prev = fn
         trace.append(n, _ratio_at(x, n, fn))
     return trace
@@ -299,8 +308,24 @@ class TotalSpeedupReport:
 def default_probes(x: DeskReal, horizon: int) -> list[Fraction]:
     """Dyadic approach points scaled into (a_0, limit); limits from above drive
     the interesting ratios, so the schedule piles up near the top."""
-    base, limit = x.approx(0), x.limit
-    return [base + (limit - base) * (1 - Fraction(1, 1 << k)) for k in range(1, horizon + 1)]
+    # p_k = limit - (limit - a_0) / 2**k = (L_n*D_d*2**k - D_n*L_d) / (L_d*D_d*2**k), D = limit - a_0
+    limit = x.limit
+    d = limit - x.approx(0)
+    high, low, den = limit.numerator * d.denominator, d.numerator * limit.denominator, limit.denominator * d.denominator
+    return [Fraction((high << k) - low, den << k) for k in range(1, horizon + 1)]
+
+
+def _merge(xs: list, ys: list) -> list:
+    """Two ascending lists as one ascending list, in one pass."""
+    merged, i, j = [], 0, 0
+    while i < len(xs) and j < len(ys):
+        if ys[j] < xs[i]:
+            merged.append(ys[j])
+            j += 1
+        else:
+            merged.append(xs[i])
+            i += 1
+    return merged + xs[i:] + ys[j:]
 
 
 def check_horizon(horizon: int, what: str = "horizon") -> int:
@@ -338,15 +363,18 @@ def check_total_speedup(
     """
     check_rho(rho)
     check_horizon(horizon)
-    schedule = set(default_probes(x, horizon))
-    schedule.update(x.approx(i) for i in range(horizon + 1))
+    schedule = _merge(default_probes(x, horizon), approximations(x, horizon + 1))
 
     limit = x.limit
     trace = RatioTrace()
     violations: list[tuple[Fraction, str]] = []
     prev_value: Optional[Fraction] = None
+    prev_q: Optional[Fraction] = None
     index = 0
-    for q in sorted(schedule):
+    for q in schedule:
+        if q == prev_q:  # equal neighbours are read once
+            continue
+        prev_q = q
         if q >= limit:
             violations.append((q, PROBE_NOT_BELOW_LIMIT))
             continue

@@ -1,0 +1,340 @@
+"""Integer approximations, the one monotone reader and closed-form
+amplification, each against the plain ``Fraction`` formula it replaces."""
+
+import re
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from lce_lab import (
+    DeskReal,
+    PrefixMachine,
+    approximations,
+    check_witness,
+    computable_least_witness,
+    default_gallery,
+    default_samples,
+    dyadic_grid,
+    geometric,
+    identity_witness,
+    omega_toy,
+    scaling_witness,
+    staircase,
+)
+from lce_lab import cli, registry
+from lce_lab.cli import main
+from lce_lab.dyadic import is_dyadic
+from lce_lab.errors import ConfigError, PreconditionError, SearchExhaustedError
+from lce_lab.reals import schedule_from_list
+from lce_lab.reducibility import Violation
+from lce_lab.speedability import (
+    DEFAULT_SEARCH_CAP,
+    PROBE_NOT_BELOW_LIMIT,
+    TranslationMap,
+    affine_toward,
+    amplify,
+    check_total_speedup,
+    default_probes,
+    liminf_record,
+    linear_speedup,
+)
+from lce_lab.util import dump_json
+
+limits = st.fractions(min_value=-4, max_value=8, max_denominator=60)
+positives = st.fractions(min_value=Fraction(1, 60), max_value=8, max_denominator=60)
+ratios = st.fractions(min_value=Fraction(1, 60), max_value=Fraction(59, 60), max_denominator=60)
+
+
+def drawn_geometric(limit, ratio, gap0):
+    """geometric(limit, ratio, gap0); without gap0 the gap is the limit, so it must be positive."""
+    assume(gap0 is not None or limit > 0)
+    return geometric(limit, ratio, gap0)
+
+
+def bumpy():
+    """a_0, a_1, a_2 = 0, 1/2, 1/4, then 1 - 2**-n: decreasing at index 2."""
+    head = [Fraction(0), Fraction(1, 2), Fraction(1, 4)]
+    return DeskReal("bumpy", lambda n: head[n] if n < 3 else 1 - Fraction(1, 1 << n), Fraction(1))
+
+
+BUMPY_REFUSAL = "bumpy: approximation decreased at index 2 (a_2 < a_1)"
+
+
+def attaining_omega():
+    """Limit 7/8, attained at stage 3; the stages put 1/2 twice in a row."""
+    m = PrefixMachine("m", {"0": "1", "10": "0", "110": "11"})
+    return omega_toy(m, {"0": 1, "10": 3, "110": 3}, name="omega_attains")
+
+
+def reals_with_edges():
+    return [
+        *default_gallery(),
+        attaining_omega(),
+        geometric(Fraction(1), Fraction(1, 2), Fraction(2), name="starts_at_minus_1"),
+        geometric(Fraction(3, 4), Fraction(2, 3), Fraction(5, 4), name="gap0_above_limit"),
+        geometric(Fraction(5, 3), Fraction(1, 3), Fraction(1, 7), name="above_one"),
+        staircase(Fraction(1), schedule_from_list([Fraction(1, 6), Fraction(1, 8)], Fraction(1, 3)), name="stairs"),
+    ]
+
+
+class TestIntegerApproximations:
+    @given(limits, ratios, st.none() | positives)
+    def test_geometric_matches_the_fraction_formula(self, limit, ratio, gap0):
+        x = drawn_geometric(limit, ratio, gap0)
+        g0 = limit if gap0 is None else gap0
+        for n in range(40):
+            value = x.approx(n)
+            assert type(value) is Fraction
+            assert value == limit - g0 * ratio**n
+
+    @given(st.lists(positives, min_size=1, max_size=4), ratios)
+    def test_schedule_tail_matches_the_fraction_formula(self, head, tail):
+        g = schedule_from_list(head, tail)
+        for n in range(40):
+            expected = head[n] if n < len(head) else head[-1] * tail ** (n - len(head) + 1)
+            assert g(n) == expected and type(g(n)) is Fraction
+
+    @given(limits, st.lists(positives, min_size=1, max_size=4, unique=True), ratios)
+    def test_staircase_approximations_match(self, limit, head, tail):
+        head = sorted(head, reverse=True)
+        x = staircase(limit, schedule_from_list(head, tail))
+        expected = [limit - (head[n] if n < len(head) else head[-1] * tail ** (n - len(head) + 1)) for n in range(80)]
+        assert approximations(x, 80) == expected
+
+    @pytest.mark.parametrize(
+        "gaps, message",
+        [
+            ([1, Fraction(1, 2), 0], "staircase gap G(2) = 0 is not positive"),
+            ([1, 0], "staircase gap G(1) = 0 is not positive"),
+            ([1, 1], "staircase schedule not strictly decreasing at 1: 1 >= 1"),
+            ([Fraction(1, 4), Fraction(1, 2)], "staircase schedule not strictly decreasing at 1: 1/2 >= 1/4"),
+        ],
+    )
+    def test_staircase_names_its_first_bad_gap(self, gaps, message):
+        schedule = lambda n: Fraction(gaps[n]) if n < len(gaps) else Fraction(gaps[-1]) - n
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            staircase(Fraction(1), schedule)
+
+    @given(limits, ratios, st.none() | positives, st.integers(min_value=1, max_value=40))
+    def test_probes_match_the_fraction_formula(self, limit, ratio, gap0, horizon):
+        x = drawn_geometric(limit, ratio, gap0)
+        base = x.approx(0)
+        expected = [base + (x.limit - base) * (1 - Fraction(1, 1 << k)) for k in range(1, horizon + 1)]
+        assert default_probes(x, horizon) == expected
+
+    def test_probes_of_every_kind(self):
+        for x in reals_with_edges():
+            base = x.approx(0)
+            assert default_probes(x, 20) == [base + (x.limit - base) * (1 - Fraction(1, 1 << k)) for k in range(1, 21)], x.name
+
+
+def reference_default_samples(beta, witness, depth):
+    """The default schedule as a filtered set, sorted: the form the one-pass reader replaced."""
+    grid = dyadic_grid(depth, min(beta.limit, 1) if witness.weakened else beta.limit)
+    points = {beta.approx(i) for i in range(65)}
+    off_grid = (p for p in points if p < beta.limit and p not in grid and (not witness.weakened or 0 <= p < 1 and is_dyadic(p)))
+    return grid, tuple(sorted(off_grid))
+
+
+class TestOneReader:
+    def test_prefix_of_every_kind(self):
+        for x in reals_with_edges():
+            assert approximations(x, 70) == [x.approx(n) for n in range(70)], x.name
+        assert approximations(geometric(Fraction(1)), 0) == []
+
+    def test_decrease_is_refused_with_its_index(self):
+        assert approximations(bumpy(), 2) == [0, Fraction(1, 2)]
+        with pytest.raises(PreconditionError, match=f"^{re.escape(BUMPY_REFUSAL)}$"):
+            approximations(bumpy(), 10)
+
+    @pytest.mark.parametrize("depth", [0, 3, 10])
+    def test_default_samples_match_the_sorted_set(self, depth):
+        for beta in reals_with_edges():
+            for witness in (identity_witness(), scaling_witness(Fraction(1, 2), "forward"), computable_least_witness(geometric(Fraction(5, 8)))):
+                schedule = default_samples(beta, witness, depth)
+                assert (schedule.grid, schedule.points) == reference_default_samples(beta, witness, depth), (beta.name, witness.name)
+
+    @settings(max_examples=60)
+    @given(limits, ratios, st.none() | positives, st.integers(min_value=0, max_value=12), st.booleans())
+    def test_default_samples_match_on_geometric_reals(self, limit, ratio, gap0, depth, weakened):
+        beta = drawn_geometric(limit, ratio, gap0)
+        witness = computable_least_witness(geometric(Fraction(5, 8))) if weakened else identity_witness()
+        schedule = default_samples(beta, witness, depth)
+        assert (schedule.grid, schedule.points) == reference_default_samples(beta, witness, depth)
+
+    def test_attained_limit_is_dropped_once(self):
+        schedule = default_samples(attaining_omega(), identity_witness(), 0)
+        assert schedule.points == (Fraction(1, 2),)
+
+    def test_default_samples_refuse_a_decrease(self):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(BUMPY_REFUSAL)}$"):
+            default_samples(bumpy(), identity_witness(), 4)
+
+
+def recording(limit):
+    """A map halving the distance to ``limit``, which records every probe it is asked about."""
+    seen = []
+
+    def evaluate(q):
+        seen.append(q)
+        return q + (limit - q) / 2
+
+    return TranslationMap("recording", evaluate), seen
+
+
+def check_against_sorted_set(x, horizon):
+    g, seen = recording(x.limit)
+    report = check_total_speedup(x, g, Fraction(1, 2), horizon)
+    schedule = sorted(set(default_probes(x, horizon)) | {x.approx(i) for i in range(horizon + 1)})
+    assert seen == [q for q in schedule if q < x.limit], x.name
+    assert report.violations == [(q, PROBE_NOT_BELOW_LIMIT) for q in schedule if q >= x.limit], x.name
+    assert len(report.trace.entries) == len(seen)
+
+
+class TestTotalSpeedupSchedule:
+    @pytest.mark.parametrize("horizon", [1, 5, 24, 64])
+    def test_schedule_matches_the_sorted_set(self, horizon):
+        for x in reals_with_edges():
+            check_against_sorted_set(x, horizon)
+
+    @settings(max_examples=60)
+    @given(limits, ratios, st.none() | positives, st.integers(min_value=1, max_value=40))
+    def test_schedule_matches_on_geometric_reals(self, limit, ratio, gap0, horizon):
+        # gap0 = limit with ratio 1/2 puts every approximation on a probe.
+        check_against_sorted_set(drawn_geometric(limit, ratio, gap0), horizon)
+
+    def test_shared_points_are_evaluated_once(self):
+        g, seen = recording(Fraction(1))
+        check_total_speedup(geometric(Fraction(1)), g, Fraction(1, 2), 10)
+        assert len(seen) == len(set(seen)) == 11  # a_0 = 0, then the ten shared points
+
+    def test_decrease_is_refused(self):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(BUMPY_REFUSAL)}$"):
+            check_total_speedup(bumpy(), affine_toward(Fraction(1), Fraction(1, 2)), Fraction(1, 2), 5)
+
+
+class TestClosedFormAmplify:
+    MAPS = [(Fraction(1), Fraction(1, 2)), (Fraction(3, 4), Fraction(2, 3)), (Fraction(-5, 7), Fraction(9, 10))]
+
+    @staticmethod
+    def composed(g, k, q):
+        for _ in range(k):
+            q = g.evaluate(q)
+        return q
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_values_are_those_of_k_compositions(self, k):
+        for target, s in self.MAPS:
+            g = affine_toward(target, s)
+            gk = amplify(g, k)
+            assert gk.name == (g.name if k == 1 else f"{g.name}^{k}")
+            for q in (Fraction(0), Fraction(1, 3), target - 1, Fraction(-2), target + Fraction(1, 5)):
+                assert gk.evaluate(q) == self.composed(g, k, q)
+
+    def test_values_at_the_bound(self):
+        for target, s in self.MAPS[:2]:
+            g = affine_toward(target, s)
+            gk = amplify(g, 4096)
+            assert gk.affine == (target, s**4096) and gk.total
+            for q in (Fraction(0), target - Fraction(1, 3)):
+                assert gk.evaluate(q) == self.composed(g, 4096, q)
+
+    def test_affine_map_is_evaluated_once_not_k_times(self):
+        g = affine_toward(Fraction(1), Fraction(1, 2))
+        calls = []
+        counted = replace(g, evaluate=lambda q: calls.append(q) or g.evaluate(q))
+        assert amplify(counted, 64).evaluate(Fraction(1, 3)) == 1 - Fraction(2, 3) / 2**64
+        assert calls == []
+
+    def test_other_maps_keep_the_loop(self):
+        calls = []
+        g = TranslationMap("halve", lambda q: calls.append(q) or q / 2, total=False)
+        g5 = amplify(g, 5)
+        assert g5.affine is None and not g5.total
+        assert g5.evaluate(Fraction(1)) == Fraction(1, 32)
+        assert len(calls) == 5
+
+
+def counting_real(seen):
+    """a_n = (n + 1)/(n + 2), cheap at any index; records every index asked for."""
+    return DeskReal("count", lambda n: seen.append(n) or Fraction(n + 1, n + 2), Fraction(1))
+
+
+class TestIndexCap:
+    def test_at_the_cap_is_traced(self):
+        seen = []
+        f = linear_speedup(DEFAULT_SEARCH_CAP // 4)
+        trace = liminf_record(counting_real(seen), f, 4)
+        assert len(trace.entries) == 5 and max(seen) == DEFAULT_SEARCH_CAP
+
+    def test_past_the_cap_is_refused_before_approximating(self):
+        seen = []
+        f = linear_speedup(DEFAULT_SEARCH_CAP // 4)
+        message = f"^linear\\(250000\\): f\\(5\\) = 1250000 is past the index cap {DEFAULT_SEARCH_CAP}$"
+        with pytest.raises(SearchExhaustedError, match=message):
+            liminf_record(counting_real(seen), f, 10)
+        assert max(seen) == DEFAULT_SEARCH_CAP
+
+    @pytest.fixture
+    def omega_file(self, tmp_path):
+        # limit 3/4, attained at stage 2: a_{f(1)} is the limit however far f(1) reaches
+        path = tmp_path / "m.json"
+        path.write_text(dump_json({"entries": [{"code": "0", "output": "1"}, {"code": "10", "output": "0"}]}))
+        return f"omega:{path}"
+
+    def test_cli_at_the_cap(self, omega_file, tmp_path):
+        out = tmp_path / "trace.csv"
+        argv = ["speed-trace", "--real", omega_file, "--speedup", f"linear:{DEFAULT_SEARCH_CAP}", "--horizon", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == b"n,ratio_num,ratio_den,running_min_num,running_min_den\r\n0,1,1,1,1\r\n1,0,1,0,1\r\n"
+
+    def test_cli_one_past_the_cap(self, omega_file, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        argv = ["speed-trace", "--real", omega_file, "--speedup", f"linear:{DEFAULT_SEARCH_CAP + 1}", "--horizon", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "linear(1000001): f(1) = 1000001 is past the index cap 1000000\n"
+        assert not out.exists()
+
+    def test_cli_large_factor_exits_before_approximating(self, capsys):
+        argv = ["speed-trace", "--real", "geometric:1", "--speedup", "linear:10000000", "--horizon", "10"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "linear(10000000): f(1) = 10000000 is past the index cap 1000000\n")
+
+
+class TestCliRefusesADecrease:
+    def test_gallery(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "gallery.json"
+        config.write_text("[]")
+        monkeypatch.setattr(cli, "gallery_from_config", lambda doc: [bumpy()])
+        out = tmp_path / "report.json"
+        assert main(["gallery", "--config", str(config), "--horizon", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == BUMPY_REFUSAL + "\n"
+        assert not out.exists()
+
+    def test_convert_without_probes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(registry, "parse_real", lambda spec: bumpy())
+        out = tmp_path / "report.json"
+        assert main(["convert", "--real", "x", "--speedup", "linear:2", "--horizon", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == BUMPY_REFUSAL + "\n"
+        assert not out.exists()
+
+
+class TestViolationTexts:
+    def test_violations_read_back_as_the_texts_parse(self):
+        samples = [Fraction(-3, 2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(5, 8)]
+        cases = [
+            (geometric(Fraction(2)), geometric(Fraction(1)), identity_witness(Fraction(1, 2)), samples),
+            (geometric(Fraction(2)), geometric(Fraction(1)), identity_witness(), dyadic_grid(8, Fraction(1))),
+            (geometric(Fraction(1)), geometric(Fraction(1)), scaling_witness(Fraction(3, 5), "backward"), dyadic_grid(6, Fraction(1))),
+        ]
+        for alpha, beta, witness, grid in cases:
+            report = check_witness(alpha, beta, witness, grid)
+            rows = report.to_json_dict()["violations"]
+            assert rows, witness.name
+            parse = lambda text: None if text is None else Fraction(text)
+            expected = [Violation(parse(r["q"]), r["reason"], parse(r["phi_q"]), parse(r["bound"])) for r in rows]
+            assert report.violations == expected
+            assert all(type(v.sample) is Fraction for v in report.violations)
