@@ -6,9 +6,13 @@ the following sense: construction code for witnesses must never read it;
 only checkers and reporters may.  That discipline is by convention, not
 enforcement, and is what lets finite experiments mirror statements about
 non-computable truth.  Monotonicity is checked where a prefix is read in
-bulk: ``approximations`` refuses a decreasing one.  Closed-form values
-(geometric, a staircase's geometric tail) are built from integers, one
-``Fraction(num, den)`` each.
+bulk: ``approximations`` refuses a decreasing one, by integer
+cross-products.  Closed-form values (geometric, a staircase's values and
+its geometric tail) are built from integers, one ``Fraction(num, den)``
+each.  Set and omega prefixes are incremental: a set real keeps one running
+numerator, so each index costs one membership call the first time it is
+passed, and an omega real sums its stage masses once and answers a stage by
+lookup.
 
 Kinds of desk real (``registry`` maps gallery entries and spec strings onto
 these constructors):
@@ -27,16 +31,20 @@ these constructors):
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, repeat
 from operator import gt, le
 from typing import Callable, Optional, Sequence
 
-from .dyadic import is_binary, kraft_mass, real_from_set
+from .dyadic import is_binary
 from .errors import ConfigError, DegenerateApproximationError, DomainError, PreconditionError
+from .util import holds_pairwise
 
 _HALF = Fraction(1, 2)
+_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")  # membership bits as the digits int(s, 2) reads
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ def approx_at(x: DeskReal, n: int) -> Fraction:
 def approximations(x: DeskReal, stop: int) -> list[Fraction]:
     """[a_0, ..., a_{stop-1}], refused with the index where the sequence decreases."""
     values = list(map(x.approx, range(stop)))
-    if not all(map(le, values, values[1:])):
+    if not holds_pairwise(le, values):
         i = next(i for i in range(stop - 1) if values[i + 1] < values[i])
         raise PreconditionError(f"{x.name}: approximation decreased at index {i + 1} (a_{i + 1} < a_{i})")
     return values
@@ -132,12 +140,25 @@ def set_real(
 
     The caller supplies the exact limit (closed form for periodic sets);
     partial sums stay strictly below it precisely because A is infinite.
+    a_n = num_n / 2**n with num_(n+1) = 2*num_n + A(n), the value
+    ``real_from_set`` gives: one running numerator holds the bits read so
+    far, extended by one membership call per new bit (spelled as digits and
+    read by one ``int(s, 2)``), and num_n of an index already passed is a
+    shift of it, so no earlier numerator is kept.
     """
-    return DeskReal(
-        name=name,
-        approx=cache(lambda n: real_from_set(membership, n)),
-        limit=limit,
-    )
+    read = [0, 0]  # how many bits are read, and their integer
+
+    def a(n: int) -> Fraction:
+        if n < 0:
+            raise DomainError(f"approximation index must be >= 0, got {n}")
+        count, num = read
+        if n > count:
+            bits = bytes(map(bool, map(membership, range(count, n)))).translate(_BIT_TEXT)
+            num, count = num << (n - count) | int(bits, 2), n
+            read[:] = count, num
+        return Fraction(num >> (count - n), 1 << n)
+
+    return DeskReal(name=name, approx=cache(a), limit=limit)
 
 
 def staircase(
@@ -148,22 +169,26 @@ def staircase(
 ) -> DeskReal:
     """a_n = limit - G(n) for a strictly decreasing positive gap schedule G.
 
-    Validation samples the schedule through ``validate_through``, and the
-    approximations reuse those gaps; callables must keep decreasing beyond
-    that on their own honor.
+    Validation samples the schedule through ``validate_through`` by integer
+    cross-products, and the approximations reuse those gaps, each value one
+    ``Fraction`` of integers; callables must keep decreasing beyond that on
+    their own honor.
     """
     gaps = cache(gaps)
     schedule = list(map(gaps, range(validate_through + 1)))
-    if schedule and not (schedule[-1] > 0 and all(map(gt, schedule, schedule[1:]))):
+    if schedule and not (schedule[-1].numerator > 0 and holds_pairwise(gt, schedule)):
         n = next(n for n, g in enumerate(schedule) if g <= 0 or n and g >= schedule[n - 1])
         if schedule[n] <= 0:
             raise ConfigError(f"staircase gap G({n}) = {schedule[n]} is not positive")
         raise ConfigError(f"staircase schedule not strictly decreasing at {n}: {schedule[n]} >= {schedule[n - 1]}")
-    return DeskReal(
-        name=name,
-        approx=cache(lambda n: limit - gaps(n)),
-        limit=limit,
-    )
+    ln, ld = limit.numerator, limit.denominator
+
+    def a(n: int) -> Fraction:
+        g = gaps(n)
+        gd = g.denominator
+        return Fraction(ln * gd - g.numerator * ld, ld * gd)
+
+    return DeskReal(name=name, approx=cache(a), limit=limit)
 
 
 def schedule_from_list(head: Sequence[Fraction], tail_ratio: Fraction) -> Callable[[int], Fraction]:
@@ -191,27 +216,29 @@ def omega_toy(machine, stages: Optional[dict[str, int]] = None, name: Optional[s
     stage sums every code, which is the machine's full Kraft mass, so the
     limit is attained there.  Stage defaults to the code length (each code
     "runs" about as long as it is); a given stage must be an int >= 1, and
-    only the machine's codes can have one.
+    only the machine's codes can have one.  The masses are summed once, in
+    stage order over the denominator 2**(longest code), and a_s is the sum
+    through the last halting stage at or below s.
     """
-    strays = sorted(set(stages or {}).difference(machine.table))
+    stages = stages or {}
+    strays = sorted(set(stages).difference(machine.table))
     if strays:
         raise ConfigError(f"halting stage given for code {strays[0]!r}, which machine {machine.name!r} lacks")
-    stage_of = {}
+    top = max(map(len, machine.table), default=0)
+    mass_at: dict[int, int] = {}  # halting stage -> its mass * 2**top
     for code in sorted(machine.table):
-        s = (stages or {}).get(code, max(len(code), 1))
+        s = stages.get(code, max(len(code), 1))
         if type(s) is not int or s < 1:
             raise ConfigError(f"halting stage for code {code!r} must be an integer >= 1, got {s!r}")
-        stage_of[code] = s
-    last = max(stage_of.values(), default=0)
-
-    def a(s: int) -> Fraction:
-        return kraft_mass(len(code) for code, st in stage_of.items() if st <= s)
+        mass_at[s] = mass_at.get(s, 0) + (1 << (top - len(code)))
+    halts = sorted(mass_at)
+    masses = list(map(Fraction, accumulate(map(mass_at.__getitem__, halts), initial=0), repeat(1 << top)))
 
     return DeskReal(
         name=name or f"omega({machine.name})",
-        approx=cache(a),
-        limit=a(last),
-        attains_at=last,
+        approx=lambda s: masses[bisect_right(halts, s)],
+        limit=masses[-1],
+        attains_at=halts[-1] if halts else 0,
     )
 
 

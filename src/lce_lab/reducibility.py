@@ -15,19 +15,18 @@ quantified statement.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import attrgetter, is_, le
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .dyadic import canonical_length, dyadic_length, is_dyadic, lengths_in_grid_order
+from .dyadic import canonical_length, dyadic_length, lengths_in_grid_order
 from .dyadic import truncate  # noqa: F401  module attribute that perfbench/tracer.py wraps
 from .errors import ConfigError, PreconditionError
 from .reals import DeskReal, approximations
-from .util import Rows, fraction_texts, rational_str
+from .util import Rows, fraction_texts, holds_pairwise, rational_str
 
 _ONE = Fraction(1)
 _NO_ROWS = Rows({})  # a passing report's rows; a Rows is read-only, so one serves all
@@ -139,10 +138,13 @@ class ViolationReport:
 
     def _columns(self) -> tuple[list, list, list, list]:
         """The rows' q, reason, phi_q and bound texts, a class's by
-        ``fraction_texts``.  Two or more sources merge by one stable sort on a
-        key, 2k + 1 for grid row k and 2*ceil(p * 2**depth) for a point p, so
-        each point follows the grid rows below it, in their order; the sorted
-        positions then reorder each column."""
+        ``fraction_texts``; a phi that is its q reuses the q texts.  Two or
+        more sources merge by their keys, 2k + 1 for grid row k and
+        2*ceil(p * 2**depth) for a point p, so each point follows the grid
+        rows below it, in their order.  Each source's keys ascend, so when
+        each source's first key is at least the one before's last, the
+        sources are concatenated; otherwise one stable sort of the keys
+        reorders each column."""
         h, runs = 1 << self.depth, []
         for lo, hi, step, reason, phi, bound in self.classes:
             (pk, p0, pd), (b0, bk, bd), count = phi or (0, 0, 0), bound or (0, 0, 0), (hi - lo) // step
@@ -152,13 +154,20 @@ class ViolationReport:
             runs.append((qs, [reason] * count, phis, bounds))
         if self.rows:
             samples, reasons, phis, bounds = zip(*self.rows)
-            runs.append((list(map(rational_str, samples)), list(reasons), list(map(_text, phis)), list(map(_text, bounds))))
+            qs = list(map(rational_str, samples))
+            phis = qs if all(map(is_, phis, samples)) else list(map(_text, phis))
+            runs.append((qs, list(reasons), phis, list(map(_text, bounds))))
         if len(runs) <= 1:
             return runs[0] if runs else ([], [], [], [])
+        columns = tuple(list(chain.from_iterable(parts)) for parts in zip(*runs))  # each source's part in turn
+        spans = [(2 * lo + 1, 2 * (hi - step) + 1) for lo, hi, step, *_ in self.classes]  # (first key, last key)
+        if self.rows:
+            spans.append((2 * _count_below(self.depth, self.rows[0].sample), 2 * _count_below(self.depth, self.rows[-1].sample)))
+        if all(last <= first for (_, last), (first, _) in zip(spans, spans[1:])):
+            return columns
         keys = list(chain(*(range(2 * lo + 1, 2 * hi + 1, 2 * step) for lo, hi, step, *_ in self.classes)))
         keys += [2 * _count_below(self.depth, v.sample) for v in self.rows]
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        columns = (list(chain.from_iterable(parts)) for parts in zip(*runs))  # each source's part in turn
         return tuple(list(map(column.__getitem__, order)) for column in columns)
 
     def to_json_dict(self) -> dict:
@@ -194,7 +203,10 @@ def _inequality(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness):
     (room - B*a*k)*D*h / (B*m*(C*h - D*k)) rises in k where D*room > B*a*C*h
     and falls where it is below.  ``terms(a, b, m, h, length)`` returns
     (room, slope, lack); ``bound(h, length)`` a gap-bound row's bound as
-    (bound_0, bound_k, bound_den) = (P*C*h + s, P*D, Q*D*h).
+    (bound_0, bound_k, bound_den) = (P*C*h + s, P*D, Q*D*h).  ``at_point(phi,
+    h)`` states a sample k/h of its own (a = 0, phi = b/m, slack 1/h when
+    weakened) in one call: (phi, reason, slope, lack, room*D*h, B*m), a row
+    when k*slope >= lack, with 0s where no gap bound is tested.
     """
     a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
@@ -210,7 +222,18 @@ def _inequality(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness):
     def bound(h: int, length: int) -> tuple[int, int, int]:
         return pc * h + (qd * h >> length if weakened else 0), c_num * b_den, qd * h
 
-    return terms, bound
+    def at_point(phi: Optional[Fraction], h: int) -> tuple:
+        if phi is None:
+            return None, REASON_UNDEFINED, 0, 0, 0, 0
+        b, m = phi.numerator, phi.denominator
+        room = a_num * m - a_den * b
+        if room <= 0:
+            return phi, REASON_NOT_BELOW_ALPHA, 0, 0, 0, 0
+        qdh = qd * h
+        slack = qdh >> (h.bit_length() - 1) if weakened else 0
+        return phi, REASON_GAP_BOUND, ad_bd * c_num * m, a_den * m * (pc * h + slack) - room * qdh, room * b_den * h, a_den * m
+
+    return terms, bound, at_point
 
 
 def check_witness(
@@ -229,7 +252,7 @@ def check_witness(
     ``affine`` or ``at_length``; every other part runs the per-sample loop
     (``_check_each``).  Each returns a tally: checked, skipped, rows (the
     report's ``classes`` from the first, ``Violation``s in input order from
-    the second, all of which are sorted here once) and the largest ratio
+    the second, sorted here once unless they already ascend) and the largest ratio
     (alpha - phi) / (beta - q) as an integer pair.  The report merges the two
     row sequences by sample when it is read.
     """
@@ -249,7 +272,9 @@ def check_witness(
         skipped += part_skipped
         if num * best_den > best_num * den:
             best_num, best_den = num, den
-    rows.sort(key=attrgetter("sample"))
+    samples_of_rows = attrgetter("sample")
+    if not holds_pairwise(le, list(map(samples_of_rows, rows))):
+        rows.sort(key=samples_of_rows)
     return ViolationReport(
         witness.name, checked, skipped, rows, Fraction(best_num, best_den) if best_num else None, depth, classes
     )
@@ -259,33 +284,22 @@ def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, sa
     """The per-sample loop's tally, with rows in input order for
     ``check_witness`` to sort.
 
-    Each sample q = k/h in lowest terms is a class of its own, with a = 0
-    and phi = b/m; weakened, its slack is 2**-|q| = 1/h.  ``_inequality``'s
-    terms are computed once per length h for a witness with ``at_length``
-    and a dyadic q in [0,1), and through ``translate(q)`` for every other
-    sample.  A grid of more than 2**MAX_ENUMERATION_BITS samples is refused
-    before its first one; a list is checked whatever its length.
+    Each sample q = k/h in lowest terms is a class of its own, stated by
+    ``_inequality``'s ``at_point``: once per length h for a witness with
+    ``at_length`` and a dyadic q in [0,1), and at ``translate(q)`` for
+    every other sample.  A grid of more than 2**MAX_ENUMERATION_BITS
+    samples is refused before its first one; a list is checked whatever its
+    length.
     """
     if isinstance(samples, DyadicGrid) and samples.size > 1 << MAX_ENUMERATION_BITS:
         raise PreconditionError(
             f"checking {samples.size} grid samples one by one refused (cap 2**{MAX_ENUMERATION_BITS})"
         )
-    a_den = alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
     translate, at_length, weakened = witness.translate, witness.at_length, witness.weakened
-    terms, bound = _inequality(alpha, beta, witness)
+    _, bound, at_point = _inequality(alpha, beta, witness)
 
-    def test(phi: Optional[Fraction], h: int) -> tuple:
-        """(phi, reason, slope, lack, room*D*h, B*m): a row when k*slope >= lack; 0s where no gap bound is tested."""
-        if phi is None:
-            return None, REASON_UNDEFINED, 0, 0, 0, 0
-        m = phi.denominator
-        room, slope, lack = terms(0, phi.numerator, m, h, h.bit_length() - 1)
-        if room <= 0:
-            return phi, REASON_NOT_BELOW_ALPHA, 0, 0, 0, 0
-        return phi, REASON_GAP_BOUND, slope, lack, room * b_den * h, a_den * m
-
-    by_length: dict[int, tuple] = {}  # h -> test(at_length(log2(h)), h)
+    by_length: dict[int, tuple] = {}  # h -> at_point(at_length(log2(h)), h)
     checked = skipped = 0
     violations: list[Violation] = []
     best_num, best_den = 0, 1
@@ -299,9 +313,9 @@ def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, sa
         if at_length is not None and not h & (h - 1) and 0 <= k < h:
             tested = by_length.get(h)
             if tested is None:
-                tested = by_length[h] = test(at_length(h.bit_length() - 1), h)
+                tested = by_length[h] = at_point(at_length(h.bit_length() - 1), h)
         else:
-            tested = test(translate(q), h)
+            tested = at_point(translate(q), h)
             if weakened and tested[2] and (h & (h - 1) or k < 0 or k >= h):
                 dyadic_length(q)  # raises the proper domain error
         phi, reason, slope, lack, room_dh, bm = tested
@@ -331,7 +345,7 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
     """
     a_den = alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
-    terms, bound = _inequality(alpha, beta, witness)
+    terms, bound, _ = _inequality(alpha, beta, witness)
     depth, at_length = grid.depth, witness.at_length
     end = min(grid.size, _count_below(depth, beta.limit))  # checked: grid index < end
     if witness.affine is not None:
@@ -530,9 +544,12 @@ class DyadicGrid:
             num, den = value.as_integer_ratio()
         except (AttributeError, ValueError, OverflowError):  # not a number, nan, inf
             return False
-        if den & (den - 1) or den > self.denominator:
-            return False
-        return 0 <= num * (self.denominator // den) < self.size
+        return self._contains_ratio(num, den)
+
+    def _contains_ratio(self, num: int, den: int) -> bool:
+        """Whether num/den, in lowest terms with den > 0, is a sample."""
+        h = 1 << self.depth
+        return not den & (den - 1) and den <= h and 0 <= num * (h // den) < self.size
 
 
 @dataclass(frozen=True)
@@ -588,9 +605,14 @@ def default_samples(beta: DeskReal, witness: TranslationWitness, grid_depth: int
     """
     below = min(beta.limit, _ONE) if witness.weakened else beta.limit
     grid = dyadic_grid(grid_depth, below)
-    values = approximations(beta, 65)
+    b_num, b_den, weakened = below.numerator, below.denominator, witness.weakened
     points: list[Fraction] = []
-    for p in values[: bisect_left(values, below)]:  # nondecreasing: one pass, no sort
-        if p not in grid and (not points or p != points[-1]) and (not witness.weakened or p >= 0 and is_dyadic(p)):
+    last = None
+    for p in approximations(beta, 65):  # nondecreasing: one pass, no sort
+        num, den = p.numerator, p.denominator  # lowest terms: equal values are equal pairs
+        if num * b_den >= b_num * den:  # at or above the bound, as is every later value
+            break
+        if (num, den) != last and not grid._contains_ratio(num, den) and (not weakened or num >= 0 and not den & (den - 1)):
             points.append(p)
+        last = num, den
     return Schedule(grid, tuple(points))

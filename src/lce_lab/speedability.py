@@ -22,9 +22,11 @@ for q in [a_i, a_{i+1}) is exact and testable sample by sample.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache
+from itertools import repeat
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .errors import ConfigError, PreconditionError, SearchExhaustedError
@@ -33,6 +35,7 @@ from .util import rational_str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_pair = attrgetter("numerator", "denominator")
 
 DEFAULT_SEARCH_CAP = 1_000_000
 MAX_HORIZON = 1 << 12  # every --horizon and trace; a trace holds horizon + 1 exact ratios
@@ -72,9 +75,11 @@ def affine_toward(target: Fraction, s: Fraction) -> TranslationMap:
     s = Fraction(s)
     if not 0 < s < 1:
         raise ConfigError(f"contraction factor must lie in (0,1), got {s}")
+    # (1 - s)*T + s*q = ((S_d - S_n)*T_n*q_d + S_n*T_d*q_n) / (S_d*T_d*q_d), one gcd
+    fixed, slope, den = (s.denominator - s.numerator) * target.numerator, s.numerator * target.denominator, s.denominator * target.denominator
     return TranslationMap(
         name=f"affine({s}->{target})",
-        evaluate=lambda q: target - s * (target - q),
+        evaluate=lambda q: Fraction(fixed * q.denominator + slope * q.numerator, den * q.denominator),
         affine=(target, s),
     )
 
@@ -127,6 +132,11 @@ def _ratio_at(x: DeskReal, n: int, fn: int) -> Fraction:
     return numerator / denominator
 
 
+def _below(p: Fraction, q: Fraction) -> bool:
+    """p < q by one integer cross-product, without ``Fraction``'s operator dispatch."""
+    return p.numerator * q.denominator < q.numerator * p.denominator
+
+
 @dataclass
 class RatioTrace:
     """Ratios along increasing indices; the running minimum is read from them."""
@@ -135,7 +145,11 @@ class RatioTrace:
 
     @property
     def running_min(self) -> Optional[Fraction]:
-        return min((value for _, value in self.entries), default=None)
+        best = None
+        for _, value in self.entries:
+            if best is None or _below(value, best):
+                best = value
+        return best
 
     def append(self, n: int, value: Fraction) -> None:
         if self.entries and n <= self.entries[-1][0]:
@@ -150,7 +164,7 @@ class RatioTrace:
         rows = []
         best: Optional[Fraction] = None
         for n, value in self.entries:
-            best = value if best is None or value < best else best
+            best = value if best is None or _below(value, best) else best
             rows.append(
                 (n, value.numerator, value.denominator, best.numerator, best.denominator)
             )
@@ -250,18 +264,36 @@ def speedup_from_translation(
     f(i) is the least index n > i with a_n strictly above g(a_{i+1}), found
     under ``_least_index``'s cap rule; exhausting the cap signals that g
     pushed the value too close to the limit for the horizon.  Results are
-    cached so repeated queries stay cheap and consistent.
-    """
+    kept so repeated queries stay cheap and consistent.
 
-    @cache
+    An affine g is monotone, so f(i) >= f(i-1): once f(i-1) is known the
+    search for f(i) starts there.  Only an answer up to ``search_cap`` is
+    taken from that warm search, which then equals the least index; a
+    raise or an answer past the cap is decided by the search from i+1, so
+    results and raises do not depend on the start.
+    """
+    found: dict[int, int] = {}  # i -> f(i)
+
     def evaluate(i: int) -> int:
+        if i in found:
+            return found[i]
         if i < 0:
             raise PreconditionError(f"speed-up index must be >= 0, got {i}")
         target = g.evaluate(x.approx(i + 1))
         if target is None:
             raise PreconditionError(f"{g.name} undefined at a_{i + 1}")
         goal = f"climbs above {g.name}(a_{i + 1})"
-        return _least_index(x, i + 1, lambda a: a > target, search_cap, goal)
+        reached = lambda a: a > target
+        n, warm = None, found.get(i - 1, 0) if g.affine is not None else 0
+        if warm > i + 1:
+            try:
+                n = _least_index(x, warm, reached, search_cap, goal)
+            except SearchExhaustedError:
+                pass
+        if n is None or n > search_cap:
+            n = _least_index(x, i + 1, reached, search_cap, goal)
+        found[i] = n
+        return n
 
     return SpeedUp(name=f"{g.name}@{x.name}", evaluate=evaluate)
 
@@ -315,17 +347,21 @@ def default_probes(x: DeskReal, horizon: int) -> list[Fraction]:
     return [Fraction((high << k) - low, den << k) for k in range(1, horizon + 1)]
 
 
-def _merge(xs: list, ys: list) -> list:
-    """Two ascending lists as one ascending list, in one pass."""
-    merged, i, j = [], 0, 0
-    while i < len(xs) and j < len(ys):
-        if ys[j] < xs[i]:
-            merged.append(ys[j])
-            j += 1
+def _union(xs: list, ys: list) -> list:
+    """Two ascending lists of rationals merged in one pass, equal neighbours
+    kept once; compared as (numerator, denominator) pairs, which in lowest
+    terms are equal exactly when the values are."""
+    xp, yp = list(map(_pair, xs)), list(map(_pair, ys))
+    merged, last, i, j = [], None, 0, 0
+    while i < len(xs) or j < len(ys):
+        if j == len(ys) or i < len(xs) and yp[j][0] * xp[i][1] >= xp[i][0] * yp[j][1]:
+            pair, value, i = xp[i], xs[i], i + 1
         else:
-            merged.append(xs[i])
-            i += 1
-    return merged + xs[i:] + ys[j:]
+            pair, value, j = yp[j], ys[j], j + 1
+        if pair != last:
+            merged.append(value)
+            last = pair
+    return merged
 
 
 def check_horizon(horizon: int, what: str = "horizon") -> int:
@@ -359,22 +395,28 @@ def check_total_speedup(
     Probes violating the map's contract (q < g(q) < limit, monotone over the
     schedule, below the limit) are recorded with the probe and excluded from
     the trace; evidence means the running minimum of the surviving ratios is
-    at or below rho.
+    at or below rho.  Equal probes are read once.
+
+    ``affine_toward(x.limit, s)`` is decided without evaluating it: below
+    the limit, g(q) = limit - s*(limit - q) lies strictly between q and the
+    limit and rises with q, and its ratio is s exactly, so every probe
+    below the limit is a trace entry s and every other one a
+    ``PROBE_NOT_BELOW_LIMIT`` row.
     """
     check_rho(rho)
     check_horizon(horizon)
-    schedule = _merge(default_probes(x, horizon), approximations(x, horizon + 1))
+    schedule = _union(default_probes(x, horizon), approximations(x, horizon + 1))
 
     limit = x.limit
+    if g.affine is not None and g.affine[0] == limit:
+        below = bisect_left(schedule, limit)
+        trace = RatioTrace(list(zip(range(below), repeat(g.affine[1]))))
+        return TotalSpeedupReport(rho, trace, [(q, PROBE_NOT_BELOW_LIMIT) for q in schedule[below:]])
     trace = RatioTrace()
     violations: list[tuple[Fraction, str]] = []
     prev_value: Optional[Fraction] = None
-    prev_q: Optional[Fraction] = None
     index = 0
     for q in schedule:
-        if q == prev_q:  # equal neighbours are read once
-            continue
-        prev_q = q
         if q >= limit:
             violations.append((q, PROBE_NOT_BELOW_LIMIT))
             continue

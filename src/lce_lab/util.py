@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
-from operator import itemgetter
+from operator import attrgetter, itemgetter, mul
 
 from .errors import ConfigError
 
@@ -67,6 +67,18 @@ def rational_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+_numerators, _denominators = attrgetter("numerator"), attrgetter("denominator")
+
+
+def holds_pairwise(op, values: list) -> bool:
+    """Whether op(v_i, v_(i+1)) holds for each neighbour pair of the
+    rationals, read as integer cross-products n_i * d_(i+1) against
+    n_(i+1) * d_i (every denominator is positive): ``le`` tests that they
+    ascend, ``gt`` that they strictly descend."""
+    nums, dens = list(map(_numerators, values)), list(map(_denominators, values))
+    return all(map(op, map(mul, nums, dens[1:]), map(mul, nums[1:], dens)))
 
 
 def fraction_texts(first: int, step: int, count: int, den: int) -> list[str]:

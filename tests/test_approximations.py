@@ -2,6 +2,7 @@
 amplification, each against the plain ``Fraction`` formula it replaces."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,15 +22,17 @@ from lce_lab import (
     geometric,
     identity_witness,
     omega_toy,
+    real_from_set,
     scaling_witness,
+    set_real,
     staircase,
 )
 from lce_lab import cli, registry
 from lce_lab.cli import main
-from lce_lab.dyadic import is_dyadic
+from lce_lab.dyadic import is_dyadic, kraft_mass
 from lce_lab.errors import ConfigError, PreconditionError, SearchExhaustedError
 from lce_lab.reals import schedule_from_list
-from lce_lab.reducibility import Violation
+from lce_lab.reducibility import Schedule, Violation, ViolationReport
 from lce_lab.speedability import (
     DEFAULT_SEARCH_CAP,
     PROBE_NOT_BELOW_LIMIT,
@@ -41,7 +44,7 @@ from lce_lab.speedability import (
     liminf_record,
     linear_speedup,
 )
-from lce_lab.util import dump_json
+from lce_lab.util import dump_json, rational_str
 
 limits = st.fractions(min_value=-4, max_value=8, max_denominator=60)
 positives = st.fractions(min_value=Fraction(1, 60), max_value=8, max_denominator=60)
@@ -338,3 +341,137 @@ class TestViolationTexts:
             expected = [Violation(parse(r["q"]), r["reason"], parse(r["phi_q"]), parse(r["bound"])) for r in rows]
             assert report.violations == expected
             assert all(type(v.sample) is Fraction for v in report.violations)
+
+
+# A set as its first bits; index i past them reads bit i mod len(bits), so the set is infinite
+# when the bits hold a 1.
+set_bits = st.lists(st.booleans(), min_size=1, max_size=40).filter(any)
+
+
+def periodic(bits):
+    return lambda i: bits[i % len(bits)]
+
+
+# Prefix-free codes "0", "10", "110", ... with stages that may tie.
+omega_codes = st.dictionaries(st.integers(min_value=0, max_value=9), st.none() | st.integers(min_value=1, max_value=6), max_size=7)
+
+
+class TestIncrementalPrefixes:
+    """Set and omega prefixes read incrementally, against the sums from scratch they replace."""
+
+    @given(set_bits, st.integers(min_value=0, max_value=120))
+    def test_set_prefix_matches_real_from_set(self, bits, stop):
+        x = set_real(periodic(bits), Fraction(1))
+        assert approximations(x, stop) == [real_from_set(periodic(bits), n) for n in range(stop)]
+
+    @given(set_bits, st.lists(st.integers(min_value=0, max_value=300), max_size=12))
+    def test_set_values_in_any_order(self, bits, indices):
+        # a far index first, then nearer ones: each is a shift of the running numerator
+        x = set_real(periodic(bits), Fraction(1))
+        for n in indices:
+            value = x.approx(n)
+            assert value == real_from_set(periodic(bits), n) and type(value) is Fraction
+
+    def test_set_value_at_zero(self):
+        x = set_real(periodic([True]), Fraction(1))
+        assert x.approx(0) == 0 and type(x.approx(0)) is Fraction
+        assert approximations(x, 1) == [0]
+
+    @given(omega_codes)
+    def test_omega_prefix_matches_the_kraft_sums(self, drawn):
+        codes = {"1" * i + "0": stage for i, stage in drawn.items()}
+        m = PrefixMachine("m", {code: "1" for code in codes})
+        given_stages = {code: stage for code, stage in codes.items() if stage is not None}
+        x = omega_toy(m, given_stages)
+        stage_of = {code: given_stages.get(code, len(code)) for code in codes}
+        last = max(stage_of.values(), default=0)
+        expected = [kraft_mass(len(c) for c, st_ in stage_of.items() if st_ <= s) for s in range(last + 3)]
+        assert approximations(x, last + 3) == expected
+        assert x.limit == kraft_mass(map(len, codes)) and x.attains_at == last
+        assert x.approx(-1) == 0
+
+    def test_tied_stages_sum_together(self):
+        assert approximations(attaining_omega(), 5) == [0, Fraction(1, 2), Fraction(1, 2), Fraction(7, 8), Fraction(7, 8)]
+
+
+class TestSetRealMemory:
+    def test_far_index_reads_each_bit_once_and_keeps_no_numerators(self):
+        # A memo of every num_n up to 20,000 would hold about 25 MB.
+        n = 20_000
+        calls = bytearray(n + 1)
+
+        def membership(i):
+            calls[i] += 1
+            return i % 3 == 1
+
+        x = set_real(membership, Fraction(1, 3))
+        tracemalloc.start()
+        try:
+            value = x.approx(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert calls == bytes([1]) * n + bytes(1)
+        assert value == real_from_set(lambda i: i % 3 == 1, n)
+        x.approx(n // 2)
+        assert calls == bytes([1]) * n + bytes(1)  # an index already passed is a shift
+        x.approx(n + 1)
+        assert calls == bytes([1]) * (n + 1)
+
+
+def sorted_columns(report):
+    """A report's four text columns by the merge the concatenation replaces:
+    every row with its key, one stable sort."""
+    rows, h = [], 1 << report.depth
+    for lo, hi, step, reason, phi, bound in report.classes:
+        for k in range(lo, hi, step):
+            phi_q = None if phi is None else Fraction(phi[0] * k + phi[1], phi[2])
+            bound_q = None if bound is None else Fraction(bound[0] - bound[1] * k, bound[2])
+            rows.append((2 * k + 1, Fraction(k, h), reason, phi_q, bound_q))
+    for v in report.rows:
+        rows.append((2 * max(-(-(v.sample.numerator << report.depth) // v.sample.denominator), 0), *v))
+    rows.sort(key=lambda row: row[0])
+    text = lambda q: None if q is None else rational_str(q)  # noqa: E731
+    return tuple(list(map(text, column)) if i != 1 else list(column) for i, column in enumerate(list(zip(*rows))[1:])) if rows else ([], [], [], [])
+
+
+class TestColumnsConcatenation:
+    """``ViolationReport._columns`` concatenates sources whose keys already ascend; the stable sort is the reference."""
+
+    @settings(max_examples=80)
+    @given(
+        st.integers(min_value=0, max_value=5),
+        st.lists(st.fractions(min_value=-1, max_value=3, max_denominator=40), max_size=8),
+        st.sampled_from(["7/4", "5/8", "1", "2"]),
+        st.sampled_from(["identity", "identity:1/2", "scaling", "least"]),
+    )
+    def test_default_schedules_with_points_between_rows(self, depth, points, alpha, kind):
+        alpha_real = geometric(Fraction(alpha))
+        witness = {
+            "identity": identity_witness(),
+            "identity:1/2": identity_witness(Fraction(1, 2)),
+            "scaling": scaling_witness(Fraction(3, 5), "backward"),
+            "least": computable_least_witness(geometric(Fraction(2, 3))),
+        }[kind]
+        grid = dyadic_grid(depth, Fraction(1))
+        if witness.weakened:
+            points = [p for p in points if 0 <= p < 1 and is_dyadic(p)]
+        schedule = Schedule(grid, tuple(sorted({p for p in points if p not in grid})))
+        report = check_witness(alpha_real, geometric(Fraction(1)), witness, schedule)
+        assert report._columns() == sorted_columns(report)
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=15), st.integers(min_value=1, max_value=4)), min_size=1, max_size=4), st.lists(st.fractions(min_value=0, max_value=1, max_denominator=32), max_size=5))
+    def test_hand_made_classes_in_any_order(self, spans, points):
+        # classes over the depth-4 grid that may overlap in range and interleave, then sorted points
+        classes = tuple((lo, lo + 3 * step, step, "gap_bound_failed", (1, 0, 16), (1, 1, 16)) for lo, step in spans)
+        rows = [Violation(p, "undefined", None, None) for p in sorted(points)]
+        report = ViolationReport("w", 0, 0, rows, None, 4, classes)
+        assert report._columns() == sorted_columns(report)
+
+    def test_points_below_between_and_above_the_grid_rows(self):
+        # the default schedule of 1 - (3/4)**n puts points past the depth-2 rows and between them
+        alpha, beta = geometric(Fraction(7, 4)), geometric(Fraction(1), Fraction(3, 4))
+        report = check_witness(alpha, beta, identity_witness(), default_samples(beta, identity_witness(), 2))
+        assert report.classes and report.rows
+        assert report._columns() == sorted_columns(report)

@@ -1,7 +1,8 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lce_lab import (
@@ -19,6 +20,7 @@ from lce_lab import (
     linear_speedup,
     omega_toy,
     ratio,
+    set_real,
     speedup_from_translation,
     staircase,
     translation_from_speedup,
@@ -29,8 +31,8 @@ from lce_lab.errors import (
     PreconditionError,
     SearchExhaustedError,
 )
-from lce_lab.reals import alternating_gaps
-from lce_lab.speedability import MAX_HORIZON, PROBE_NOT_ABOVE, PROBE_NOT_BELOW, RatioTrace, TotalSpeedupReport, check_horizon
+from lce_lab.reals import alternating_gaps, periodic_limit
+from lce_lab.speedability import MAX_HORIZON, PROBE_NOT_ABOVE, PROBE_NOT_BELOW, PROBE_NOT_BELOW_LIMIT, RatioTrace, TotalSpeedupReport, check_horizon
 
 
 def geo1():
@@ -339,3 +341,119 @@ class TestGalleryIdentityControl:
             horizon = 8 if x.attains_at is None else max(1, x.attains_at - 1)
             trace = liminf_record(x, identity_speedup(), horizon)
             assert trace.running_min == 1, x.name
+
+
+def loop_of(g):
+    """The same map without ``affine``: checks and searches take the evaluate loop and the search from i+1."""
+    return replace(g, affine=None)
+
+
+def attaining():
+    """Limit 7/8, attained at stage 3."""
+    return omega_toy(PrefixMachine("m", {"0": "1", "10": "0", "110": "11"}), {"0": 1, "10": 3, "110": 3}, name="attains")
+
+
+gaps = st.fractions(min_value=Fraction(1, 40), max_value=4, max_denominator=40)
+contractions = st.fractions(min_value=Fraction(1, 40), max_value=Fraction(39, 40), max_denominator=40)
+
+
+def speed_reals():
+    return [
+        geo1(),
+        geometric(Fraction(3, 4), Fraction(2, 3), Fraction(5, 4), name="starts_below_0"),
+        set_real(lambda i: i % 2 == 1, periodic_limit("", "01"), name="odds"),
+        attaining(),
+    ]
+
+
+class TestAffineDecider:
+    """``affine_toward(limit, s)`` decided without evaluating it, against the evaluate loop."""
+
+    @settings(max_examples=60)
+    @given(st.fractions(min_value=-2, max_value=3, max_denominator=20), contractions, gaps, contractions, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=30), st.booleans())
+    def test_matches_the_loop_on_geometric_reals(self, limit, ratio_, gap0, s, k, horizon, on_limit):
+        x = geometric(limit, ratio_, gap0)
+        target = limit if on_limit else limit - gap0 / 3
+        g = amplify(affine_toward(target, s), k)
+        rho = Fraction(1, 2)
+        assert check_total_speedup(x, g, rho, horizon).to_json_dict() == check_total_speedup(x, loop_of(g), rho, horizon).to_json_dict()
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 10, 40])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_the_loop_on_every_kind(self, horizon, k):
+        for x in speed_reals():
+            for target in (x.limit, x.limit + Fraction(1, 7), x.limit - Fraction(1, 9)):
+                g = amplify(affine_toward(target, Fraction(2, 3)), k)
+                decided = check_total_speedup(x, g, Fraction(1, 4), horizon)
+                assert decided.to_json_dict() == check_total_speedup(x, loop_of(g), Fraction(1, 4), horizon).to_json_dict(), (x.name, target)
+
+    def test_limit_attained_is_a_probe_violation_and_nothing_is_evaluated(self):
+        calls = []
+        g = affine_toward(Fraction(7, 8), Fraction(1, 2))
+        counted = replace(g, evaluate=lambda q: calls.append(q) or g.evaluate(q))
+        report = check_total_speedup(attaining(), counted, Fraction(1, 2), 6)
+        assert calls == []
+        assert report.violations == [(Fraction(7, 8), PROBE_NOT_BELOW_LIMIT)]
+        assert {value for _, value in report.trace.entries} == {Fraction(1, 2)}
+        assert not report.valid and report.evidence
+
+    def test_other_targets_keep_the_loop(self):
+        calls = []
+        g = affine_toward(Fraction(2), Fraction(1, 2))
+        counted = replace(g, evaluate=lambda q: calls.append(q) or g.evaluate(q))
+        check_total_speedup(geo1(), counted, Fraction(1, 2), 4)
+        assert len(calls) == 5  # a_0 = 0 and the four shared probes
+
+
+class TestWarmSearch:
+    """``speedup_from_translation`` of an affine map starts at f(i-1); the search from i+1 is the reference."""
+
+    @staticmethod
+    def outcomes(f, n):
+        result = []
+        for i in range(n):
+            try:
+                result.append(f.evaluate(i))
+            except SearchExhaustedError as e:
+                result.append(str(e))
+        return result
+
+    @settings(max_examples=60)
+    @given(st.fractions(min_value=-2, max_value=3, max_denominator=20), contractions, gaps, contractions, st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=40))
+    def test_matches_the_cold_search_under_a_small_cap(self, limit, ratio_, gap0, s, k, cap):
+        x = geometric(limit, ratio_, gap0)
+        g = amplify(affine_toward(limit, s), k)
+        warm = speedup_from_translation(x, g, search_cap=cap)
+        cold = speedup_from_translation(x, loop_of(g), search_cap=cap)
+        assert self.outcomes(warm, 30) == self.outcomes(cold, 30)
+
+    @pytest.mark.parametrize("cap", range(2, 12))
+    def test_answers_past_the_cap(self, cap):
+        # f(i) = i + 3 on 1 - 2**-n with s = 1/2: f(cap - 2) = cap + 1 is past the cap,
+        # which the search from i+1 still returns when its doubling lands on it
+        g = affine_toward(Fraction(1), Fraction(1, 2))
+        warm = self.outcomes(speedup_from_translation(geo1(), g, search_cap=cap), 16)
+        assert warm == self.outcomes(speedup_from_translation(geo1(), loop_of(g), search_cap=cap), 16)
+        assert any(isinstance(v, int) and v > cap for v in warm)
+
+    def test_other_kinds_and_off_limit_targets(self):
+        for x in speed_reals():
+            for target in (x.limit, x.limit + Fraction(1, 7)):
+                g = affine_toward(target, Fraction(3, 4))
+                for cap in (5, 60):
+                    warm = self.outcomes(speedup_from_translation(x, g, search_cap=cap), 20)
+                    assert warm == self.outcomes(speedup_from_translation(x, loop_of(g), search_cap=cap), 20), (x.name, target, cap)
+
+    def test_warm_start_reads_fewer_approximations(self):
+        seen = []
+        base = geometric(Fraction(1), Fraction(9, 10))
+        x = replace(base, approx=lambda n: seen.append(n) or base.approx(n))
+        g = affine_toward(Fraction(1), Fraction(8, 27))
+
+        def reads(h):
+            seen.clear()
+            f = speedup_from_translation(x, h)
+            return [f.evaluate(i) for i in range(25)], len(seen)
+
+        (warm, warm_reads), (cold, cold_reads) = reads(g), reads(loop_of(g))
+        assert warm == cold and warm_reads < cold_reads / 2
