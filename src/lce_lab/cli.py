@@ -38,7 +38,7 @@ def _emit_json(doc, out_path):
 
 
 def _load_machine(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return machine_from_dict(json.load(fh))
 
 
@@ -53,7 +53,7 @@ def _witness(args, default_constant: Fraction, alpha):
 
 def _cmd_gallery(args) -> int:
     horizon = check_horizon(args.horizon)
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8") as fh:
         reals = gallery_from_config(json.load(fh))
     entries = []
     for x in reals:

@@ -11,6 +11,7 @@ additive slack 2**-|q| loosest exactly at q = 0.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -76,10 +77,9 @@ def lengths_in_grid_order(depth: int) -> tuple[int, ...]:
 
 def kraft_mass(lengths: Iterable[int]) -> Fraction:
     """The sum of 2**-n over the code lengths n, as one integer sum over the
-    common denominator 2**max(n); 0 for no lengths."""
-    lengths = list(lengths)
-    top = max(lengths, default=0)
-    return Fraction(sum(1 << (top - n) for n in lengths), 1 << top)
+    common denominator 2**max(n), one shift per distinct length; 0 for none."""
+    top = max(counts := Counter(lengths), default=0)
+    return Fraction(sum(count << (top - n) for n, count in counts.items()), 1 << top)
 
 
 def truncate(x: Fraction, n: int) -> int:

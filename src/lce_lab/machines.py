@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import itemgetter
+from operator import add, floordiv, gt, itemgetter, lshift, lt, mul
 from typing import Optional
 
 from .dyadic import is_binary, kraft_mass, truncate
@@ -34,7 +34,7 @@ from .errors import (
 from .reals import DeskReal
 from .reducibility import MAX_ENUMERATION_BITS, TranslationWitness, affine_integers
 from .speedability import check_horizon
-from .util import ceil_log2
+from .util import Rows, ceil_log2
 
 _TAIL = itemgetter(slice(3, None))  # bin(2**n + v)[3:] spells v in n bits
 _CODE, _OUTPUT = itemgetter("code"), itemgetter("output")
@@ -87,8 +87,8 @@ class PrefixMachine:
             for code, output in self.table.items():
                 _check_binary(code, "code")
                 _check_binary(output, "output")
-        violation = find_prefix_violation(self.table)
-        if violation is not None:
+        violation = len(set(map(len, self.table))) > 1 and find_prefix_violation(self.table)  # one length: no pair
+        if violation:
             raise PrefixFreeError(*violation)
 
     @classmethod
@@ -144,16 +144,18 @@ def uniformize(source: PrefixMachine, witness: TranslationWitness) -> PrefixMach
     Kraft mass exactly and stays prefix-free because all pads share the fixed
     width L.
 
-    An affine witness (``witness.affine = (u, v)``) is not called: with
-    s = int(sigma, 2) and u*q + v = (a*q + b)/m in integers, the image is
-    (a*s + b*2**n) / (m*2**n), and its truncation is the numerator floored by
-    m.  Any other witness is asked for ``translate(q)``.  Each kept code
-    then appends 2**n + v to one int list for every pad value v that fits in
-    n bits, and one C-level pass of ``bin(...)[3:]`` spells them all as n-bit
-    strings (the empty string when n = 0).  The overflowing pads of a code
-    saturate: their run of outputs is one shared all-ones string.  The table
-    is binary and prefix-free by construction, so the machine is built
-    without ``PrefixMachine``'s check.
+    The table is built in column passes over the ascending codes, with
+    s = int(sigma, 2).  An affine witness (``witness.affine = (u, v)``) is
+    not called: with u*q + v = (a*q + b)/m in integers, the truncated image
+    is (a*s + b*2**n) // m.  Any other witness is asked for ``translate(q)``.
+    One ``min`` and one ``all`` test the truncations against [0, 2**n),
+    which holds exactly when the images lie in [0,1).  Keys and outputs are
+    written one pad value v at a time by strided slice assignment (one run
+    per code when pads outnumber codes), an output as ``bin(2**n + base +
+    v)[3:]``.  Only the codes whose last pad leaves the n-bit range are
+    walked again: those pads saturate at one shared all-ones string.  The
+    table is binary and prefix-free by construction, so the machine is
+    built without ``PrefixMachine``'s check.
 
     More than 2**MAX_ENUMERATION_BITS emitted codes are refused with a
     ``ConfigError`` before any pad is built.
@@ -167,45 +169,44 @@ def uniformize(source: PrefixMachine, witness: TranslationWitness) -> PrefixMach
             f" (cap 2**{MAX_ENUMERATION_BITS} codes)"
         )
     pad_count = 1 << width
-    affine = witness.affine
-    if affine is not None:
+    codes = sorted(source.table)
+    sigmas = list(map(source.table.__getitem__, codes))
+    lengths = list(map(len, sigmas))
+    ones = list(map(lshift, repeat(1), lengths))  # 2**n per code
+    samples = map(int, sigmas if min(lengths, default=1) else map("0".__add__, sigmas), repeat(2))  # int("", 2) raises
+    if witness.affine is not None:
         a, b, m = affine_integers(witness)
-
-    kept: list[str] = []
-    values: list[int] = []  # 2**n + each pad's output value, for each kept code in pad order
-    saturated: list[tuple[int, int, str]] = []  # (start, stop, all ones) of each run of overflowing pads
-    bad_codes: list[str] = []
-    for code in sorted(source.table):
-        sigma = source.table[code]
-        n = len(sigma)
-        s = int("0" + sigma, 2)
-        one = 1 << n
-        if affine is not None:
-            num = a * s + (b << n)
-            base = num // m if 0 <= num < m << n else None
-        else:
-            value = witness.translate(Fraction(s, one))
-            in_range = value is not None and 0 <= value.numerator < value.denominator
-            base = (value.numerator << n) // value.denominator if in_range else None  # truncate(value, n)
-        if base is None:
-            bad_codes.append(code)
-            continue
-        kept.append(code)
-        fits = min(one - base, pad_count)  # the pads whose value fits n bits
-        values += range(one + base, one + base + fits)
-        if fits < pad_count:  # the overflowing pads saturate; 1 spells "" until the run is filled in
-            saturated.append((len(values), len(values) + pad_count - fits, "1" * n))
-            values += repeat(1, pad_count - fits)
-    if bad_codes:
-        raise ConstructionError(
-            f"translated output outside [0,1) for codes {bad_codes}", bad_codes
-        )
+        nums = map(add, map(mul, repeat(a), samples), map(lshift, repeat(b), lengths))
+        bases = list(nums if m == 1 else map(floordiv, nums, repeat(m)))
+    else:
+        bases = list(map(_truncated_image, repeat(witness.translate), samples, ones))
+    if bases and (min(bases) < 0 or not all(map(lt, bases, ones))):  # an image outside [0,1)
+        bad_codes = [code for code, base, one in zip(codes, bases, ones) if not 0 <= base < one]
+        raise ConstructionError(f"translated output outside [0,1) for codes {bad_codes}", bad_codes)
     pads = list(map(_TAIL, map(bin, range(pad_count, 2 * pad_count))))
-    outputs = list(map(_TAIL, map(bin, values)))
-    for start, stop, ones in saturated:  # one shared string per run, not one per pad
-        outputs[start:stop] = repeat(ones, stop - start)
-    table = dict(zip([code + pad for code in kept for pad in pads], outputs))
-    return PrefixMachine._built(f"{source.name}+pads", table, width)
+    firsts = list(map(add, ones, bases))  # bin(first + v)[3:] spells base + v in n bits
+    size = len(codes) * pad_count
+    keys, outputs = [None] * size, [None] * size
+    if pad_count <= len(codes):  # a Python step per pad, or else per code
+        for v, pad in enumerate(pads):
+            keys[v::pad_count] = map(add, codes, repeat(pad))
+            outputs[v::pad_count] = map(_TAIL, map(bin, map(add, firsts, repeat(v))))
+    else:
+        for start, code, first, one in zip(range(0, size, pad_count), codes, firsts, ones):
+            stop = min(first + pad_count, 2 * one)  # past 2 * one, the pads saturate below
+            keys[start : start + pad_count] = map(code.__add__, pads)
+            outputs[start : start + stop - first] = map(_TAIL, map(bin, range(first, stop)))
+    for i in compress(range(len(codes)), map(gt, map(add, bases, repeat(pad_count)), ones)):
+        start, stop = i * pad_count + ones[i] - bases[i], (i + 1) * pad_count
+        outputs[start:stop] = repeat("1" * lengths[i], stop - start)
+    return PrefixMachine._built(f"{source.name}+pads", dict(zip(keys, outputs)), width)
+
+
+def _truncated_image(translate, s: int, one: int) -> int:
+    """floor(translate(s / one) * one), or -1 where it is undefined: in
+    [0, one) exactly when the image lies in [0,1)."""
+    value = translate(Fraction(s, one))
+    return -1 if value is None else value.numerator * one // value.denominator
 
 
 @dataclass(frozen=True)
@@ -308,7 +309,7 @@ def _shortest_prefixes(machine: PrefixMachine, bits: str) -> dict[str, int]:
 
 
 def machine_from_dict(doc: dict) -> PrefixMachine:
-    """{"name"?, "pad_length"?, "entries": [{"code", "output"}, ...]}
+    """{"name"?, "pad_length"?, "entries": [{"code", "output"}, ...] or a ``Rows``}
 
     Checks the document's shape; ``PrefixMachine`` checks the strings.  The
     table is built in one C-level pass over the code and output columns; only
@@ -319,6 +320,7 @@ def machine_from_dict(doc: dict) -> PrefixMachine:
     if not isinstance(doc, dict) or "entries" not in doc:
         raise MachineFormatError("machine document needs an entries list")
     entries = doc["entries"]
+    entries = list(entries) if isinstance(entries, Rows) else entries  # as machine_to_dict writes them
     if not isinstance(entries, list):
         raise MachineFormatError("entries must be a list")
     table = None
@@ -346,13 +348,9 @@ def machine_from_dict(doc: dict) -> PrefixMachine:
 
 
 def machine_to_dict(machine: PrefixMachine) -> dict:
-    doc: dict = {
-        "name": machine.name,
-        "entries": [
-            {"code": code, "output": machine.table[code]}
-            for code in sorted(machine.table)
-        ],
-    }
+    """The document ``machine_from_dict`` reads, its entries a ``Rows`` by ascending code."""
+    codes = sorted(machine.table)
+    doc: dict = {"name": machine.name, "entries": Rows({"code": codes, "output": list(map(machine.table.__getitem__, codes))})}
     if machine.pad_length is not None:
         doc["pad_length"] = machine.pad_length
     return doc

@@ -181,7 +181,7 @@ def parse_real(spec: str) -> DeskReal:
     gallery_kind, names, _ = _REAL_SPECS[kind]
     parameters = dict(zip(names, fields))
     if kind == "omega":
-        with open(parameters["machine"]) as fh:
+        with open(parameters["machine"], encoding="utf-8") as fh:
             parameters["machine"] = json.load(fh)
     return build_real(gallery_kind, parameters, spec)
 

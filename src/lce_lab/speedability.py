@@ -25,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Optional
@@ -139,11 +140,11 @@ def _below(p: Fraction, q: Fraction) -> bool:
 
 @dataclass
 class RatioTrace:
-    """Ratios along increasing indices; the running minimum is read from them."""
+    """Ratios along increasing indices; the running minimum is scanned from them once, and again after an ``append``."""
 
     entries: list[tuple[int, Fraction]] = field(default_factory=list)
 
-    @property
+    @cached_property
     def running_min(self) -> Optional[Fraction]:
         best = None
         for _, value in self.entries:
@@ -155,6 +156,7 @@ class RatioTrace:
         if self.entries and n <= self.entries[-1][0]:
             raise PreconditionError("trace indices must strictly increase")
         self.entries.append((n, value))
+        self.__dict__.pop("running_min", None)
 
     def evidence_at(self, rho: Fraction) -> bool:
         best = self.running_min

@@ -15,12 +15,13 @@ from lce_lab.util import dump_json
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def run_fresh(argv, cwd):
-    """The CLI in a process of its own, as ``python -m lce_lab``."""
+def run_fresh(argv, cwd, **env):
+    """The CLI in a process of its own, as ``python -m lce_lab``, with
+    ``env`` added to the environment."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "lce_lab", *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), cwd=cwd, timeout=60,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, **env), cwd=cwd, timeout=60,
     )
 
 
@@ -925,6 +926,28 @@ class TestUndecodableInput:
         assert captured.err.startswith("bad JSON input: "), captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    # Each input file is read as UTF-8 whatever the locale: under the POSIX
+    # locale with UTF-8 mode off, a UTF-8 name loads and Latin-1 bytes do not.
+    @pytest.mark.parametrize(
+        "argv, document, code",
+        [
+            (["cmm-build", "--B", "{path}", "--witness", "identity"], {"name": "{name}", "entries": [{"code": "0", "output": "1"}]}, 0),
+            (["gallery", "--config", "{path}"], [{"name": "{name}", "kind": "geometric", "parameters": {"limit": "1"}}], 0),
+            (["check-witness", "--alpha", "omega:{path}", "--beta", "geometric:1", "--witness", "identity", "--grid-depth", "2"], {"name": "{name}", "entries": [{"code": "0", "output": "1"}]}, 1),
+        ],
+        ids=["cmm-build-B", "gallery-config", "omega-file"],
+    )
+    @pytest.mark.parametrize("encoding, failure", [("utf-8", None), ("latin-1", "bad JSON input: 'utf-8' codec can't decode byte 0xe9")])
+    def test_input_is_utf8_under_the_posix_locale(self, argv, document, code, encoding, failure, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes(json.dumps(document, ensure_ascii=False).replace("{name}", "caf\u00e9").encode(encoding))
+        done = run_fresh([arg.format(path=path) for arg in argv], tmp_path, PYTHONUTF8="0", LC_ALL="POSIX")
+        if failure is None:
+            assert (done.returncode, done.stderr.startswith("bad JSON input")) == (code, False), done.stderr
+        else:
+            assert done.returncode == 2 and done.stderr.startswith(failure), done.stderr
+            assert done.stdout == ""
 
 
 class TestParserReuse:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from lce_lab import (
     PrefixMachine,
     TranslationWitness,
+    affine_witness,
     check_usch,
     complexity,
     computable_least_witness,
@@ -31,6 +33,7 @@ from lce_lab.errors import (
 )
 from lce_lab import machines
 from lce_lab.machines import find_prefix_violation, shortest_codes
+from lce_lab.util import Rows, dump_json
 
 
 def three_code():
@@ -116,6 +119,33 @@ class TestPrefixViolationAgainstScan:
     @given(st.lists(binary, max_size=16))
     def test_same_first_pair_as_a_neighbour_scan(self, codes):
         assert find_prefix_violation(codes) == neighbour_scan(codes)
+
+
+class TestOneLengthShortcut:
+    """The constructor skips the neighbour scan when every code has one
+    length; any other table raises the scan's first pair."""
+
+    @given(st.integers(min_value=0, max_value=6).flatmap(lambda k: st.sets(st.text(alphabet="01", min_size=k, max_size=k), max_size=16)))
+    def test_distinct_codes_of_one_length_never_raise(self, codes):
+        assert set(PrefixMachine("b", dict.fromkeys(codes, "1")).table) == codes
+
+    @settings(max_examples=300)
+    @given(st.sets(binary, max_size=16))
+    @example({"0", "01", "1", "10"})
+    @example({"", "0", "1"})
+    def test_mixed_lengths_raise_the_neighbour_scans_first_pair(self, codes):
+        pair = neighbour_scan(codes)
+        if pair is None:
+            assert set(PrefixMachine("b", dict.fromkeys(codes, "1")).table) == codes
+        else:
+            with pytest.raises(PrefixFreeError) as err:
+                PrefixMachine("b", dict.fromkeys(codes, "1"))
+            assert err.value.pair == pair
+
+    def test_a_code_and_its_extension_still_raise(self):
+        with pytest.raises(PrefixFreeError) as err:
+            PrefixMachine("b", {"0": "1", "01": "1"})
+        assert err.value.pair == ("0", "01")
 
 
 class TestMeasure:
@@ -271,7 +301,10 @@ def transport_cases(draw):
     """Random prefix-free machines with outputs of 0-8 bits, and witnesses
     whose images stay inside [0,1), leave it, or saturate the pads."""
     codes = draw(prefix_free_codes())
-    outputs = st.text(alphabet="01", max_size=8)
+    if draw(st.booleans()):
+        outputs = st.text(alphabet="01", max_size=8)
+    else:  # all ones: every pad past the first saturates
+        outputs = st.integers(min_value=0, max_value=8).map(lambda n: "1" * n)
     source = PrefixMachine("b", {c: draw(outputs) for c in codes})
     ratio = draw(st.fractions(min_value="1/8", max_value=2, max_denominator=16))
     limit = draw(st.fractions(min_value="1/16", max_value="3/2", max_denominator=32))
@@ -284,17 +317,44 @@ def transport_cases(draw):
                 scaling_witness(ratio, "forward"),
                 scaling_witness(ratio, "backward"),
                 computable_least_witness(geometric(limit)),
+                SHIFTED_UP,
+                SHIFTED_DOWN,
             ]
         )
     )
-    return source, witness
+    return source, draw(st.sampled_from([witness, dataclasses.replace(witness, affine=None)]))
+
+
+# Affine witnesses with v != 0 and m > 1: q -> 2q/3 + 1/5 (m = 15) stays in
+# [0,1); q -> 3q/2 - 1/4 (m = 8) leaves it below q = 1/6 and from q = 5/6.
+SHIFTED_UP = affine_witness("up", Fraction(2, 3), Fraction(1, 5), Fraction(3))
+SHIFTED_DOWN = affine_witness("down", Fraction(3, 2), Fraction(-1, 4), Fraction(2))
 
 
 class TestUniformizeAgainstFractionLoop:
     @settings(max_examples=300)
     @given(transport_cases())
+    @example((PrefixMachine("b", {"0": "1", "10": "111", "110": "", "111": "11111"}), identity_witness(Fraction(7))))
+    @example((PrefixMachine("b", {"00": "0", "01": "1101", "1": "0011"}), SHIFTED_UP))
+    @example((PrefixMachine("b", {"0": "111", "100": "0", "101": "01", "11": "110"}), SHIFTED_DOWN))
+    @example((PrefixMachine("b", {"0": "111", "100": "0", "101": "01", "11": "110"}), dataclasses.replace(SHIFTED_DOWN, affine=None)))
     def test_same_table_pad_and_errors(self, case):
         assert _transport(uniformize, *case) == _transport(reference_uniformize, *case)
+
+    def test_codes_outside_the_unit_interval_named_in_ascending_order(self):
+        # 3q/2 - 1/4 is below 0 at 0 and 1/8, and at least 1 at 7/8 and 1 - 2**-6
+        b = PrefixMachine("b", {"110": "111", "0": "", "100": "001", "101": "1", "111": "111111"})
+        for witness in (SHIFTED_DOWN, dataclasses.replace(SHIFTED_DOWN, affine=None)):
+            with pytest.raises(ConstructionError) as err:
+                uniformize(b, witness)
+            assert err.value.codes == ("0", "100", "110", "111")
+            assert str(err.value) == "translated output outside [0,1) for codes ['0', '100', '110', '111']"
+
+    def test_all_ones_outputs_saturate_at_every_pad(self):
+        b = PrefixMachine("b", {"0": "1", "10": "111", "11": ""})
+        a = uniformize(b, identity_witness(Fraction(7)))
+        assert a.table == {code + format(v, "03b"): out for code, out in b.table.items() for v in range(8)}
+        assert list(a.table) == sorted(a.table)
 
 
 @st.composite
@@ -593,6 +653,28 @@ class TestMachineFiles:
         doc = machine_to_dict(three_code())
         codes = [e["code"] for e in doc["entries"]]
         assert codes == sorted(codes)
+
+    @staticmethod
+    def list_document(machine):
+        """The document as a list of dicts, one per entry by ascending code."""
+        doc = {"name": machine.name, "entries": [{"code": c, "output": machine.table[c]} for c in sorted(machine.table)]}
+        if machine.pad_length is not None:
+            doc["pad_length"] = machine.pad_length
+        return doc
+
+    @given(transport_cases())
+    @example((PrefixMachine("b", {}), identity_witness(Fraction(1))))
+    @example((PrefixMachine("caf\u00e9 \"b\"", {"": "1"}), identity_witness(Fraction(3))))
+    def test_rows_document_writes_the_list_documents_bytes(self, case):
+        machines = [case[0]]
+        if _transport(uniformize, *case)[0] != "error":
+            machines.append(uniformize(*case))
+        for machine in machines:
+            doc = machine_to_dict(machine)
+            assert isinstance(doc["entries"], Rows)
+            assert dump_json(doc) == json.dumps(self.list_document(machine), sort_keys=True, indent=2) + "\n"
+            again = machine_from_dict(doc)
+            assert (again.name, again.table, again.pad_length) == (machine.name, machine.table, machine.pad_length)
 
     def test_duplicate_codes_rejected(self):
         with pytest.raises(MachineFormatError):

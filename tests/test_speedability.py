@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -33,6 +34,8 @@ from lce_lab.errors import (
 )
 from lce_lab.reals import alternating_gaps, periodic_limit
 from lce_lab.speedability import MAX_HORIZON, PROBE_NOT_ABOVE, PROBE_NOT_BELOW, PROBE_NOT_BELOW_LIMIT, RatioTrace, TotalSpeedupReport, check_horizon
+from lce_lab import speedability
+from lce_lab.cli import main
 
 
 def geo1():
@@ -137,6 +140,16 @@ class TestLiminfRecord:
         assert trace.evidence_at(Fraction(1, 8)) and not trace.evidence_at(Fraction(1, 9))
         trace.append(3, Fraction(1, 16))
         assert trace.running_min == Fraction(1, 16)
+
+    @pytest.mark.parametrize("translation, code", [("affine:1/2", 0), ("affine:3/4", 1)])
+    def test_a_speed_check_report_scans_its_trace_once(self, translation, code, monkeypatch, capsys):
+        # Each scan for the running minimum compares every entry after the first.
+        compared = []
+        monkeypatch.setattr(speedability, "_below", lambda p, q: compared.append(p) or p < q)
+        argv = ["speed-check", "--real", "geometric:1", "--translation", translation, "--rho", "1/2"]
+        assert main(argv) == code
+        entries = json.loads(capsys.readouterr().out)["trace"]["entries"]
+        assert len(compared) == len(entries) - 1 > 0
 
 
 class TestTranslationFromSpeedup:
