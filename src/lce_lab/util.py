@@ -4,7 +4,8 @@ Rationals never pass through floats.  On the wire they are "num/den" strings,
 a violation class's from ``fraction_texts``, and a report's rows are a
 ``Rows`` of such columns; on input we also accept bare integers, integer
 strings, and {"num": ..., "den": ...} objects so gallery files written by hand
-stay readable.
+stay readable.  A report file is replaced atomically, and only when its bytes
+change, encoded 64 Ki characters at a time.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import os
 import tempfile
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, cycle, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
-from operator import attrgetter, itemgetter, mul
+from operator import add, attrgetter, itemgetter, mul
 
 from .errors import ConfigError
 
@@ -82,10 +83,11 @@ def holds_pairwise(op, values: list) -> bool:
 
 
 def fraction_texts(first: int, step: int, count: int, den: int) -> list[str]:
-    """``rational_str`` of each (first + j*step)/den, j < count, den > 0, one
-    int-to-text per cell.  Reduced, the gcd with den is fixed where the value's
-    power of two (up to den's) and j mod den's odd part prime to step are: one
-    comprehension per class, or a gcd per cell if classes are under 8 cells."""
+    """``rational_str`` of each (first + j*step)/den, j < count, den > 0, at
+    most one int-to-text per cell.  Reduced, the gcd with den is fixed where the
+    value's power of two (up to den's) and j mod den's odd part prime to step
+    are: one ``_progression_texts`` per class (by decimal blocks for a long one
+    whose step divides 100), or a gcd per cell if classes are under 8 cells."""
     if not step:
         return [rational_str(Fraction(first, den))] * count
     g = gcd(first, step, den)
@@ -102,8 +104,30 @@ def fraction_texts(first: int, step: int, count: int, den: int) -> list[str]:
             n = first + j * step
             d = g * gcd(n, period)
             suffix, inc = f"/{den // d}" if d != den else "", stride * period * step // d
-            column[j::stride * period] = [f"{v}{suffix}" for v in range(n // d, n // d + len(range(j, count, stride * period)) * inc, inc)]
+            column[j::stride * period] = _progression_texts(n // d, inc, len(range(j, count, stride * period)), suffix)
     return column
+
+
+_LOWS = [f"{r:02}" for r in range(100)]  # the two low digits of a number past 99
+
+
+def _progression_texts(start: int, step: int, count: int, suffix: str) -> list[str]:
+    """``f"{v}{suffix}"`` for v = start + j*step, j < count, step != 0.  When
+    step divides 100 and no value is negative, the two low digits repeat every
+    hundred: each full hundred past 0 is its head's text, spelled once, plus a
+    table of the lows with the suffix, built once.  Under ten cells a hundred,
+    or 200 in all full hundreds, that costs more than the plain texts."""
+    if step < 0:  # the ascending progression, reversed
+        return _progression_texts(start + (count - 1) * step, -step, count, suffix)[::-1]
+    stop = start + count * step
+    lo, hi = max(1, -(-start // 100)), stop // 100  # the full hundreds, by head
+    if start < 0 or 100 % step or step > 10 or (hi - lo) * 100 // step < 200:
+        return [f"{v}{suffix}" for v in range(start, stop, step)]
+    lows = list(map(add, _LOWS[start % step :: step], repeat(suffix)))
+    cells = [f"{v}{suffix}" for v in range(start, 100 * lo, step)]
+    cells += map(add, chain.from_iterable(map(repeat, map(str, range(lo, hi)), repeat(len(lows)))), cycle(lows))
+    cells += [f"{v}{suffix}" for v in range(100 * hi + start % step, stop, step)]
+    return cells
 
 
 def ceil_log2(x: Fraction) -> int:
@@ -277,8 +301,10 @@ def _json_table(columns: dict, indent: str):
     built once.  A column of str values is joined once and taken as it is if
     the join holds no character ``encode_basestring_ascii`` escapes: its
     quotes join the fixed text.  A str subclass is written as its str, as
-    ``json.dumps`` writes it.  A column of None values is fixed ``null``
-    text, and rows whose columns are all None are one row text repeated.
+    ``json.dumps`` writes it.  A column whose cells all ``==`` its first, an
+    exact str or None (a class's ``[reason] * count``), is written once into
+    the fixed text; ``first is last`` is tested before that scan.  Rows whose
+    columns are all so written are one row text repeated.
     """
     if any(type(key) is not str for key in columns):
         return None
@@ -289,14 +315,14 @@ def _json_table(columns: dict, indent: str):
         column = columns[key]
         text += sep + inner + _json_str(key) + ": "
         sep = ","
+        first = column[0]
+        if first is column[-1] and (type(first) is str or first is None) and column.count(first) == len(column):
+            text += _json_scalar(first)
+            continue
         try:
             joined = "".join(column)  # a TypeError unless every value is a str
         except TypeError:
-            kinds = set(map(type, column))
-            if kinds == {type(None)}:
-                text += "null"
-                continue
-            if not kinds <= _SCALAR_TYPES:
+            if not set(map(type, column)) <= _SCALAR_TYPES:
                 return None
             column = list(map(_json_scalar, column))
         else:
@@ -331,15 +357,17 @@ def atomic_write_text(path: str, text: str) -> None:
     it again would change only its mtime, and on ext4 a rename over an
     existing file forces the new data to disk (``auto_da_alloc``): rewriting
     an unchanged report cost more, and varied far more from run to run, than
-    building it.
+    building it.  The text is encoded, compared and written in slices of 64 Ki
+    characters, so its bytes are never held whole: the comparison stops at the
+    first slice that differs, or, for an ASCII text, at a size that differs.
 
     The file gets the mode ``open(path, "w")`` would give it: 0666 less the umask.
     """
-    data = text.encode()
     try:
-        with open(path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size == len(data) and fh.read() == data:
-                return
+        with open(path, "rb", buffering=0) as fh:  # a short read only costs a rewrite
+            if not text.isascii() or os.fstat(fh.fileno()).st_size == len(text):
+                if all(fh.read(len(data)) == data for data in _encoded(text)) and not fh.read(1):
+                    return
     except OSError:
         pass
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -349,9 +377,15 @@ def atomic_write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(data)
+            fh.writelines(_encoded(text))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _encoded(text: str):
+    """``text.encode()`` in the bytes of successive 64 Ki-character slices."""
+    for start in range(0, len(text), 1 << 16):
+        yield text[start : start + (1 << 16)].encode()

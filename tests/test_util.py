@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -116,6 +117,36 @@ class TestFractionTexts:
         assert fraction_texts(*args) == fraction_loop(*args)
         assert len(calls) in gcds
 
+    @settings(max_examples=400)
+    @given(
+        st.sampled_from([1, 2, 4, 5, 10, 20, 25, 50, 100, -1, -2, -4, -10, 3, 14]),
+        st.one_of(
+            st.integers(-250, -1),
+            st.just(0),
+            st.sampled_from([98, 99, 100, 101, 199, 200, 201, 9999, 10000, 10001]),
+            st.integers(0, 10**6),
+            st.integers(0, 1 << 80),
+        ),
+        st.sampled_from([0, 1, 1000]) | st.integers(0, 300),
+        st.sampled_from(["", "/3", "/65536"]),
+    )
+    def test_progressions_match_the_plain_texts(self, step, start, count, suffix):
+        # steps of 1 to 10 that divide 100 take the decimal blocks from 200 cells in
+        # full hundreds; 3, 14 and steps of 20 to 100 keep the plain texts
+        expected = [f"{v}{suffix}" for v in range(start, start + count * step, step)]
+        assert util._progression_texts(start, step, count, suffix) == expected
+
+    def test_block_path(self, monkeypatch):
+        blocks = []
+
+        def counted(lows):
+            blocks.append(lows)
+            return itertools.cycle(lows)
+
+        monkeypatch.setattr(util, "cycle", counted)
+        assert fraction_texts(4096, 1, 4096, 8192) == fraction_loop(4096, 1, 4096, 8192)
+        assert blocks
+
 
 def stdlib_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -152,7 +183,8 @@ _documents = st.recursive(
 @st.composite
 def _rows_tables(draw):
     """A ``Rows`` whose columns are each all None, str (some needing escapes),
-    str mixed with None, int, bool, or any scalars; sometimes no row at all."""
+    str mixed with None, int, bool, any scalars, or one str or None repeated;
+    sometimes no row at all."""
     keys = draw(st.lists(st.one_of(_text, st.sampled_from(["q", "phi_q", "%s"])), max_size=4, unique=True))
     count = draw(st.integers(0, 5))
     kinds = {
@@ -166,8 +198,11 @@ def _rows_tables(draw):
     }
     columns = {}
     for key in keys:
-        values = kinds[draw(st.sampled_from(sorted(kinds)))]
-        columns[key] = draw(st.lists(values, min_size=count, max_size=count))
+        kind = draw(st.sampled_from(sorted(kinds) + ["constant"]))
+        if kind == "constant":
+            columns[key] = [draw(st.one_of(st.none(), _text))] * count
+        else:
+            columns[key] = draw(st.lists(kinds[kind], min_size=count, max_size=count))
     return Rows(columns)
 
 
@@ -195,6 +230,9 @@ _rows_documents = st.recursive(
 
 class StrSubclass(str):
     pass
+
+
+A = "a"  # one object, so that a column of it starts and ends with the same cell
 
 
 class IntSubclass(int):
@@ -383,6 +421,12 @@ class TestRows:
             {"v": Rows({"n": [IntSubclass(3)]})},
             {"v": Rows({1: ["a"], 2: ["c"]})},
             {"v": Rows({"s": [StrSubclass("a"), None]})},
+            # constant columns, written once into the row text
+            {"v": Rows({"q": ["1/2", "3/4", "1"], "reason": ["gap_bound_failed"] * 3})},
+            {"v": Rows({"q": ["1", "2", "3"], "s": ['a"b'] * 3, "t": ["é"] * 3, "u": ["\x7f"] * 3})},
+            {"v": Rows({"s": [A, StrSubclass(A), A], "t": [A, A, StrSubclass(A)]})},
+            {"v": Rows({"q": ["1/2"], "reason": ["x"], "z": [None]})},
+            {"v": Rows({"a": ["x"] * 4, "b": [None] * 4, "c": ['"'] * 4})},
         ],
     )
     def test_edge_tables(self, doc):
@@ -404,6 +448,10 @@ class TestRows:
             dump_json(doc)
         assert str(ours.value) == str(stdlib_error.value)
 
+    def test_constant_column_is_no_piece_per_row(self):
+        columns = {"q": ["1/2", "3/4", "1"], "reason": ["gap_bound_failed"] * 3}
+        assert len(util._json_table(columns, "\n  ")) == 2 * 3 + 1
+
     def test_report_rows_skip_the_row_inference_and_the_stdlib_encoder(self, monkeypatch):
         # identity with c = 1 against alpha = 2, beta = 1 fails at every sample
         report = check_witness(geometric(Fraction(2)), geometric(Fraction(1)), identity_witness(), dyadic_grid(13, Fraction(1)))
@@ -417,6 +465,10 @@ class TestRows:
         monkeypatch.setattr(util, "_json_rows", refuse)
         monkeypatch.setattr(util.json, "dumps", refuse)
         assert dump_json(doc) == expected
+
+
+_LONG = "".join(map(str, range(30_000)))  # 138,890 characters: three 64 Ki slices
+_STRADDLE = "a" * 65_535 + "é" + "b" * 70_000
 
 
 class TestAtomicWriteText:
@@ -463,3 +515,42 @@ class TestAtomicWriteText:
         path.write_bytes(b"\r\n")
         util.atomic_write_text(str(path), "\n\n")
         assert path.read_bytes() == b"\n\n"
+
+    @pytest.mark.parametrize(
+        "old, text",
+        [
+            (_LONG, _LONG[:-1] + "!"),
+            (_LONG, "!" + _LONG[1:]),
+            (_LONG + "!", _LONG),
+            (_LONG, _LONG + "!"),
+            # a two-byte character across the file's first 64 KiB boundary
+            (_STRADDLE, _STRADDLE),
+            (_STRADDLE, _STRADDLE[:-1] + "!"),
+            (_STRADDLE.replace("é", "e!"), _STRADDLE),
+            ("é" * 70_000, "é" * 70_000),
+            ("é" * 70_000, "é" * 69_999 + "e"),
+            ("é" * 70_000 + "!", "é" * 70_000),
+            ("é" * 70_000, "é" * 70_000 + "!"),
+        ],
+        ids=[
+            "last-byte", "first-byte", "old-longer", "text-longer", "straddle-same", "straddle-last-byte",
+            "straddle-shifted", "two-byte-same", "two-byte-last", "two-byte-old-longer", "two-byte-text-longer",
+        ],
+    )
+    def test_texts_across_slices(self, tmp_path, old, text):
+        path = tmp_path / "report.json"
+        path.write_bytes(old.encode())
+        before = path.stat()
+        util.atomic_write_text(str(path), text)
+        assert path.read_bytes() == text.encode()
+        assert (path.stat().st_ino == before.st_ino) is (old == text)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("text", ["a\ud800b", "a" * 70_000 + "\ud800"], ids=["first-slice", "second-slice"])
+    def test_unencodable_text_leaves_the_old_file(self, tmp_path, text):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"old\n")
+        with pytest.raises(UnicodeEncodeError):
+            util.atomic_write_text(str(path), text)
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
