@@ -20,7 +20,7 @@ from .reals import approximations
 from .reducibility import check_witness, default_samples, dyadic_samples
 from .registry import gallery_from_config
 from .speedability import MAX_HORIZON, amplify, check_horizon, check_rho, check_total_speedup, liminf_record, speedup_from_translation, translation_from_speedup
-from .util import atomic_write_text, dump_json, parse_rational, rational_str
+from .util import Rows, atomic_write_text, dump_json, parse_rational, rational_str
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -106,27 +106,30 @@ def _cmd_convert(args) -> int:
     real = registry.parse_real(args.real)
     if args.speedup and args.translation:
         raise LabError("give either --speedup or --translation, not both")
+    if args.speedup and args.amplify > 1:
+        raise LabError("--amplify applies to --translation, not --speedup")
+    if args.translation and args.probes is not None:
+        raise LabError("--probes applies to --speedup, not --translation")
     if args.speedup:
         speedup = registry.parse_speedup(args.speedup)
         translation = translation_from_speedup(real, speedup)
         probes = [parse_rational(p) for p in (args.probes.split(",") if args.probes else [])]
         if not probes:
             probes = approximations(real, check_horizon(args.horizon) + 1)
-        mappings = []
-        for q in probes:
+        qs, images = [], []
+        for q in probes:  # each probe evaluated, then spelled, before the next
             value = translation.evaluate(q)
-            mappings.append(
-                {"q": rational_str(q), "g_q": rational_str(value) if value is not None else None}
-            )
-        _emit_json({"direction": "speedup-to-translation", "mappings": mappings}, args.out)
+            qs.append(rational_str(q))
+            images.append(rational_str(value) if value is not None else None)
+        _emit_json({"direction": "speedup-to-translation", "mappings": Rows({"q": qs, "g_q": images})}, args.out)
         return EXIT_PASS
     if args.translation:
-        horizon = check_horizon(args.horizon)
+        indices = range(check_horizon(args.horizon) + 1)
         translation = registry.parse_translation(args.translation, real)
         if args.amplify > 1:
             translation = amplify(translation, args.amplify)
         speedup = speedup_from_translation(real, translation)
-        mappings = [{"i": i, "f_i": speedup.evaluate(i)} for i in range(horizon + 1)]
+        mappings = Rows({"i": indices, "f_i": list(map(speedup.evaluate, indices))})
         _emit_json({"direction": "translation-to-speedup", "mappings": mappings}, args.out)
         return EXIT_PASS
     raise LabError("convert needs --speedup or --translation")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import add, floordiv, gt, itemgetter, lshift, lt, mul
+from operator import add, attrgetter, floordiv, gt, itemgetter, lshift, lt, mul
 from typing import Optional
 
 from .dyadic import is_binary, kraft_mass, truncate
@@ -244,16 +244,7 @@ class UschReport:
             "constant": self.constant,
             "passed": self.passed,
             "first_failure": self.first_failure,
-            "rows": [
-                {
-                    "n": row.n,
-                    "alpha_complexity": row.alpha_complexity,
-                    "beta_complexity": row.beta_complexity,
-                    "bound": row.bound,
-                    "ok": row.ok,
-                }
-                for row in self.rows
-            ],
+            "rows": Rows({key: list(map(attrgetter(key), self.rows)) for key in ("n", "alpha_complexity", "beta_complexity", "bound", "ok")}),
         }
 
 

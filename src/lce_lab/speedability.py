@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 from .errors import ConfigError, PreconditionError, SearchExhaustedError
 from .reals import DeskReal, approximations, gap
-from .util import rational_str
+from .util import Rows, rational_str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -180,9 +180,7 @@ class RatioTrace:
     def to_json_dict(self) -> dict:
         best = self.running_min
         return {
-            "entries": [
-                {"n": n, "ratio": rational_str(v)} for n, v in self.entries
-            ],
+            "entries": Rows({"n": [n for n, _ in self.entries], "ratio": [rational_str(v) for _, v in self.entries]}),
             "running_min": rational_str(best) if best is not None else None,
         }
 
@@ -332,9 +330,7 @@ class TotalSpeedupReport:
             "rho": rational_str(self.rho),
             "evidence": self.evidence,
             "valid": self.valid,
-            "violations": [
-                {"q": rational_str(q), "reason": reason} for q, reason in self.violations
-            ],
+            "violations": Rows({"q": [rational_str(q) for q, _ in self.violations], "reason": [reason for _, reason in self.violations]}),
             "trace": self.trace.to_json_dict(),
         }
 

@@ -1,11 +1,12 @@
 """Shared plumbing: exact-rational text forms and deterministic reports.
 
 Rationals never pass through floats.  On the wire they are "num/den" strings,
-a violation class's from ``fraction_texts``, and a report's rows are a
-``Rows`` of such columns; on input we also accept bare integers, integer
-strings, and {"num": ..., "den": ...} objects so gallery files written by hand
-stay readable.  A report file is replaced atomically, and only when its bytes
-change, encoded 64 Ki characters at a time.
+a violation class's from ``fraction_texts``, and every report table is a
+``Rows`` of columns of such texts and other JSON scalars; on input we also
+accept bare integers, integer strings, and {"num": ..., "den": ...} objects so
+gallery files written by hand stay readable.  A report file is replaced
+atomically, and only when its bytes change, encoded 64 Ki characters at a
+time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from itertools import chain, cycle, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
-from operator import add, attrgetter, itemgetter, mul
+from operator import add, attrgetter, mul
 
 from .errors import ConfigError
 
@@ -164,9 +165,9 @@ class Rows(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, index):
+    def __getitem__(self, index: int) -> dict:
         if isinstance(index, slice):
-            return Rows({key: column[index] for key, column in self._columns.items()})
+            raise TypeError("Rows indices must be integers, not slice")
         if not self._columns:
             raise IndexError("Rows index out of range")
         return {key: column[index] for key, column in self._columns.items()}
@@ -193,10 +194,11 @@ def dump_json(obj) -> str:
     a ``Rows`` as its list of dicts.  Before 3.14 that call never uses the C
     encoder once ``indent`` is set, so documents of dicts with str keys,
     lists, ``Rows``, str, int, bool and None (exact types) go through a small
-    writer here instead, a ``Rows`` or a list of flat dicts with one key set
-    one column at a time (``_json_table``).  Any other value or key type, or
-    a recursion too deep for the writer, hands the whole document to that
-    call, so it gets the stdlib's output or error.
+    writer here instead, which writes a ``Rows``, the form of every report
+    table, one column at a time (``_json_table``) and any other list item by
+    item.  Any other value or key type, or a recursion too deep for the
+    writer, hands the whole document to that call, so it gets the stdlib's
+    output or error.
     """
     out: list[str] = []
     try:
@@ -257,8 +259,7 @@ def _json_value(value, indent: str, out: list) -> None:
             out.append("[]")
             return
         inner = indent + "  "
-        columns = value._columns if kind is Rows else _json_rows(value)
-        rows = columns and _json_table(columns, inner)
+        rows = kind is Rows and _json_table(value._columns, inner) or None
         if rows is None:
             sep = "[" + inner
             for item in value:
@@ -270,22 +271,6 @@ def _json_value(value, indent: str, out: list) -> None:
         out.append(indent + "]")
     else:
         out.append(_json_scalar(value))
-
-
-def _json_rows(items: list):
-    """The columns of a list of flat dicts with one key set, or None for any
-    other list.  A row of the first row's size that holds each of the first
-    row's keys holds no other."""
-    first = items[0]
-    if type(first) is not dict or not first:
-        return None
-    width = len(first)
-    if set(map(type, items)) != {dict} or set(map(len, items)) != {width}:
-        return None
-    try:
-        return {key: list(map(itemgetter(key), items)) for key in first}
-    except KeyError:
-        return None
 
 
 _ESCAPED = bytes(range(0x20)) + b'"\\\x7f'  # the ASCII that encode_basestring_ascii escapes

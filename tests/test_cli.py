@@ -560,6 +560,23 @@ class TestConvert:
         assert main(argv + ["--horizon", "0", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["mappings"] == [{"q": "1/2", "g_q": "3/4"}]
 
+    @pytest.mark.parametrize(
+        "flags, err",
+        [
+            (["--speedup", "linear:2", "--amplify", "3", "--probes", "1/2"], "--amplify applies to --translation, not --speedup\n"),
+            (["--translation", "affine:1/2", "--probes", "1/2"], "--probes applies to --speedup, not --translation\n"),
+        ],
+        ids=["amplify-with-speedup", "probes-with-translation"],
+    )
+    def test_flags_of_the_other_direction_are_refused(self, flags, err, tmp_path, capsys):
+        out = tmp_path / "conv.json"
+        argv = ["convert", "--real", "geometric:1", *flags]
+        assert main(argv) == 2
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err * 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_amplify_below_one_is_usage_error(self, k, capsys):
         assert main(

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lce_lab import check_witness, dyadic_grid, geometric, identity_witness, util
+from lce_lab import RatioTrace, TotalSpeedupReport, UschReport, affine_toward, check_total_speedup, cli, geometric, linear_speedup, liminf_record, util
 from lce_lab.errors import ConfigError
+from lce_lab.machines import UschRow
 from lce_lab.util import Rows, ceil_log2, dump_json, fraction_texts, parse_rational, rational_str
 
 
@@ -359,7 +360,6 @@ class TestRows:
         assert len(rows) == 3 and rows and not Rows({}) and not Rows({"q": []})
         assert list(rows) == self.ROWS and all(type(row) is dict for row in rows)
         assert rows[0] == self.ROWS[0] and rows[-1] == self.ROWS[-1] and rows[-3] == self.ROWS[0]
-        assert rows[1:] == self.ROWS[1:] and rows[::-1] == self.ROWS[::-1]
         assert repr(rows) == repr(self.ROWS)
         assert repr(Rows({})) == repr(Rows({"q": []})) == "[]"
 
@@ -369,6 +369,10 @@ class TestRows:
             self.table()[index]
         with pytest.raises(IndexError):
             Rows({})[0]
+
+    def test_no_slices(self):
+        with pytest.raises(TypeError, match="not slice"):
+            self.table()[1:]
 
     def test_rows_are_fresh_dicts(self):
         rows = self.table()
@@ -452,19 +456,64 @@ class TestRows:
         columns = {"q": ["1/2", "3/4", "1"], "reason": ["gap_bound_failed"] * 3}
         assert len(util._json_table(columns, "\n  ")) == 2 * 3 + 1
 
-    def test_report_rows_skip_the_row_inference_and_the_stdlib_encoder(self, monkeypatch):
-        # identity with c = 1 against alpha = 2, beta = 1 fails at every sample
-        report = check_witness(geometric(Fraction(2)), geometric(Fraction(1)), identity_witness(), dyadic_grid(13, Fraction(1)))
-        doc = report.to_json_dict()
-        assert type(doc["violations"]) is Rows and len(doc["violations"]) == 1 << 13
-        expected = stdlib_rows_json(doc)
+    def test_every_report_table_is_rows_and_skips_the_stdlib_encoder(self, tmp_path, monkeypatch):
+        machine = str(tmp_path / "B.json")
+        with open(machine, "w") as fh:
+            json.dump({"entries": [{"code": "0", "output": "1"}, {"code": "10", "output": "10"}, {"code": "11", "output": "0"}]}, fh)
+        runs = [
+            (["check-witness", "--alpha", "geometric:2", "--beta", "geometric:1", "--witness", "identity", "--grid-depth", "13"], [("violations",)]),
+            (["cmm-build", "--B", machine, "--witness", "identity"], [("entries",)]),
+            (["cmm-check", "--A", machine, "--B", machine, "--alpha", "set:evens", "--beta", "set:evens", "--n-max", "6"], [("rows",)]),
+            (["speed-trace", "--real", "geometric:1", "--speedup", "linear:2", "--format", "json"], [("entries",)]),
+            # the machine's Omega attains its limit: probes there are rows, the ones below it trace entries
+            (["speed-check", "--real", f"omega:{machine}", "--translation", "affine:1/2", "--rho", "1/2"], [("violations",), ("trace", "entries")]),
+            (["convert", "--real", "geometric:1", "--speedup", "linear:2", "--probes", "1/2,1"], [("mappings",)]),
+            (["convert", "--real", "geometric:1", "--translation", "affine:1/2"], [("mappings",)]),
+        ]
+        docs = [cli_report(argv) for argv, _ in runs]
+        for doc, (argv, paths) in zip(docs, runs):
+            for path in paths:
+                table = doc
+                for key in path:
+                    table = table[key]
+                assert type(table) is Rows and table, (argv, path)
+        expected = [stdlib_json(as_lists(doc)) for doc in docs]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("took the list-of-dicts path or json.dumps")
+            raise AssertionError("fell back to json.dumps")
 
-        monkeypatch.setattr(util, "_json_rows", refuse)
         monkeypatch.setattr(util.json, "dumps", refuse)
-        assert dump_json(doc) == expected
+        assert [dump_json(doc) for doc in docs] == expected
+
+    @pytest.mark.parametrize(
+        "make, empty",
+        [
+            (lambda: UschReport(1, [UschRow(1, None, 2, 3), UschRow(2, 1, 1, 2), UschRow(3, None, 0, 1)]).to_json_dict(), []),
+            (lambda: UschReport(0).to_json_dict(), ["rows"]),
+            (lambda: RatioTrace().to_json_dict(), ["entries"]),
+            (lambda: liminf_record(geometric(Fraction(1), Fraction(2, 3)), linear_speedup(3), 600).to_json_dict(), []),
+            (lambda: TotalSpeedupReport(Fraction(1, 2), RatioTrace(), [(Fraction(1, 2), "undefined"), (Fraction(-3), "not_monotone")]).to_json_dict(), ["entries"]),
+            (lambda: check_total_speedup(geometric(Fraction(1)), affine_toward(Fraction(1), Fraction(1, 2)), Fraction(1, 2), 8).to_json_dict(), ["violations"]),
+            (lambda: cli_report(["convert", "--real", "geometric:1", "--speedup", "linear:2", "--probes", "1,1/2,2,0"]), []),
+        ],
+        ids=["usch-none", "usch-empty", "trace-empty", "trace-long", "speed-violations", "speed-valid", "convert-none"],
+    )
+    def test_reporters_match_the_stdlib(self, make, empty):
+        doc = make()
+        text = dump_json(doc)
+        assert text == stdlib_json(as_lists(doc))
+        for key in empty:
+            assert f'"{key}": []' in text
+
+
+def cli_report(argv) -> dict:
+    """The document one ``cli.main`` run hands to ``dump_json``."""
+    docs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "dump_json", lambda doc: docs.append(doc) or "")
+        cli.main(argv)
+    [doc] = docs
+    return doc
 
 
 _LONG = "".join(map(str, range(30_000)))  # 138,890 characters: three 64 Ki slices
