@@ -300,9 +300,11 @@ def _shortest_prefixes(machine: PrefixMachine, bits: str) -> dict[str, int]:
 
 
 def machine_from_dict(doc: dict) -> PrefixMachine:
-    """{"name"?, "pad_length"?, "entries": [{"code", "output"}, ...] or a ``Rows``}
+    """A machine file's parsed JSON: {"name"?, "pad_length"?, "entries": [{"code", "output"}, ...]}
 
     Checks the document's shape; ``PrefixMachine`` checks the strings.  The
+    entries must be a list, as in the file: ``machine_to_dict``'s in-memory
+    ``Rows`` is refused, and is read back from its ``dump_json`` text.  The
     table is built in one C-level pass over the code and output columns; only
     when that pass fails (an entry that is not a dict, a missing key, an
     unhashable code) or loses an entry (a duplicate code) are the entries
@@ -311,7 +313,6 @@ def machine_from_dict(doc: dict) -> PrefixMachine:
     if not isinstance(doc, dict) or "entries" not in doc:
         raise MachineFormatError("machine document needs an entries list")
     entries = doc["entries"]
-    entries = list(entries) if isinstance(entries, Rows) else entries  # as machine_to_dict writes them
     if not isinstance(entries, list):
         raise MachineFormatError("entries must be a list")
     table = None
@@ -339,7 +340,8 @@ def machine_from_dict(doc: dict) -> PrefixMachine:
 
 
 def machine_to_dict(machine: PrefixMachine) -> dict:
-    """The document ``machine_from_dict`` reads, its entries a ``Rows`` by ascending code."""
+    """The document whose JSON text ``machine_from_dict`` reads, its entries a
+    ``Rows`` by ascending code."""
     codes = sorted(machine.table)
     doc: dict = {"name": machine.name, "entries": Rows({"code": codes, "output": list(map(machine.table.__getitem__, codes))})}
     if machine.pad_length is not None:

@@ -204,9 +204,10 @@ def _inequality(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness):
     and falls where it is below.  ``terms(a, b, m, h, length)`` returns
     (room, slope, lack); ``bound(h, length)`` a gap-bound row's bound as
     (bound_0, bound_k, bound_den) = (P*C*h + s, P*D, Q*D*h).  ``at_point(phi,
-    h)`` states a sample k/h of its own (a = 0, phi = b/m, slack 1/h when
-    weakened) in one call: (phi, reason, slope, lack, room*D*h, B*m), a row
-    when k*slope >= lack, with 0s where no gap bound is tested.
+    h)`` states a sample k/h of its own in one call, by ``terms(0, b, m, h,
+    log2 h)`` (a = 0, phi = b/m, slack 1/h when weakened): (phi, reason,
+    slope, lack, room*D*h, B*m), a row when k*slope >= lack, with 0s where
+    no gap bound is tested.
     """
     a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
@@ -225,13 +226,11 @@ def _inequality(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness):
     def at_point(phi: Optional[Fraction], h: int) -> tuple:
         if phi is None:
             return None, REASON_UNDEFINED, 0, 0, 0, 0
-        b, m = phi.numerator, phi.denominator
-        room = a_num * m - a_den * b
+        m = phi.denominator
+        room, slope, lack = terms(0, phi.numerator, m, h, h.bit_length() - 1)
         if room <= 0:
             return phi, REASON_NOT_BELOW_ALPHA, 0, 0, 0, 0
-        qdh = qd * h
-        slack = qdh >> (h.bit_length() - 1) if weakened else 0
-        return phi, REASON_GAP_BOUND, ad_bd * c_num * m, a_den * m * (pc * h + slack) - room * qdh, room * b_den * h, a_den * m
+        return phi, REASON_GAP_BOUND, slope, lack, room * b_den * h, a_den * m
 
     return terms, bound, at_point
 

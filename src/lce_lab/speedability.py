@@ -113,9 +113,13 @@ def amplify(g: TranslationMap, k: int) -> TranslationMap:
 
 
 def _speedup_value(f: SpeedUp, n: int) -> int:
+    """f(n), checked to be an int with n <= f(n) <= DEFAULT_SEARCH_CAP, so no
+    index past the cap is ever approximated."""
     fn = f.evaluate(n)
     if not isinstance(fn, int) or fn < n:
         raise PreconditionError(f"{f.name}: f({n}) = {fn!r} violates n <= f(n)")
+    if fn > DEFAULT_SEARCH_CAP:
+        raise SearchExhaustedError(f"{f.name}: f({n}) = {fn} is past the index cap {DEFAULT_SEARCH_CAP}")
     return fn
 
 
@@ -190,8 +194,9 @@ def liminf_record(x: DeskReal, f: SpeedUp, horizon: int) -> RatioTrace:
 
     A finite stand-in for the limit-inferior: callers read the running minimum
     as rho-evidence when it drops to rho, and nothing more.  Also validates
-    that f is nondecreasing with n <= f(n) across the horizon, and refuses
-    any f(n) above DEFAULT_SEARCH_CAP before approximating there.
+    that f is nondecreasing with n <= f(n) across the horizon; like every
+    reader of f, it refuses any f(n) above DEFAULT_SEARCH_CAP before
+    approximating there (``_speedup_value``).
     """
     check_horizon(horizon)
     trace = RatioTrace()
@@ -200,8 +205,6 @@ def liminf_record(x: DeskReal, f: SpeedUp, horizon: int) -> RatioTrace:
         fn = _speedup_value(f, n)
         if prev is not None and fn < prev:
             raise PreconditionError(f"{f.name}: f({n}) = {fn} dropped below f({n - 1}) = {prev}")
-        if fn > DEFAULT_SEARCH_CAP:
-            raise SearchExhaustedError(f"{f.name}: f({n}) = {fn} is past the index cap {DEFAULT_SEARCH_CAP}")
         prev = fn
         trace.append(n, _ratio_at(x, n, fn))
     return trace
@@ -244,7 +247,8 @@ def translation_from_speedup(
     test is the one place the oracle limit is read (deciding q < limit is not
     an approximation-side question).  On the approximation points themselves
     the map satisfies g(a_i) = a_{f(i)} whenever the a_i are distinct.  The
-    index search follows ``_least_index``'s cap rule.
+    index search follows ``_least_index``'s cap rule, and an f(i) past
+    DEFAULT_SEARCH_CAP is refused before a_{f(i)} is approximated.
     """
 
     def evaluate(q: Fraction) -> Optional[Fraction]:

@@ -2,19 +2,17 @@
 
 Rationals never pass through floats.  On the wire they are "num/den" strings,
 a violation class's from ``fraction_texts``, and every report table is a
-``Rows`` of columns of such texts and other JSON scalars; on input we also
-accept bare integers, integer strings, and {"num": ..., "den": ...} objects so
-gallery files written by hand stay readable.  A report file is replaced
-atomically, and only when its bytes change, encoded 64 Ki characters at a
-time.
-"""
+``Rows``, a column table (not a list) of such texts and other JSON scalars;
+on input we also accept bare integers, integer strings, and {"num": ...,
+"den": ...} objects so gallery files written by hand stay readable.
+``dump_json`` is the one JSON writer and takes only the lab's own document
+types.  A report file is replaced atomically, and only when its bytes
+change, encoded 64 Ki characters at a time."""
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
-from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, cycle, repeat
 from json.encoder import encode_basestring_ascii as _json_str
@@ -147,11 +145,13 @@ def ceil_log2(x: Fraction) -> int:
     return t
 
 
-class Rows(Sequence):
-    """A read-only list of flat dicts with one key set, stored as one list of
-    JSON scalars per key.  It reads as that list: ``rows[i]`` and iteration
-    give fresh dicts, ``==`` holds against the list, and its ``repr`` is the
-    list's.  Lists passed in are kept, not copied, so they must not change."""
+class Rows:
+    """A report table: flat rows with one key set, stored as one list of JSON
+    scalars per key.  It is not a list: it has a length, and ``==`` holds
+    against a ``Rows`` with the same columns, but it is neither indexed nor
+    iterated; ``dump_json`` writes it as its list of row dicts, and a reader
+    of the rows reads that text.  Lists passed in are kept, not copied, so
+    they must not change."""
 
     __slots__ = ("_columns", "_len")
 
@@ -165,63 +165,29 @@ class Rows(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, index: int) -> dict:
-        if isinstance(index, slice):
-            raise TypeError("Rows indices must be integers, not slice")
-        if not self._columns:
-            raise IndexError("Rows index out of range")
-        return {key: column[index] for key, column in self._columns.items()}
-
-    def __iter__(self):
-        return map(dict, map(zip, repeat(tuple(self._columns)), zip(*self._columns.values())))
-
     def __eq__(self, other):
-        if isinstance(other, Rows) and self._columns.keys() == other._columns.keys():
+        if isinstance(other, Rows):
             return self._columns == other._columns
-        if isinstance(other, (Rows, list)):
-            return list(self) == list(other)
         return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 def dump_json(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indentation, trailing newline.
 
-    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2,
-    default=_expand_rows) + "\\n"`` of the running Python, the hook writing
-    a ``Rows`` as its list of dicts.  Before 3.14 that call never uses the C
-    encoder once ``indent`` is set, so documents of dicts with str keys,
-    lists, ``Rows``, str, int, bool and None (exact types) go through a small
-    writer here instead, which writes a ``Rows``, the form of every report
-    table, one column at a time (``_json_table``) and any other list item by
-    item.  Any other value or key type, or a recursion too deep for the
-    writer, hands the whole document to that call, so it gets the stdlib's
-    output or error.
+    It writes the documents the lab builds: dicts with str keys, lists,
+    ``Rows``, str, int, bool and None, the containers, keys, ints and bools
+    of exact type (a str subclass is written as its str).  The text is
+    exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` of the
+    same document with each ``Rows`` as its list of row dicts; a ``Rows`` is
+    written one column at a time (``_json_table``), any other list item by
+    item.  Any other value or key raises ``TypeError`` in the stdlib's words
+    ("Object of type float is not JSON serializable", "keys must be str, not
+    int"), and a circular document ``RecursionError``.
     """
     out: list[str] = []
-    try:
-        _json_value(obj, "\n", out)
-    except (_Unsupported, RecursionError):
-        return json.dumps(obj, sort_keys=True, indent=2, default=_expand_rows) + "\n"
+    _json_value(obj, "\n", out)
     out.append("\n")
     return "".join(out)
-
-
-def _expand_rows(value):
-    """``json.dumps``'s ``default``: a ``Rows`` is its list of dicts, and
-    anything else raises the stdlib's own ``TypeError``."""
-    if isinstance(value, Rows):
-        return list(value)
-    return json.JSONEncoder().default(value)
-
-
-class _Unsupported(Exception):
-    """A value or key the writer leaves to ``json.dumps``."""
-
-
-_SCALAR_TYPES = frozenset((str, int, bool, type(None)))
 
 
 def _json_scalar(value) -> str:
@@ -234,7 +200,9 @@ def _json_scalar(value) -> str:
         return "null"
     if kind is bool:
         return "true" if value else "false"
-    raise _Unsupported
+    if isinstance(value, str):
+        return _json_str(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _json_value(value, indent: str, out: list) -> None:
@@ -245,8 +213,9 @@ def _json_value(value, indent: str, out: list) -> None:
         if not value:
             out.append("{}")
             return
-        if any(type(key) is not str for key in value):
-            raise _Unsupported
+        for key in value:
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
         inner = indent + "  "
         sep = "{" + inner
         for key in sorted(value):
@@ -259,15 +228,14 @@ def _json_value(value, indent: str, out: list) -> None:
             out.append("[]")
             return
         inner = indent + "  "
-        rows = kind is Rows and _json_table(value._columns, inner) or None
-        if rows is None:
+        if kind is Rows:
+            out += _json_table(value._columns, inner)
+        else:
             sep = "[" + inner
             for item in value:
                 out.append(sep)
                 _json_value(item, inner, out)
                 sep = "," + inner
-        else:
-            out += rows
         out.append(indent + "]")
     else:
         out.append(_json_scalar(value))
@@ -276,23 +244,23 @@ def _json_value(value, indent: str, out: list) -> None:
 _ESCAPED = bytes(range(0x20)) + b'"\\\x7f'  # the ASCII that encode_basestring_ascii escapes
 
 
-def _json_table(columns: dict, indent: str):
+def _json_table(columns: dict, indent: str) -> list:
     """The text pieces of the rows of non-empty, equally long columns of JSON
-    scalars under str keys, from the list's '[' to the last row's '}', or None
-    if a key or value is of another type.
+    scalars under str keys, from the list's '[' to the last row's '}'; a key
+    or value of another type raises ``dump_json``'s ``TypeError``.
 
     Each column is encoded in one pass, and the pieces alternate between the
     columns' values and fixed text ('[' or ',', '{', the indented keys, '}')
     built once.  A column of str values is joined once and taken as it is if
     the join holds no character ``encode_basestring_ascii`` escapes: its
-    quotes join the fixed text.  A str subclass is written as its str, as
-    ``json.dumps`` writes it.  A column whose cells all ``==`` its first, an
+    quotes join the fixed text.  A column whose cells all ``==`` its first, an
     exact str or None (a class's ``[reason] * count``), is written once into
     the fixed text; ``first is last`` is tested before that scan.  Rows whose
     columns are all so written are one row text repeated.
     """
-    if any(type(key) is not str for key in columns):
-        return None
+    for key in columns:
+        if type(key) is not str:
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
     inner = indent + "  "
     fixed, cells = [], []  # the fixed text before each column of cells, and those columns
     text, sep = "{", ""  # the fixed text since the last column; what comes before a key
@@ -307,9 +275,7 @@ def _json_table(columns: dict, indent: str):
         try:
             joined = "".join(column)  # a TypeError unless every value is a str
         except TypeError:
-            if not set(map(type, column)) <= _SCALAR_TYPES:
-                return None
-            column = list(map(_json_scalar, column))
+            column = list(map(_json_scalar, column))  # raises for a value of another type
         else:
             if joined.isascii() and len(joined.encode().translate(None, _ESCAPED)) == len(joined):
                 fixed.append(text + '"')

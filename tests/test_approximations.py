@@ -1,6 +1,7 @@
 """Integer approximations, the one monotone reader and closed-form
 amplification, each against the plain ``Fraction`` formula it replaces."""
 
+import json
 import re
 import tracemalloc
 from dataclasses import replace
@@ -43,6 +44,8 @@ from lce_lab.speedability import (
     default_probes,
     liminf_record,
     linear_speedup,
+    ratio,
+    translation_from_speedup,
 )
 from lce_lab.util import dump_json, rational_str
 
@@ -281,6 +284,30 @@ class TestIndexCap:
             liminf_record(counting_real(seen), f, 10)
         assert max(seen) == DEFAULT_SEARCH_CAP
 
+    @settings(max_examples=40)
+    @given(st.integers(1, 3 * DEFAULT_SEARCH_CAP), st.integers(1, 6))
+    def test_no_reader_of_f_approximates_past_the_cap(self, factor, n):
+        """``ratio``, ``liminf_record`` and ``translation_from_speedup`` share
+        one rule: an f(k) past the cap is refused before a_f(k) is approximated."""
+        f = linear_speedup(factor)
+        first = DEFAULT_SEARCH_CAP // factor + 1  # the least k with f(k) past the cap
+        readers = [
+            lambda x: ratio(x, f, n),
+            lambda x: liminf_record(x, f, n),  # reads f(0), ..., f(n)
+            lambda x: translation_from_speedup(x, f).evaluate(Fraction(n + 1, n + 2)),  # least i with a_i >= q is n
+        ]
+        for read in readers:
+            seen = []
+            if n >= first:
+                k = n if read is not readers[1] else first
+                message = f"^linear\\({factor}\\): f\\({k}\\) = {factor * k} is past the index cap {DEFAULT_SEARCH_CAP}$"
+                with pytest.raises(SearchExhaustedError, match=message):
+                    read(counting_real(seen))
+            else:
+                read(counting_real(seen))
+                assert factor * n in seen
+            assert max(seen, default=0) <= DEFAULT_SEARCH_CAP
+
     @pytest.fixture
     def omega_file(self, tmp_path):
         # limit 3/4, attained at stage 2: a_{f(1)} is the limit however far f(1) reaches
@@ -335,7 +362,7 @@ class TestViolationTexts:
         ]
         for alpha, beta, witness, grid in cases:
             report = check_witness(alpha, beta, witness, grid)
-            rows = report.to_json_dict()["violations"]
+            rows = json.loads(dump_json(report.to_json_dict()))["violations"]
             assert rows, witness.name
             parse = lambda text: None if text is None else Fraction(text)
             expected = [Violation(parse(r["q"]), r["reason"], parse(r["phi_q"]), parse(r["bound"])) for r in rows]

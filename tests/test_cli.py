@@ -554,6 +554,14 @@ class TestConvert:
         assert main(["convert", "--real", "geometric:1", *direction, "--horizon", horizon]) == 2
         assert f"horizon must be >= 1, got {horizon}" in capsys.readouterr().err
 
+    def test_speedup_index_past_the_cap_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "conv.json"
+        argv = ["convert", "--real", "geometric:1", "--speedup", "linear:10000000", "--probes", "1/2"]
+        assert main(argv) == 2
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "linear(10000000): f(1) = 10000000 is past the index cap 1000000\n" * 2)
+        assert not out.exists()
+
     def test_probes_make_the_horizon_unused(self, tmp_path):
         out = tmp_path / "conv.json"
         argv = ["convert", "--real", "geometric:1", "--speedup", "linear:2", "--probes", "1/2"]

@@ -644,15 +644,19 @@ class TestMutationControl:
 
 class TestMachineFiles:
     def test_round_trip(self):
-        doc = machine_to_dict(uniformize(three_code(), identity_witness(Fraction(1))))
+        doc = json.loads(dump_json(machine_to_dict(uniformize(three_code(), identity_witness(Fraction(1))))))
         again = machine_from_dict(doc)
         assert again.table == {c["code"]: c["output"] for c in doc["entries"]}
         assert again.pad_length == 1
 
     def test_entries_sorted_for_determinism(self):
-        doc = machine_to_dict(three_code())
+        doc = json.loads(dump_json(machine_to_dict(three_code())))
         codes = [e["code"] for e in doc["entries"]]
         assert codes == sorted(codes)
+
+    def test_rows_entries_are_refused(self):
+        with pytest.raises(MachineFormatError, match="entries must be a list"):
+            machine_from_dict(machine_to_dict(three_code()))
 
     @staticmethod
     def list_document(machine):
@@ -673,7 +677,7 @@ class TestMachineFiles:
             doc = machine_to_dict(machine)
             assert isinstance(doc["entries"], Rows)
             assert dump_json(doc) == json.dumps(self.list_document(machine), sort_keys=True, indent=2) + "\n"
-            again = machine_from_dict(doc)
+            again = machine_from_dict(json.loads(dump_json(doc)))
             assert (again.name, again.table, again.pad_length) == (machine.name, machine.table, machine.pad_length)
 
     def test_duplicate_codes_rejected(self):
