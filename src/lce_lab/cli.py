@@ -20,7 +20,7 @@ from .reals import approximations
 from .reducibility import check_witness, default_samples, dyadic_samples
 from .registry import gallery_from_config
 from .speedability import MAX_HORIZON, amplify, check_horizon, check_rho, check_total_speedup, liminf_record, speedup_from_translation, translation_from_speedup
-from .util import Rows, atomic_write_text, dump_json, parse_rational, rational_str
+from .util import Rows, atomic_write_text, dump_json, parse_int, parse_rational, rational_str
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -170,10 +170,18 @@ def _cmd_cmm_check(args) -> int:
     return EXIT_PASS if report.passed else EXIT_VIOLATION
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value, read by ``parse_int``: a sign and ASCII digits only."""
+    try:
+        return parse_int(text)
+    except ConfigError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _amplify_factor(text: str) -> int:
     try:
-        k = int(text)
-    except ValueError:
+        k = parse_int(text)
+    except ConfigError:
         k = 0
     if k < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
@@ -190,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gallery", help="build and validate a gallery config")
     p.add_argument("--config", required=True, help="gallery JSON file")
-    p.add_argument("--horizon", type=int, default=32, help="monotonicity check depth")
+    p.add_argument("--horizon", type=_integer, default=32, help="monotonicity check depth")
     p.add_argument("--out", help="report path (default stdout)")
     p.set_defaults(func=_cmd_gallery)
 
@@ -199,15 +207,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, help="real spec for the target side")
     p.add_argument("--witness", required=True, help="witness spec")
     p.add_argument("--c", help="witness constant for identity (num/den), default 2")
-    p.add_argument("--samples", type=int, help="use exactly this many dyadic samples")
-    p.add_argument("--grid-depth", type=int, default=10)
+    p.add_argument("--samples", type=_integer, help="use exactly this many dyadic samples")
+    p.add_argument("--grid-depth", type=_integer, default=10)
     p.add_argument("--out", help="report path (default stdout)")
     p.set_defaults(func=_cmd_check_witness)
 
     p = sub.add_parser("speed-trace", help="trace gap ratios under a speed-up")
     p.add_argument("--real", required=True)
     p.add_argument("--speedup", required=True)
-    p.add_argument("--horizon", type=int, default=10)
+    p.add_argument("--horizon", type=_integer, default=10)
     p.add_argument("--rho", help="optional evidence threshold in (0,1) (num/den)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="report path (default stdout)")
@@ -217,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--real", required=True)
     p.add_argument("--translation", required=True)
     p.add_argument("--rho", required=True)
-    p.add_argument("--horizon", type=int, default=10)
+    p.add_argument("--horizon", type=_integer, default=10)
     p.add_argument("--amplify", type=_amplify_factor, default=1)
     p.add_argument("--out", help="report path (default stdout)")
     p.set_defaults(func=_cmd_speed_check)
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translation", help="convert this translation to a speed-up")
     p.add_argument("--amplify", type=_amplify_factor, default=1)
     p.add_argument("--probes", help="comma-separated rationals for evaluation")
-    p.add_argument("--horizon", type=int, default=10)
+    p.add_argument("--horizon", type=_integer, default=10)
     p.add_argument("--out", help="report path (default stdout)")
     p.set_defaults(func=_cmd_convert)
 
@@ -245,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", required=True, help="source machine JSON")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--c", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=32)
+    p.add_argument("--c", type=_integer, default=1)
+    p.add_argument("--n-max", type=_integer, default=32)
     p.add_argument("--out", help="report path (default stdout)")
     p.set_defaults(func=_cmd_cmm_check)
 

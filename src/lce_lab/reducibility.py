@@ -17,16 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, cmp_to_key
 from itertools import chain, repeat
-from operator import attrgetter, is_, le
+from operator import itemgetter, le, mul
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .dyadic import canonical_length, dyadic_length, lengths_in_grid_order
 from .dyadic import truncate  # noqa: F401  module attribute that perfbench/tracer.py wraps
 from .errors import ConfigError, PreconditionError
 from .reals import DeskReal, approximations
-from .util import Rows, fraction_texts, holds_pairwise, rational_str
+from .util import Rows, fraction_texts, rational_str, ratio_texts
 
 _ONE = Fraction(1)
 _NO_ROWS = Rows({})  # a passing report's rows; a Rows is read-only, so one serves all
@@ -88,31 +88,32 @@ def _fraction(text: Optional[str]) -> Optional[Fraction]:
     return Fraction(int(num), int(den or 1))
 
 
-def _text(q: Optional[Fraction]) -> Optional[str]:
-    return None if q is None else rational_str(q)
-
-
 @dataclass(eq=False)
 class ViolationReport:
     """Outcome of checking one witness over a finite sample list.
 
     The violations are the rows of ``classes`` at grid samples k/2**depth
-    and the ``Violation``s in ``rows``, ascending.  A class (lo, hi, step,
-    reason, phi, bound) has one row at each k = lo, lo + step, ... below hi,
-    a multiple of step past lo, with phi = (phi_k*k + phi_0) / phi_den (None
-    where undefined) and, on a gap-bound class, bound = (bound_0 -
-    bound_k*k) / bound_den, every denominator positive.  ``to_json_dict``
-    lists all of them, merged by sample, as one ``Rows`` of text columns, a
-    class's by ``fraction_texts``; ``violations`` reads the same columns back
-    as exact ``Fraction``s, so the report has one reader of its rows.
-    ``passed`` works from the rows as they are, and ``==`` compares
-    ``to_json_dict``.
+    and the ``rows``, ascending.  A class (lo, hi, step, reason, phi, bound)
+    has one row at each k = lo, lo + step, ... below hi, a multiple of step
+    past lo, with phi = (phi_k*k + phi_0) / phi_den (None where undefined)
+    and, on a gap-bound class, bound = (bound_0 - bound_k*k) / bound_den,
+    every denominator positive.  A row (k, h, reason, phi_num, phi_den,
+    bound_num, bound_den) is the sample k/h in lowest terms with phi =
+    phi_num/phi_den and bound = bound_num/bound_den, pairs in any terms
+    with a positive denominator, or 0 where the row has none.  Rows stay
+    integers: ``to_json_dict`` lists all of them, merged by sample, as one
+    ``Rows`` of text columns, a class's by ``fraction_texts``, a row's q as
+    k/h and its phi and bound by one gcd each (``ratio_texts``);
+    ``violations`` reads the same columns back as exact ``Fraction``s, so
+    the report has one reader of its rows and builds no ``Violation`` or
+    ``Fraction`` before it.  ``passed`` works from the rows as they are, and
+    ``==`` compares ``to_json_dict``.
     """
 
     witness: str
     samples_checked: int
     skipped: int
-    rows: list[Violation] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)  # of (k, h, reason, phi_num, phi_den, bound_num, bound_den)
     max_ratio_seen: Optional[Fraction] = None
     depth: int = 0
     classes: tuple = ()  # of (lo, hi, step, reason, (phi_k, phi_0, phi_den) or None, (bound_0, bound_k, bound_den) or None)
@@ -145,7 +146,8 @@ class ViolationReport:
         each source's first key is at least the one before's last, the
         sources are concatenated; otherwise one stable sort of the keys
         reorders each column."""
-        h, runs = 1 << self.depth, []
+        depth, runs = self.depth, []
+        h = 1 << depth
         for lo, hi, step, reason, phi, bound in self.classes:
             (pk, p0, pd), (b0, bk, bd), count = phi or (0, 0, 0), bound or (0, 0, 0), (hi - lo) // step
             qs = fraction_texts(lo, step, count, h)
@@ -153,20 +155,21 @@ class ViolationReport:
             bounds = fraction_texts(b0 - bk * lo, -bk * step, count, bd) if bd else [None] * count
             runs.append((qs, [reason] * count, phis, bounds))
         if self.rows:
-            samples, reasons, phis, bounds = zip(*self.rows)
-            qs = list(map(rational_str, samples))
-            phis = qs if all(map(is_, phis, samples)) else list(map(_text, phis))
-            runs.append((qs, list(reasons), phis, list(map(_text, bounds))))
+            ks, hs, reasons, phi_nums, phi_dens, bound_nums, bound_dens = map(list, zip(*self.rows))
+            qs = [f"{k}/{d}" if d != 1 else str(k) for k, d in zip(ks, hs)]
+            phis = qs if phi_nums == ks and phi_dens == hs else ratio_texts(phi_nums, phi_dens)
+            runs.append((qs, reasons, phis, ratio_texts(bound_nums, bound_dens)))
         if len(runs) <= 1:
             return runs[0] if runs else ([], [], [], [])
         columns = tuple(list(chain.from_iterable(parts)) for parts in zip(*runs))  # each source's part in turn
         spans = [(2 * lo + 1, 2 * (hi - step) + 1) for lo, hi, step, *_ in self.classes]  # (first key, last key)
         if self.rows:
-            spans.append((2 * _count_below(self.depth, self.rows[0].sample), 2 * _count_below(self.depth, self.rows[-1].sample)))
+            (k0, h0, *_), (k1, h1, *_) = self.rows[0], self.rows[-1]
+            spans.append((2 * _index_of(k0, h0, depth), 2 * _index_of(k1, h1, depth)))
         if all(last <= first for (_, last), (first, _) in zip(spans, spans[1:])):
             return columns
         keys = list(chain(*(range(2 * lo + 1, 2 * hi + 1, 2 * step) for lo, hi, step, *_ in self.classes)))
-        keys += [2 * _count_below(self.depth, v.sample) for v in self.rows]
+        keys += [2 * _index_of(k, d, depth) for k, d, *_ in self.rows]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         return tuple(list(map(column.__getitem__, order)) for column in columns)
 
@@ -205,9 +208,9 @@ def _inequality(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness):
     (room, slope, lack); ``bound(h, length)`` a gap-bound row's bound as
     (bound_0, bound_k, bound_den) = (P*C*h + s, P*D, Q*D*h).  ``at_point(phi,
     h)`` states a sample k/h of its own in one call, by ``terms(0, b, m, h,
-    log2 h)`` (a = 0, phi = b/m, slack 1/h when weakened): (phi, reason,
+    log2 h)`` (a = 0, phi = b/m, slack 1/h when weakened): (b, m, reason,
     slope, lack, room*D*h, B*m), a row when k*slope >= lack, with 0s where
-    no gap bound is tested.
+    no gap bound is tested (and for b, m where phi is undefined).
     """
     a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
@@ -225,12 +228,12 @@ def _inequality(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness):
 
     def at_point(phi: Optional[Fraction], h: int) -> tuple:
         if phi is None:
-            return None, REASON_UNDEFINED, 0, 0, 0, 0
-        m = phi.denominator
-        room, slope, lack = terms(0, phi.numerator, m, h, h.bit_length() - 1)
+            return 0, 0, REASON_UNDEFINED, 0, 0, 0, 0
+        b, m = phi.numerator, phi.denominator
+        room, slope, lack = terms(0, b, m, h, h.bit_length() - 1)
         if room <= 0:
-            return phi, REASON_NOT_BELOW_ALPHA, 0, 0, 0, 0
-        return phi, REASON_GAP_BOUND, slope, lack, room * b_den * h, a_den * m
+            return b, m, REASON_NOT_BELOW_ALPHA, 0, 0, 0, 0
+        return b, m, REASON_GAP_BOUND, slope, lack, room * b_den * h, a_den * m
 
     return terms, bound, at_point
 
@@ -248,12 +251,14 @@ def check_witness(
     ``Schedule`` is decided one part at a time, grid then points.  A
     ``DyadicGrid`` is decided by classes of samples (``_check_grid``) for a
     strict witness with ``affine``, and, inside [0,1), for any witness with
-    ``affine`` or ``at_length``; every other part runs the per-sample loop
-    (``_check_each``).  Each returns a tally: checked, skipped, rows (the
-    report's ``classes`` from the first, ``Violation``s in input order from
-    the second, sorted here once unless they already ascend) and the largest ratio
-    (alpha - phi) / (beta - q) as an integer pair.  The report merges the two
-    row sequences by sample when it is read.
+    ``affine`` or ``at_length``; every other part, a list or a schedule's
+    points, is decided sample by sample (``_check_each``), by two thresholds
+    for a strict affine witness and by the per-sample loop otherwise.  Each
+    returns a tally: checked, skipped, rows (the report's ``classes`` from
+    the first, integer rows in input order from the second) and the largest
+    ratio (alpha - phi) / (beta - q) as an integer pair.  The rows are
+    sorted here, by integer cross-products, unless they already ascend; the
+    report merges the two row sequences by sample when it is read.
     """
     parts = (samples.grid, samples.points) if isinstance(samples, Schedule) else (samples,)
     by_class = witness.affine is not None or witness.at_length is not None
@@ -271,36 +276,42 @@ def check_witness(
         skipped += part_skipped
         if num * best_den > best_num * den:
             best_num, best_den = num, den
-    samples_of_rows = attrgetter("sample")
-    if not holds_pairwise(le, list(map(samples_of_rows, rows))):
-        rows.sort(key=samples_of_rows)
+    ks, hs = list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
+    if not all(map(le, map(mul, ks, hs[1:]), map(mul, ks[1:], hs))):
+        rows.sort(key=_by_sample)
     return ViolationReport(
         witness.name, checked, skipped, rows, Fraction(best_num, best_den) if best_num else None, depth, classes
     )
 
 
-def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, samples: Iterable[Fraction]) -> tuple:
-    """The per-sample loop's tally, with rows in input order for
-    ``check_witness`` to sort.
+_by_sample = cmp_to_key(lambda row, other: row[0] * other[1] - other[0] * row[1])  # rows by k/h, exactly
 
-    Each sample q = k/h in lowest terms is a class of its own, stated by
-    ``_inequality``'s ``at_point``: once per length h for a witness with
-    ``at_length`` and a dyadic q in [0,1), and at ``translate(q)`` for
-    every other sample.  A grid of more than 2**MAX_ENUMERATION_BITS
-    samples is refused before its first one; a list is checked whatever its
-    length.
+
+def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, samples: Iterable[Fraction]) -> tuple:
+    """The tally of a sample list decided one sample at a time, with rows
+    in input order for ``check_witness`` to sort.
+
+    A strict witness with ``affine`` goes to ``_check_each_affine``, which
+    never translates.  Otherwise each sample q = k/h in lowest terms is a
+    class of its own, stated by ``_inequality``'s ``at_point``: once per
+    length h for a witness with ``at_length`` and a dyadic q in [0,1), and
+    at ``translate(q)`` for every other sample.  A grid of more than
+    2**MAX_ENUMERATION_BITS samples is refused before its first one; a list
+    is checked whatever its length.
     """
     if isinstance(samples, DyadicGrid) and samples.size > 1 << MAX_ENUMERATION_BITS:
         raise PreconditionError(
             f"checking {samples.size} grid samples one by one refused (cap 2**{MAX_ENUMERATION_BITS})"
         )
-    b_num, b_den = beta.limit.numerator, beta.limit.denominator
     translate, at_length, weakened = witness.translate, witness.at_length, witness.weakened
+    if witness.affine is not None and not weakened:
+        return _check_each_affine(alpha, beta, witness, samples)
+    b_num, b_den = beta.limit.numerator, beta.limit.denominator
     _, bound, at_point = _inequality(alpha, beta, witness)
 
     by_length: dict[int, tuple] = {}  # h -> at_point(at_length(log2(h)), h)
     checked = skipped = 0
-    violations: list[Violation] = []
+    rows: list[tuple] = []
     best_num, best_den = 0, 1
     for q in samples:
         k, h = q.numerator, q.denominator
@@ -315,16 +326,65 @@ def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, sa
                 tested = by_length[h] = at_point(at_length(h.bit_length() - 1), h)
         else:
             tested = at_point(translate(q), h)
-            if weakened and tested[2] and (h & (h - 1) or k < 0 or k >= h):
+            if weakened and tested[3] and (h & (h - 1) or k < 0 or k >= h):
                 dyadic_length(q)  # raises the proper domain error
-        phi, reason, slope, lack, room_dh, bm = tested
+        phi_num, phi_den, reason, slope, lack, room_dh, bm = tested
         margin_bm = margin * bm
         if room_dh * best_den > best_num * margin_bm:
             best_num, best_den = room_dh, margin_bm
         if k * slope >= lack:
             b0, bk, bd = bound(h, h.bit_length() - 1) if slope else (0, 0, 0)
-            violations.append(Violation(q, reason, phi, Fraction(b0 - bk * k, bd) if bd else None))
-    return checked, skipped, violations, (best_num, best_den)
+            rows.append((k, h, reason, phi_num, phi_den, b0 - bk * k, bd))
+    return checked, skipped, rows, (best_num, best_den)
+
+
+def _check_each_affine(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, samples: Iterable[Fraction]) -> tuple:
+    """``_check_each``'s tally for a strict witness with phi(q) = (a*q + b)/m,
+    a > 0 (``affine_integers``), from two thresholds in q stated once.
+
+    ``_check_grid`` states the class of samples k/h with phi = (a*k +
+    b*h)/(m*h) by ``terms(a, b*h, m*h, h, .)``, which is (h*room, h*slope,
+    h*h*lack) for (room, slope, lack) = ``terms(a, b, m, 1, 0)``.  So a
+    checked sample k/h (k*D < C*h) is
+
+        not below alpha  when k*B*a >= h*room   (q >= (alpha - v)/u)
+        a gap-bound row  when k*slope >= h*lack, below that threshold,
+
+    with phi = (a*k + b*h, m*h) and bound = (P*C*h - P*D*k, Q*D*h) as
+    integer pairs: a few integer products per sample, and no ``translate``,
+    ``at_point`` or ``Fraction``.  The ratio (alpha - phi)/(beta - q) =
+    (h*room - B*a*k)*D / (B*m*(C*h - D*k)) is monotone in q, rising where
+    D*room > B*a*C, so it is read once, at the largest checked sample below
+    alpha where it rises and at the smallest where it does not.
+    """
+    a_den = alpha.limit.denominator
+    b_num, b_den = beta.limit.numerator, beta.limit.denominator
+    terms, bound, _ = _inequality(alpha, beta, witness)
+    a, b, m = affine_integers(witness)
+    room, slope, lack = terms(a, b, m, 1, 0)
+    bm, ba = a_den * m, a_den * a
+    b0, bk, bd = bound(1, 0)
+    sign = 1 if b_den * room > ba * b_num else -1  # which end of the samples below alpha holds the largest ratio
+    checked = skipped = 0
+    rows: list[tuple] = []
+    append = rows.append
+    end_k, end_h = 0, 0  # the checked sample below alpha at that end; none yet
+    for q in samples:
+        k, h = q.numerator, q.denominator
+        if b_num * h <= k * b_den:
+            skipped += 1
+            continue
+        checked += 1
+        if k * ba >= h * room:
+            append((k, h, REASON_NOT_BELOW_ALPHA, a * k + b * h, m * h, 0, 0))
+            continue
+        if k * slope >= h * lack:
+            append((k, h, REASON_GAP_BOUND, a * k + b * h, m * h, b0 * h - bk * k, bd * h))
+        if not end_h or (k * end_h - end_k * h) * sign > 0:
+            end_k, end_h = k, h
+    if not end_h:
+        return checked, skipped, rows, (0, 1)
+    return checked, skipped, rows, ((end_h * room - ba * end_k) * b_den, bm * (b_num * end_h - b_den * end_k))
 
 
 def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, grid: DyadicGrid) -> tuple:
@@ -570,9 +630,14 @@ class Schedule:
 
 def _count_below(depth: int, below: Fraction) -> int:
     """How many multiples of 2**-depth lie in [0, below)."""
+    return _index_of(below.numerator, below.denominator, depth)
+
+
+def _index_of(k: int, h: int, depth: int) -> int:
+    """How many multiples of 2**-depth lie in [0, k/h), h > 0."""
     # ceil gives the right count whether or not the bound lands on the grid
     # (strict inequality either way).
-    return max(-(-(below.numerator << depth) // below.denominator), 0)
+    return max(-(-(k << depth) // h), 0)
 
 
 def dyadic_grid(depth: int, below: Fraction) -> DyadicGrid:

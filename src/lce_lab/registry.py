@@ -52,7 +52,7 @@ from .speedability import (
     identity_translation,
     linear_speedup,
 )
-from .util import parse_rational
+from .util import parse_int, parse_rational
 
 
 # Membership patterns with exact rational limits (infinite, periodic digits).
@@ -202,8 +202,8 @@ def parse_speedup(spec: str) -> SpeedUp:
     if kind == "identity":
         return identity_speedup()
     try:
-        factor = int(fields[0])
-    except ValueError:
+        factor = parse_int(fields[0])
+    except ConfigError:
         raise ConfigError(f"linear speed-up needs an integer factor, got {fields[0]!r}")
     return linear_speedup(factor)
 

@@ -35,13 +35,12 @@ def parse_rational(value) -> Fraction:
             num, den = value["num"], value["den"]
         except KeyError as e:
             raise ConfigError(f"rational object needs num and den: {value!r}") from e
-        return _make_fraction(_parse_int(num), _parse_int(den))
+        return _make_fraction(parse_int(num), parse_int(den))
     if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return _make_fraction(_parse_int(num), _parse_int(den))
-        return Fraction(_parse_int(text))
+        if "/" in value:
+            num, _, den = value.partition("/")
+            return _make_fraction(parse_int(num), parse_int(den))
+        return Fraction(parse_int(value))
     raise ConfigError(f"not a rational: {value!r}")
 
 
@@ -51,14 +50,21 @@ def _make_fraction(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _parse_int(text) -> int:
+def parse_int(text) -> int:
+    """An exact integer: an int that is not a bool, or a str of an optional
+    sign and ASCII digits, with ASCII whitespace around it.  ``int`` alone
+    would also take "1_000" and non-ASCII digits such as "\uff12" (a
+    fullwidth two) or "\u0663" (an Arabic-Indic three)."""
     if isinstance(text, int) and not isinstance(text, bool):
         return text
     if isinstance(text, str):
-        try:
-            return int(text.strip(), 10)
-        except ValueError:
-            pass
+        digits = text.strip(" \t\n\r\f\v")
+        unsigned = digits[1:] if digits[:1] in ("+", "-") else digits
+        if unsigned.isascii() and unsigned.isdigit():
+            try:
+                return int(digits)
+            except ValueError:  # past the interpreter's str-conversion limit
+                pass
     raise ConfigError(f"not an exact integer: {text!r} (decimal floats are rejected)")
 
 
@@ -96,7 +102,7 @@ def fraction_texts(first: int, step: int, count: int, den: int) -> list[str]:
     while (g := gcd(period, step)) > 1:
         period //= g
     if period * two.bit_length() > count // 8:
-        return [f"{n // g}/{den // g}" if (g := gcd(n, den)) != den else str(n // g) for n in range(first, first + count * step, step)]
+        return ratio_texts(range(first, first + count * step, step), repeat(den, count))
     column, powers = [None] * count, range(two.bit_length() - 1)  # below: (start, stride, g), g the gcd's power of two where j = start mod stride
     for start, stride, g in [(((1 << s) - first) * inv % (2 << s), 2 << s, 1 << s) for s in powers] + [(-first * inv % two, two, two)]:
         for j in range(start, min(start + stride * period, count), stride):
@@ -105,6 +111,12 @@ def fraction_texts(first: int, step: int, count: int, den: int) -> list[str]:
             suffix, inc = f"/{den // d}" if d != den else "", stride * period * step // d
             column[j::stride * period] = _progression_texts(n // d, inc, len(range(j, count, stride * period)), suffix)
     return column
+
+
+def ratio_texts(nums, dens) -> list:
+    """``rational_str`` of each num/den of the paired iterables, reduced by
+    one gcd, and None where den is 0; every other den is positive."""
+    return [None if not d else str(n // g) if (g := gcd(n, d)) == d else f"{n // g}/{d // g}" for n, d in zip(nums, dens)]
 
 
 _LOWS = [f"{r:02}" for r in range(100)]  # the two low digits of a number past 99

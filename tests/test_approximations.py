@@ -456,8 +456,10 @@ def sorted_columns(report):
             phi_q = None if phi is None else Fraction(phi[0] * k + phi[1], phi[2])
             bound_q = None if bound is None else Fraction(bound[0] - bound[1] * k, bound[2])
             rows.append((2 * k + 1, Fraction(k, h), reason, phi_q, bound_q))
-    for v in report.rows:
-        rows.append((2 * max(-(-(v.sample.numerator << report.depth) // v.sample.denominator), 0), *v))
+    for k, d, reason, phi_num, phi_den, bound_num, bound_den in report.rows:
+        phi_q = Fraction(phi_num, phi_den) if phi_den else None
+        bound_q = Fraction(bound_num, bound_den) if bound_den else None
+        rows.append((2 * max(-(-(k << report.depth) // d), 0), Fraction(k, d), reason, phi_q, bound_q))
     rows.sort(key=lambda row: row[0])
     text = lambda q: None if q is None else rational_str(q)  # noqa: E731
     return tuple(list(map(text, column)) if i != 1 else list(column) for i, column in enumerate(list(zip(*rows))[1:])) if rows else ([], [], [], [])
@@ -492,7 +494,7 @@ class TestColumnsConcatenation:
     def test_hand_made_classes_in_any_order(self, spans, points):
         # classes over the depth-4 grid that may overlap in range and interleave, then sorted points
         classes = tuple((lo, lo + 3 * step, step, "gap_bound_failed", (1, 0, 16), (1, 1, 16)) for lo, step in spans)
-        rows = [Violation(p, "undefined", None, None) for p in sorted(points)]
+        rows = [(p.numerator, p.denominator, "undefined", 0, 0, 0, 0) for p in sorted(points)]
         report = ViolationReport("w", 0, 0, rows, None, 4, classes)
         assert report._columns() == sorted_columns(report)
 

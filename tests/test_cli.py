@@ -975,6 +975,51 @@ class TestUndecodableInput:
             assert done.stdout == ""
 
 
+class TestIntegerText:
+    """Every integer in a flag, a spec or a JSON string is an optional sign and
+    ASCII digits: the underscores and non-ASCII digits ``int`` also reads are
+    refused with exit 2, and nothing is written."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["check-witness", "--alpha", "geometric:1/2", "--beta", "geometric:1/4", "--witness", "identity", "--grid-depth", "\u0661_0"], "argument --grid-depth: invalid int value: '\u0661_0'"),
+            (["check-witness", "--alpha", "geometric:1/2", "--beta", "geometric:1/4", "--witness", "identity", "--grid-depth", "1_0"], "argument --grid-depth: invalid int value: '1_0'"),
+            (["check-witness", "--alpha", "geometric:1/2", "--beta", "geometric:1/4", "--witness", "identity", "--samples", "\uff16\uff14"], "argument --samples: invalid int value: '\uff16\uff14'"),
+            (["check-witness", "--alpha", "geometric:1/2", "--beta", "geometric:1/4", "--witness", "identity", "--c", "\uff12"], "not an exact integer: '\uff12'"),
+            (["check-witness", "--alpha", "geometric:\uff11/\uff12", "--beta", "geometric:1/4", "--witness", "identity"], "not an exact integer: '\uff11'"),
+            (["check-witness", "--alpha", "geometric:\u0663/4", "--beta", "geometric:1", "--witness", "identity"], "not an exact integer: '\u0663'"),
+            (["check-witness", "--alpha", "geometric:1", "--beta", "geometric:1", "--witness", "scaling:1_0:forward"], "not an exact integer: '1_0'"),
+            (["speed-trace", "--real", "geometric:1", "--speedup", "linear:1_0"], "linear speed-up needs an integer factor, got '1_0'"),
+            (["speed-trace", "--real", "geometric:1", "--speedup", "linear:2", "--horizon", "1_0"], "argument --horizon: invalid int value: '1_0'"),
+            (["speed-check", "--real", "geometric:1", "--translation", "affine:1/2", "--rho", "1/2", "--amplify", "\uff12"], "argument --amplify: must be an integer >= 1, got '\uff12'"),
+            (["convert", "--real", "geometric:1", "--translation", "affine:1/2", "--amplify", "2_0"], "argument --amplify: must be an integer >= 1, got '2_0'"),
+            (["convert", "--real", "geometric:1", "--speedup", "linear:2", "--probes", "1/2,1_0/3"], "not an exact integer: '1_0'"),
+        ],
+    )
+    def test_lenient_integer_forms_are_refused(self, argv, err, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert err in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_lenient_integer_forms_in_a_gallery_file_are_refused(self, tmp_path, capsys):
+        config, out = tmp_path / "gallery.json", tmp_path / "out.json"
+        config.write_text(json.dumps([{"name": "g", "kind": "geometric", "parameters": {"limit": "\uff11/\uff12"}}]), encoding="utf-8")
+        assert main(["gallery", "--config", str(config), "--out", str(out)]) == 2
+        assert "not an exact integer: '\uff11'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_signed_ascii_integers_still_read(self, tmp_path):
+        signed, plain = tmp_path / "signed.json", tmp_path / "plain.json"
+        argv = ["check-witness", "--alpha", "geometric:+1/2", "--beta", "geometric: 1/4 ", "--witness", "identity", "--c", "+1", "--grid-depth", "+3"]
+        assert main(argv + ["--out", str(signed)]) == 1
+        argv = ["check-witness", "--alpha", "geometric:1/2", "--beta", "geometric:1/4", "--witness", "identity", "--c", "1", "--grid-depth", "3"]
+        assert main(argv + ["--out", str(plain)]) == 1
+        assert signed.read_bytes() == plain.read_bytes()
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; later calls must behave
     as if each ran in a fresh process."""

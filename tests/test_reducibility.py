@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import signal
@@ -33,6 +34,7 @@ from lce_lab import reducibility
 from lce_lab.dyadic import canonical_length, dyadic_length, is_dyadic, truncate
 from lce_lab.errors import ConfigError, DomainError, LabError, PreconditionError
 from lce_lab.hyperimmunity import total_witness_from_majorizer
+from lce_lab.registry import build_real
 from lce_lab.reducibility import (
     MAX_ENUMERATION_BITS,
     REASON_GAP_BOUND,
@@ -49,8 +51,10 @@ def real(limit, name="r"):
     return geometric(Fraction(limit), name=name)
 
 
-def reference_check_witness(alpha, beta, witness, samples):
+def reference_violations(alpha, beta, witness, samples):
     """The checker as a plain Fraction loop: the oracle for the integer kernel.
+    Returns checked, skipped, the ``Violation``s sorted by sample, and the
+    largest ratio seen.
 
     Unlike the per-denominator slack cache it once had, it validates every
     weakened sample, so an out-of-range dyadic always raises.
@@ -82,7 +86,20 @@ def reference_check_witness(alpha, beta, witness, samples):
         if not diff < bound:
             violations.append(Violation(q, REASON_GAP_BOUND, phi, bound))
     violations.sort(key=lambda v: v.sample)
-    return ViolationReport(witness.name, checked, skipped, violations, best)
+    return checked, skipped, violations, best
+
+
+def integer_rows(violations):
+    """``ViolationReport.rows`` for ``Violation``s: (k, h, reason, phi_num,
+    phi_den, bound_num, bound_den), with 0, 0 for a None."""
+    pair = lambda q: (0, 0) if q is None else (q.numerator, q.denominator)  # noqa: E731
+    return [(v.sample.numerator, v.sample.denominator, v.reason, *pair(v.phi), *pair(v.bound)) for v in violations]
+
+
+def reference_check_witness(alpha, beta, witness, samples):
+    """``reference_violations`` as a report."""
+    checked, skipped, violations, best = reference_violations(alpha, beta, witness, samples)
+    return ViolationReport(witness.name, checked, skipped, integer_rows(violations), best)
 
 
 class TestCheckWitness:
@@ -826,7 +843,7 @@ class TestDepth13Reports:
         assert report == reference_check_witness(alpha, beta, w, list(self.GRID))
 
 
-def plain_report_json(report):
+def plain_report_json(report, violations):
     """A report's file text from its ``Violation``s alone: ``json.dumps`` of
     one dict per row."""
     text = lambda q: None if q is None else rational_str(q)  # noqa: E731
@@ -838,7 +855,7 @@ def plain_report_json(report):
         "max_ratio_seen": text(report.max_ratio_seen),
         "violations": [
             {"q": rational_str(v.sample), "reason": v.reason, "phi_q": text(v.phi), "bound": text(v.bound)}
-            for v in report.rows
+            for v in violations
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -863,14 +880,15 @@ class TestMergedReports:
         schedule = default_samples(beta, witness, 13)
         report = check_witness(alpha, beta, witness, schedule)
         expect = reference_check_witness(alpha, beta, witness, sorted(schedule))
+        violations = reference_violations(alpha, beta, witness, sorted(schedule))[2]
         assert report.classes and report.rows
         if witness.name.startswith("least"):
             assert {reason for _, _, _, reason, *_ in report.classes} == {REASON_NOT_BELOW_ALPHA}
-        assert dump_json(report.to_json_dict()) == plain_report_json(expect)
-        assert report.violations == expect.rows
+        assert dump_json(report.to_json_dict()) == plain_report_json(expect, violations)
+        assert report.violations == violations
         assert report == expect and expect == report
         rows = json.loads(dump_json(report.to_json_dict()))["violations"]
-        assert rows == json.loads(dump_json(expect.to_json_dict()))["violations"] == json.loads(plain_report_json(expect))["violations"]
+        assert rows == json.loads(dump_json(expect.to_json_dict()))["violations"] == json.loads(plain_report_json(expect, violations))["violations"]
 
 
 class TestPerLengthGrid:
@@ -1052,7 +1070,7 @@ class TestAffineGrid:
             assert report.violations == expect.violations
             h = 1 << report.depth
             inside += sum(
-                sum(lo < v.sample * h < hi - step for lo, hi, step, *_ in report.classes) > 1 for v in report.rows
+                sum(lo < Fraction(k * h, d) < hi - step for lo, hi, step, *_ in report.classes) > 1 for k, d, *_ in report.rows
             )
             samples.append([str(v.sample) for v in report.violations])
         assert inside == 125
@@ -1061,7 +1079,7 @@ class TestAffineGrid:
         ]
 
     def test_violations_read_back_the_oracle_rows(self):
-        # The oracle's ``rows`` are its Fraction loop's Violations as built,
+        # The oracle's Violations are its Fraction loop's as built,
         # never formatted, so they check the one reader's round trip: every
         # row, and every field of it, over grid classes and points alike.
         beta = geometric(Fraction(1), Fraction(3, 4), name="b")
@@ -1073,11 +1091,11 @@ class TestAffineGrid:
         ]
         reasons, bounds = set(), 0
         for alpha, w, schedule in cases:
-            expect = reference_check_witness(alpha, beta, w, sorted(schedule))
+            expect = reference_violations(alpha, beta, w, sorted(schedule))[2]
             report = check_witness(alpha, beta, w, schedule)
-            assert report.violations == expect.rows
-            reasons |= {v.reason for v in expect.rows}
-            bounds += sum(v.bound is not None for v in expect.rows)
+            assert report.violations == expect
+            reasons |= {v.reason for v in expect}
+            bounds += sum(v.bound is not None for v in expect)
         assert reasons == {REASON_UNDEFINED, REASON_NOT_BELOW_ALPHA, REASON_GAP_BOUND} and bounds > 0
 
     def test_affine_slope_must_be_positive(self):
@@ -1089,6 +1107,126 @@ class TestAffineGrid:
         w = affine_witness("a", Fraction(3, 2), Fraction(-1, 4), Fraction(1))
         assert w.affine == (Fraction(3, 2), Fraction(-1, 4)) and w.translate(Fraction(1, 2)) == Fraction(1, 2)
         assert identity_witness().affine == (1, 0) and scaling_witness(Fraction(2), "backward").affine == (Fraction(1, 2), 0)
+
+
+AFFINE_REALS = [
+    *default_gallery(),  # geometric, set, staircase and omega
+    build_real("set_real", {"set": "odds"}, "odds_real"),
+    geometric(Fraction(1), Fraction(3, 4), name="b"),  # dyadic points off shallow grids
+]
+affine_reals = st.sampled_from(AFFINE_REALS) | st.builds(
+    lambda limit: geometric(limit, name="g"), st.fractions(min_value="1/16", max_value=3, max_denominator=24)
+)
+
+
+@st.composite
+def strict_affine_witnesses(draw):
+    u = draw(st.fractions(min_value="1/8", max_value=3, max_denominator=8))
+    v = draw(st.fractions(min_value=-2, max_value=2, max_denominator=8))
+    c = draw(st.just(u) | st.fractions(min_value="1/8", max_value=4, max_denominator=8))  # c = u: no gap threshold
+    return affine_witness("affine", u, v, c)
+
+
+def thresholds(alpha, beta, witness):
+    """Where phi(q) reaches alpha, where the gap bound turns (c != u), and beta."""
+    (u, v), c = witness.affine, witness.constant
+    points = [(alpha.limit - v) / u, beta.limit]
+    if c != u:
+        points.append((c * beta.limit - alpha.limit + v) / (c - u))
+    return points
+
+
+@contextlib.contextmanager
+def counted_fractions():
+    """Counts every ``Fraction`` built in the block, arithmetic results included."""
+    new, count = Fraction.__dict__["__new__"], [0]
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = counted
+    try:
+        yield count
+    finally:
+        Fraction.__new__ = new
+
+
+class TestStrictAffineOffTheGrid:
+    """A strict affine witness is decided on any sample list, and on a
+    schedule's points, by two thresholds in q, with integer rows: the
+    Fraction loop is the oracle, row for row and ratio for ratio."""
+
+    @settings(max_examples=300)
+    @given(affine_reals, affine_reals, strict_affine_witnesses(), st.data())
+    def test_lists_match_the_fraction_loop(self, alpha, beta, witness, data):
+        sample = st.one_of(
+            st.builds(Fraction, st.integers(-8, 40), st.sampled_from([1, 2, 4, 8, 16])),  # dyadic, negative too
+            st.fractions(min_value=-1, max_value=4, max_denominator=30),  # mostly not dyadic, some at or past beta
+        )
+        on = thresholds(alpha, beta, witness)
+        pool = on + data.draw(st.lists(sample, max_size=10))
+        samples = data.draw(st.permutations(on + data.draw(st.lists(st.sampled_from(pool), max_size=30))))
+        report = check_witness(alpha, beta, witness, samples)
+        assert report.to_json_dict() == reference_check_witness(alpha, beta, witness, samples).to_json_dict()
+        assert report.violations == reference_violations(alpha, beta, witness, samples)[2]
+
+    @settings(max_examples=200)
+    @given(affine_reals, affine_reals, strict_affine_witnesses(), st.integers(0, 12))
+    def test_default_schedules_match_the_fraction_loop(self, alpha, beta, witness, depth):
+        schedule = default_samples(beta, witness, depth)
+        report = check_witness(alpha, beta, witness, schedule)
+        assert report.to_json_dict() == reference_check_witness(alpha, beta, witness, sorted(schedule)).to_json_dict()
+
+    def test_samples_on_each_threshold(self):
+        # phi(q) = 3q/2 - 1/4 reaches alpha = 1/2 at q = 1/2; with c = 2 the
+        # gap bound 1/2 - phi(q) >= 2*(1 - q) holds from q = 3 on, past beta,
+        # and with c = 1 from q = -3/2 down.
+        alpha, beta = real("1/2"), real("1")
+        samples = [Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3), Fraction(-3, 2) - Fraction(1, 64), Fraction(1)]
+        rows = {}
+        for c in (2, 1):
+            w = affine_witness("a", Fraction(3, 2), Fraction(-1, 4), Fraction(c))
+            report = check_witness(alpha, beta, w, samples)
+            assert report == reference_check_witness(alpha, beta, w, samples)
+            rows[c] = [(v.sample, v.reason) for v in report.violations]
+        assert rows[2] == [(Fraction(1, 2), REASON_NOT_BELOW_ALPHA)]
+        assert rows[1] == [(Fraction(-97, 64), REASON_GAP_BOUND), (Fraction(-3, 2), REASON_GAP_BOUND), (Fraction(1, 2), REASON_NOT_BELOW_ALPHA)]
+
+    @pytest.mark.parametrize(
+        "witness",
+        [identity_witness(Fraction(1)), scaling_witness(Fraction(3, 5), "backward"), affine_witness("a", Fraction(3, 2), Fraction(-1, 4), Fraction(1))],
+        ids=lambda w: w.name,
+    )
+    def test_never_translates(self, witness):
+        def never_called(q):
+            raise AssertionError(f"translate({q}) called")
+
+        silent = dataclasses.replace(witness, translate=never_called)
+        # alpha = 7/4 against beta = 1: each witness fails at some of the points 1 - (3/4)**n
+        alpha, beta = real("7/4", "a"), geometric(Fraction(1), Fraction(3, 4), name="b")
+        schedule = default_samples(beta, witness, 4)
+        listed = [Fraction(5, 3), Fraction(1, 3), *schedule, Fraction(-1, 2), Fraction(1, 3), Fraction(9, 7)]
+        for samples, oracle_samples in [(schedule, sorted(schedule)), (listed, listed)]:
+            report = check_witness(alpha, beta, silent, samples)
+            assert report.rows, "the off-grid samples hold rows"
+            assert report == reference_check_witness(alpha, beta, witness, oracle_samples)
+
+    def test_rows_build_no_fraction(self):
+        # identity with c = 1 fails the gap bound at every q below beta = 1 against alpha = 7/4
+        alpha, beta, w = real("7/4"), geometric(Fraction(1), Fraction(3, 4), name="b"), identity_witness(Fraction(1))
+        schedule = default_samples(beta, w, 6)
+        listed = [Fraction(k, 97) for k in range(96, -3, -1)]  # descending, not dyadic
+        for samples in (schedule, listed):
+            with counted_fractions() as built:
+                report = check_witness(alpha, beta, w, samples)
+            assert built == [1]  # max_ratio_seen
+            assert len(report.rows) > 40 and all(type(x) is int for row in report.rows for x in (*row[:2], *row[3:]))
+            with counted_fractions() as built:
+                doc = report.to_json_dict()
+                dump_json(doc)
+            assert built == [0]
+            assert report.to_json_dict() == reference_check_witness(alpha, beta, w, sorted(samples)).to_json_dict()
 
 
 class TestReportSerialization:
@@ -1109,10 +1247,10 @@ class TestReportSerialization:
             3,
             0,
             [
-                Violation(Fraction(0), REASON_GAP_BOUND, Fraction(2), Fraction(1, 3)),
-                Violation(Fraction(1, 4), REASON_NOT_BELOW_ALPHA, Fraction(-3), None),
-                Violation(Fraction(1, 2), REASON_UNDEFINED, None, None),
-                Violation(Fraction(3, 4), REASON_GAP_BOUND, Fraction(5, 8), Fraction(1)),
+                (0, 1, REASON_GAP_BOUND, 4, 2, 2, 6),
+                (1, 4, REASON_NOT_BELOW_ALPHA, -3, 1, 0, 0),
+                (1, 2, REASON_UNDEFINED, 0, 0, 0, 0),
+                (3, 4, REASON_GAP_BOUND, 5, 8, 3, 3),
             ],
         )
         assert json.loads(dump_json(report.to_json_dict()))["violations"] == [

@@ -26,13 +26,21 @@ class TestParseRational:
             ({"num": "5", "den": "8"}, Fraction(5, 8)),
             ({"num": 5, "den": 8}, Fraction(5, 8)),
             (" 1/3 ", Fraction(1, 3)),
+            ("+3/-6", Fraction(-1, 2)),
+            ({"num": " -0 ", "den": "+7"}, Fraction(0)),
         ],
     )
     def test_accepted_forms(self, raw, expect):
         assert parse_rational(raw) == expect
 
     @pytest.mark.parametrize(
-        "raw", ["0.5", "1e-3", "a/b", {"num": "1"}, None, True, [1, 2], "1/0"]
+        "raw",
+        [
+            "0.5", "1e-3", "a/b", {"num": "1"}, None, True, [1, 2], "1/0",
+            # int() takes each of these; the wire form is a sign and ASCII digits only
+            "1_000", "1/2_0", "\uff11/\uff12", "\u0663/4", "1/\u0663", "\u00b2", {"num": "1_0", "den": "3"},
+            "+-1", "--1", "+", "", "1 2", "\u20031/2", "0x10", "1/ ",
+        ],
     )
     def test_rejected_forms(self, raw):
         with pytest.raises(ConfigError):
@@ -41,6 +49,17 @@ class TestParseRational:
     @given(st.fractions())
     def test_round_trip(self, q):
         assert parse_rational(rational_str(q)) == q
+
+    @given(st.text(max_size=6))
+    def test_integer_text_is_a_sign_and_ascii_digits(self, text):
+        # the one integer reader accepts exactly what the ASCII pattern does
+        body = text.strip(" \t\n\r\f\v")
+        unsigned = body[1:] if body[:1] in "+-" and body else body
+        if unsigned and all(ch in "0123456789" for ch in unsigned):
+            assert util.parse_int(text) == int(body)
+        else:
+            with pytest.raises(ConfigError, match="not an exact integer"):
+                util.parse_int(text)
 
 
 class TestCeilLog2:
