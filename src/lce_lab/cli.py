@@ -2,8 +2,13 @@
 conversions, and prefix-machine tools.
 
 Exit codes: 0 pass/evidence, 1 violation/no-evidence, 2 usage or invariant
-error.  Reports are deterministic (sorted keys, exact rationals as num/den
-strings) and written atomically; identical inputs give byte-identical output.
+error.  Each ``_cmd_*`` returns its report text and whether it passed (and
+``cmm-build`` a line for stderr) and writes nothing; ``main`` alone writes
+the report, to ``--out`` or else to stdout, and then exits 0 or 1.  An exit
+2 comes only from ``main``'s handlers, before anything is written, so it
+writes nothing.  Reports are deterministic (sorted keys, exact rationals as
+num/den strings) and written atomically; identical inputs give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,17 +31,6 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
 
-def _emit(text: str, out_path):
-    if out_path:
-        atomic_write_text(out_path, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(doc, out_path):
-    _emit(dump_json(doc), out_path)
-
-
 def _load_machine(path: str):
     with open(path, encoding="utf-8") as fh:
         return machine_from_dict(json.load(fh))
@@ -51,7 +45,7 @@ def _witness(args, default_constant: Fraction, alpha):
     return witness
 
 
-def _cmd_gallery(args) -> int:
+def _cmd_gallery(args) -> tuple:
     horizon = check_horizon(args.horizon)
     with open(args.config, encoding="utf-8") as fh:
         reals = gallery_from_config(json.load(fh))
@@ -67,11 +61,10 @@ def _cmd_gallery(args) -> int:
                 "attains_at": x.attains_at,
             }
         )
-    _emit_json({"entries": entries}, args.out)
-    return EXIT_PASS
+    return dump_json({"entries": entries}), True
 
 
-def _cmd_check_witness(args) -> int:
+def _cmd_check_witness(args) -> tuple:
     alpha = registry.parse_real(args.alpha)
     beta = registry.parse_real(args.beta)
     witness = _witness(args, Fraction(2), alpha)
@@ -84,25 +77,19 @@ def _cmd_check_witness(args) -> int:
     else:
         samples = default_samples(beta, witness, args.grid_depth)
     report = check_witness(alpha, beta, witness, samples)
-    _emit_json(report.to_json_dict(), args.out)
-    return EXIT_PASS if report.passed else EXIT_VIOLATION
+    return dump_json(report.to_json_dict()), report.passed
 
 
-def _cmd_speed_trace(args) -> int:
+def _cmd_speed_trace(args) -> tuple:
     real = registry.parse_real(args.real)
     speedup = registry.parse_speedup(args.speedup)
     rho = check_rho(parse_rational(args.rho)) if args.rho is not None else None
     trace = liminf_record(real, speedup, args.horizon)
-    if args.format == "json":
-        _emit_json(trace.to_json_dict(), args.out)
-    else:
-        _emit(trace.to_csv(), args.out)
-    if rho is not None:
-        return EXIT_PASS if trace.evidence_at(rho) else EXIT_VIOLATION
-    return EXIT_PASS
+    text = dump_json(trace.to_json_dict()) if args.format == "json" else trace.to_csv()
+    return text, rho is None or trace.evidence_at(rho)
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> tuple:
     real = registry.parse_real(args.real)
     if args.speedup and args.translation:
         raise LabError("give either --speedup or --translation, not both")
@@ -121,8 +108,7 @@ def _cmd_convert(args) -> int:
             value = translation.evaluate(q)
             qs.append(rational_str(q))
             images.append(rational_str(value) if value is not None else None)
-        _emit_json({"direction": "speedup-to-translation", "mappings": Rows({"q": qs, "g_q": images})}, args.out)
-        return EXIT_PASS
+        return dump_json({"direction": "speedup-to-translation", "mappings": Rows({"q": qs, "g_q": images})}), True
     if args.translation:
         indices = range(check_horizon(args.horizon) + 1)
         translation = registry.parse_translation(args.translation, real)
@@ -130,12 +116,11 @@ def _cmd_convert(args) -> int:
             translation = amplify(translation, args.amplify)
         speedup = speedup_from_translation(real, translation)
         mappings = Rows({"i": indices, "f_i": list(map(speedup.evaluate, indices))})
-        _emit_json({"direction": "translation-to-speedup", "mappings": mappings}, args.out)
-        return EXIT_PASS
+        return dump_json({"direction": "translation-to-speedup", "mappings": mappings}), True
     raise LabError("convert needs --speedup or --translation")
 
 
-def _cmd_speed_check(args) -> int:
+def _cmd_speed_check(args) -> tuple:
     real = registry.parse_real(args.real)
     translation = registry.parse_translation(args.translation, real)
     if args.amplify > 1:
@@ -143,31 +128,24 @@ def _cmd_speed_check(args) -> int:
     report = check_total_speedup(
         real, translation, parse_rational(args.rho), args.horizon
     )
-    _emit_json(report.to_json_dict(), args.out)
-    if not report.valid:
-        return EXIT_ERROR
-    return EXIT_PASS if report.evidence else EXIT_VIOLATION
+    return dump_json(report.to_json_dict()), report.valid and report.evidence
 
 
-def _cmd_cmm_build(args) -> int:
+def _cmd_cmm_build(args) -> tuple:
     source = _load_machine(args.B)
     witness = _witness(args, Fraction(1), registry.parse_real(args.alpha) if args.alpha else None)
     built = uniformize(source, witness)
-    _emit_json(machine_to_dict(built), args.out)
-    sys.stderr.write(
-        f"measure {rational_str(measure(built))} (source {rational_str(measure(source))})\n"
-    )
-    return EXIT_PASS
+    measured = f"measure {rational_str(measure(built))} (source {rational_str(measure(source))})\n"
+    return dump_json(machine_to_dict(built)), True, measured
 
 
-def _cmd_cmm_check(args) -> int:
+def _cmd_cmm_check(args) -> tuple:
     a_machine = _load_machine(args.A)
     b_machine = _load_machine(args.B)
     alpha = registry.parse_real(args.alpha)
     beta = registry.parse_real(args.beta)
     report = check_usch(a_machine, b_machine, alpha, beta, args.c, args.n_max)
-    _emit_json(report.to_json_dict(), args.out)
-    return EXIT_PASS if report.passed else EXIT_VIOLATION
+    return dump_json(report.to_json_dict()), report.passed
 
 
 def _integer(text: str) -> int:
@@ -273,7 +251,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        report, passed, *log = args.func(args)
+        if args.out:
+            atomic_write_text(args.out, report)
+        else:
+            sys.stdout.write(report)
+        sys.stderr.writelines(log)
     except LabError as e:
         sys.stderr.write(f"{e}\n")
         return EXIT_ERROR
@@ -290,6 +273,7 @@ def main(argv=None) -> int:
         # cannot be printed, which is not a verdict.
         sys.stderr.write(f"report not written: {e}\n")
         return EXIT_ERROR
+    return EXIT_PASS if passed else EXIT_VIOLATION
 
 
 def console_main() -> None:

@@ -25,7 +25,7 @@ from .dyadic import truncate  # noqa: F401  module attribute that perfbench/trac
 from .errors import ConfigError, PreconditionError, WitnessDegenerateError
 from .reals import DeskReal
 from .reducibility import MAX_ENUMERATION_BITS, TranslationWitness, per_length_witness
-from .util import ceil_log2
+from .util import ceil_log2, parse_int
 
 _ONE = Fraction(1)
 
@@ -77,9 +77,11 @@ def explicit_set(elements: Sequence[int], name: str = "explicit") -> NaturalSet:
     """Listed elements plus every natural beyond the largest one.
 
     The cofinite tail keeps the set infinite (the certificate must be total);
-    queries inside the listed range see exactly the given elements.
+    queries inside the listed range see exactly the given elements.  Each
+    element is read by ``parse_int``: a float, a bool or a text other than a
+    sign and ASCII digits raises ``ConfigError``.
     """
-    members = sorted(set(int(e) for e in elements))
+    members = sorted(set(map(parse_int, elements)))
     if not members or members[0] < 0:
         raise ConfigError(f"explicit set needs nonnegative elements, got {elements!r}")
     member_set = set(members)

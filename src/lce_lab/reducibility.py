@@ -26,7 +26,7 @@ from .dyadic import canonical_length, dyadic_length, lengths_in_grid_order
 from .dyadic import truncate  # noqa: F401  module attribute that perfbench/tracer.py wraps
 from .errors import ConfigError, PreconditionError
 from .reals import DeskReal, approximations
-from .util import Rows, fraction_texts, rational_str, ratio_texts
+from .util import Rows, fraction_texts, parse_rational, rational_str, ratio_texts
 
 _ONE = Fraction(1)
 _NO_ROWS = Rows({})  # a passing report's rows; a Rows is read-only, so one serves all
@@ -80,14 +80,6 @@ def _at_or_above(k: int, lo: int, hi: int, step: int) -> int:
     return min(max(lo - (lo - k) // step * step, lo), hi)
 
 
-def _fraction(text: Optional[str]) -> Optional[Fraction]:
-    """The value of a ``rational_str`` text, read as two ints."""
-    if text is None:
-        return None
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den or 1))
-
-
 @dataclass(eq=False)
 class ViolationReport:
     """Outcome of checking one witness over a finite sample list.
@@ -121,7 +113,8 @@ class ViolationReport:
     @property
     def violations(self) -> list[Violation]:
         qs, reasons, phis, bounds = self._columns()
-        return list(map(Violation, map(_fraction, qs), reasons, map(_fraction, phis), map(_fraction, bounds)))
+        phis, bounds = ([None if text is None else parse_rational(text) for text in texts] for texts in (phis, bounds))
+        return list(map(Violation, map(parse_rational, qs), reasons, phis, bounds))
 
     @property
     def passed(self) -> bool:

@@ -491,15 +491,14 @@ class TestSpeedCheck:
             ]
         ) == 0
 
-    def test_invalid_candidate_is_invariant_error(self):
-        assert main(
-            [
-                "speed-check",
-                "--real", "geometric:1",
-                "--translation", "identity",
-                "--rho", "1/2",
-            ]
-        ) == 2
+    def test_invalid_candidate_is_a_failure_with_its_report(self, tmp_path, capsys):
+        argv = ["speed-check", "--real", "geometric:1", "--translation", "identity", "--rho", "1/2"]
+        assert main(argv) == 1
+        printed = capsys.readouterr()
+        assert json.loads(printed.out)["valid"] is False and printed.err == ""
+        out = tmp_path / "check.json"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert out.read_text() == printed.out and capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_amplify_below_one_is_usage_error(self, k, capsys):
@@ -670,6 +669,15 @@ class TestMachines:
                 "--n-max", "8",
             ]
         ) == 0
+
+    def test_measure_line_follows_the_written_report(self, tmp_path, three_code_file, capsys):
+        argv = ["cmm-build", "--B", three_code_file, "--witness", "identity"]
+        assert main(argv) == 0
+        printed = capsys.readouterr()
+        assert json.loads(printed.out)["pad_length"] == 1 and printed.err == "measure 1 (source 1)\n"
+        assert main([*argv, "--out", str(tmp_path / "no-such-dir" / "A.json")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith("i/o failure: ") and len(printed.err.splitlines()) == 1
 
     def test_pad_width_comes_from_the_witness(self, tmp_path):
         # Code 1**(n-1) 0 outputs the first n bits of 1/5; scaling by 3 has c = 4.

@@ -30,7 +30,7 @@ from lce_lab import (
     total_witness_from_majorizer,
 )
 from lce_lab.dyadic import canonical_length
-from lce_lab.errors import LabError, PreconditionError, WitnessDegenerateError
+from lce_lab.errors import ConfigError, LabError, PreconditionError, WitnessDegenerateError
 from lce_lab.hyperimmunity import NaturalSet, _next_member
 
 
@@ -82,6 +82,14 @@ class TestPrincipalAndGaps:
         assert [principal(a, n) for n in range(5)] == [0, 4, 9, 10, 11]
         assert least_beyond(a, 2) == 4
         assert least_beyond(a, 50) == 50
+
+    @pytest.mark.parametrize("elements", [[2.7, 5], [True], [0, False], ["1_0"], ["\u0661"], ["\uff12"], [Fraction(3)]])
+    def test_explicit_set_reads_exact_integers_only(self, elements):
+        with pytest.raises(ConfigError, match="not an exact integer"):
+            explicit_set(elements)
+
+    def test_explicit_set_reads_integer_texts(self):
+        assert [principal(explicit_set(["4", " 0", "-0"]), n) for n in range(3)] == [0, 4, 5]
 
     def test_squares_and_explicit_membership(self):
         assert squares().contains(49)
