@@ -5,6 +5,8 @@ The cases are the CLI commands whose bytes the golden test pins:
 - every CLI op of the session benchmark plan for seeds 1-12, all seven
   commands, with the plan named so that its input files are rebuilt;
 - every check-witness command in .github/workflows/tests.yml;
+- every sweep of the sweep-violations benchmark plan for seeds 41-60, once
+  each, as check-witness --samples 8192, the benchmark's depth-13 grid;
 - acceptance criterion 8 (--samples 64) and a few default schedules whose
   off-grid points fail;
 - the refusals that README documents (exit 2, nothing written), and
@@ -14,7 +16,7 @@ directory, so the test does not read the workflow again.  The small input
 files of the refusals are stored in the manifest; a plan's input files are
 not, only a digest of them.  Run from the root of a checkout:
 
-    PYTHONPATH=src python3 scripts/golden_manifest.py
+    python3 scripts/golden_manifest.py
 """
 
 import json
@@ -25,12 +27,13 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from test_golden import MANIFEST, files_digest, load_manifest, make_plan, plan_files, replay  # noqa: E402
 
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 SESSION_SEEDS = range(1, 13)
+SWEEP_SEEDS = range(41, 61)
 
 FILES = {
     "gallery.json": '[{"name": "g", "kind": "geometric", "parameters": {"limit": "1"}}]',
@@ -43,6 +46,8 @@ FILES = {
     "two-codes.json": '{"entries": [{"code": "0", "output": "1"}, {"code": "10", "output": "10"}]}',
     "bad-code.json": '{"entries": [{"code": "0", "output": "1"}, {"code": "0_1", "output": "1"}]}',
     "prefix.json": '{"entries": [{"code": "0", "output": "1"}, {"code": "01", "output": "1"}]}',
+    "machine-name-null.json": '{"name": null, "entries": [{"code": "0", "output": "1"}]}',
+    "gallery-name-list.json": '[{"name": ["x"], "kind": "geometric", "parameters": {"limit": "1"}}]',
 }
 
 REFUSED = "--out {out}/refused.json"
@@ -92,6 +97,8 @@ EXTRA = {
     "refused-cmm-check-n-max": f"cmm-check --A two-codes.json --B two-codes.json --alpha set:evens --beta set:evens --n-max 4097 {REFUSED}",
     "refused-cmm-check-alpha": f"cmm-check --A two-codes.json --B two-codes.json --alpha geometric:1 --beta set:evens {REFUSED}",
     "refused-cmm-check-beta": f"cmm-check --A two-codes.json --B two-codes.json --alpha set:evens --beta geometric:1 {REFUSED}",
+    "refused-cmm-build-name-not-a-string": f"cmm-build --B machine-name-null.json --witness identity {REFUSED}",
+    "refused-gallery-name-not-a-string": f"gallery --config gallery-name-list.json {REFUSED}",
 }
 
 
@@ -111,6 +118,23 @@ def workflow_argvs() -> list:
     return found
 
 
+def sweep_cases() -> list:
+    """Each sweep of the sweep-violations plans once, as a check-witness
+    command: dyadic_samples(1, 2**length) is the grid dyadic_grid(length, 1)
+    that the benchmark checks, and beta is geometric:1.  A scaling witness
+    fixes its own constant, so only identity takes the plan's --c."""
+    named, seen = [], []
+    for seed in SWEEP_SEEDS:
+        for op in make_plan("sweep-violations", seed)["ops"]:
+            argv = ["check-witness", "--alpha", op["alpha"], "--beta", op["beta"], "--witness", op["witness"]]
+            argv += ["--c", op["c"]] if op["witness"] == "identity" else []
+            argv += ["--samples", str(1 << op["length"])]
+            if argv not in seen:
+                seen.append(argv)
+                named.append({"name": f"sweep-violations-{seed}-{op['id']}", "argv": argv})
+    return named
+
+
 def cases() -> list:
     named = []
     for seed in SESSION_SEEDS:
@@ -119,7 +143,7 @@ def cases() -> list:
                 named.append({"name": f"session-{seed}-{op['id']}", "plan": f"session/{seed}", "argv": op["argv"]})
     named += [{"name": "workflow " + shlex.join(argv[1:]), "argv": argv} for argv in workflow_argvs()]
     named += [{"name": name, "argv": shlex.split(args)} for name, args in EXTRA.items()]
-    return named
+    return named + sweep_cases()
 
 
 def manifest_text(manifest: dict) -> str:

@@ -25,15 +25,11 @@ from .reals import approximations
 from .reducibility import check_witness, default_samples, dyadic_samples
 from .registry import gallery_from_config
 from .speedability import MAX_HORIZON, amplify, check_horizon, check_rho, check_total_speedup, liminf_record, speedup_from_translation, translation_from_speedup
-from .util import Rows, atomic_write_text, dump_json, parse_int, parse_rational, rational_str
+from .util import Rows, atomic_write_text, dump_json, parse_int, parse_rational, rational_str, read_json
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
-
-def _load_machine(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return machine_from_dict(json.load(fh))
 
 
 def _witness(args, default_constant: Fraction, alpha):
@@ -47,8 +43,7 @@ def _witness(args, default_constant: Fraction, alpha):
 
 def _cmd_gallery(args) -> tuple:
     horizon = check_horizon(args.horizon)
-    with open(args.config, encoding="utf-8") as fh:
-        reals = gallery_from_config(json.load(fh))
+    reals = gallery_from_config(read_json(args.config))
     entries = []
     for x in reals:
         values = approximations(x, horizon + 1)
@@ -111,9 +106,7 @@ def _cmd_convert(args) -> tuple:
         return dump_json({"direction": "speedup-to-translation", "mappings": Rows({"q": qs, "g_q": images})}), True
     if args.translation:
         indices = range(check_horizon(args.horizon) + 1)
-        translation = registry.parse_translation(args.translation, real)
-        if args.amplify > 1:
-            translation = amplify(translation, args.amplify)
+        translation = amplify(registry.parse_translation(args.translation, real), args.amplify)
         speedup = speedup_from_translation(real, translation)
         mappings = Rows({"i": indices, "f_i": list(map(speedup.evaluate, indices))})
         return dump_json({"direction": "translation-to-speedup", "mappings": mappings}), True
@@ -122,9 +115,7 @@ def _cmd_convert(args) -> tuple:
 
 def _cmd_speed_check(args) -> tuple:
     real = registry.parse_real(args.real)
-    translation = registry.parse_translation(args.translation, real)
-    if args.amplify > 1:
-        translation = amplify(translation, args.amplify)
+    translation = amplify(registry.parse_translation(args.translation, real), args.amplify)
     report = check_total_speedup(
         real, translation, parse_rational(args.rho), args.horizon
     )
@@ -132,7 +123,7 @@ def _cmd_speed_check(args) -> tuple:
 
 
 def _cmd_cmm_build(args) -> tuple:
-    source = _load_machine(args.B)
+    source = machine_from_dict(read_json(args.B))
     witness = _witness(args, Fraction(1), registry.parse_real(args.alpha) if args.alpha else None)
     built = uniformize(source, witness)
     measured = f"measure {rational_str(measure(built))} (source {rational_str(measure(source))})\n"
@@ -140,8 +131,8 @@ def _cmd_cmm_build(args) -> tuple:
 
 
 def _cmd_cmm_check(args) -> tuple:
-    a_machine = _load_machine(args.A)
-    b_machine = _load_machine(args.B)
+    a_machine = machine_from_dict(read_json(args.A))
+    b_machine = machine_from_dict(read_json(args.B))
     alpha = registry.parse_real(args.alpha)
     beta = registry.parse_real(args.beta)
     report = check_usch(a_machine, b_machine, alpha, beta, args.c, args.n_max)

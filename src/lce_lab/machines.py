@@ -333,10 +333,12 @@ def machine_from_dict(doc: dict) -> PrefixMachine:
             except TypeError:  # unhashable, so not a string either
                 raise MachineFormatError(f"entry {i} code must be a binary string, got {code!r}") from None
             table[code] = entry["output"]
-    pad = doc.get("pad_length")
+    name, pad = doc.get("name", "machine"), doc.get("pad_length")
+    if not isinstance(name, str):
+        raise MachineFormatError(f"name must be a string, got {name!r}")
     if pad is not None and (type(pad) is not int or pad < 0):
         raise MachineFormatError(f"pad_length must be an integer >= 0, got {pad!r}")
-    return PrefixMachine(name=str(doc.get("name", "machine")), table=table, pad_length=pad)
+    return PrefixMachine(name=name, table=table, pad_length=pad)
 
 
 def machine_to_dict(machine: PrefixMachine) -> dict:

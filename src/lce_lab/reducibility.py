@@ -50,7 +50,7 @@ class TranslationWitness:
     at a dyadic q in [0,1) is ``at_length(|q|)`` by construction; the checker
     then translates once per length instead of once per sample.  ``affine``
     is set by ``affine_witness``, on witnesses with phi(q) = u*q + v and
-    u > 0; the checker then decides a grid without translating at all.
+    u > 0; the checker then decides a strict one without translating at all.
     """
 
     name: str
@@ -241,29 +241,32 @@ def check_witness(
 
     Samples at or above beta's limit are skipped (and counted).  Order of the
     input does not matter: violations come back sorted by sample value.  A
-    ``Schedule`` is decided one part at a time, grid then points.  A
-    ``DyadicGrid`` is decided by classes of samples (``_check_grid``) for a
-    strict witness with ``affine``, and, inside [0,1), for any witness with
-    ``affine`` or ``at_length``; every other part, a list or a schedule's
-    points, is decided sample by sample (``_check_each``), by two thresholds
-    for a strict affine witness and by the per-sample loop otherwise.  Each
-    returns a tally: checked, skipped, rows (the report's ``classes`` from
-    the first, integer rows in input order from the second) and the largest
-    ratio (alpha - phi) / (beta - q) as an integer pair.  The rows are
-    sorted here, by integer cross-products, unless they already ascend; the
-    report merges the two row sequences by sample when it is read.
+    ``Schedule`` is decided one part at a time, grid then points, and this
+    is the one place that picks each part's decider:
+
+        _check_grid         a DyadicGrid, for a strict witness with ``affine``,
+                            or for one with ``at_length`` on a grid inside [0,1)
+        _check_each_affine  any other part of a strict witness with ``affine``
+        _check_each         everything else, one sample at a time
+
+    Each returns a tally: checked, skipped, rows (the report's ``classes``
+    from the first, integer rows in input order from the others) and the
+    largest ratio (alpha - phi) / (beta - q) as an integer pair.  The rows
+    are sorted here, by integer cross-products, unless they already ascend;
+    the report merges the two row sequences by sample when it is read.
     """
     parts = (samples.grid, samples.points) if isinstance(samples, Schedule) else (samples,)
-    by_class = witness.affine is not None or witness.at_length is not None
+    strict_affine = witness.affine is not None and not witness.weakened
     checked = skipped = 0
     depth, classes, rows = 0, (), []
     best_num, best_den = 0, 1
     for part in parts:
-        if isinstance(part, DyadicGrid) and by_class and (part.size <= part.denominator or not witness.weakened and witness.affine is not None):
+        if isinstance(part, DyadicGrid) and (strict_affine or witness.at_length is not None and part.size <= part.denominator):
             part_checked, part_skipped, classes, (num, den) = _check_grid(alpha, beta, witness, part)
             depth = part.depth
         else:
-            part_checked, part_skipped, part_rows, (num, den) = _check_each(alpha, beta, witness, part)
+            decide = _check_each_affine if strict_affine else _check_each
+            part_checked, part_skipped, part_rows, (num, den) = decide(alpha, beta, witness, part)
             rows += part_rows
         checked += part_checked
         skipped += part_skipped
@@ -284,21 +287,17 @@ def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, sa
     """The tally of a sample list decided one sample at a time, with rows
     in input order for ``check_witness`` to sort.
 
-    A strict witness with ``affine`` goes to ``_check_each_affine``, which
-    never translates.  Otherwise each sample q = k/h in lowest terms is a
-    class of its own, stated by ``_inequality``'s ``at_point``: once per
-    length h for a witness with ``at_length`` and a dyadic q in [0,1), and
-    at ``translate(q)`` for every other sample.  A grid of more than
-    2**MAX_ENUMERATION_BITS samples is refused before its first one; a list
-    is checked whatever its length.
+    Each sample q = k/h in lowest terms is a class of its own, stated by
+    ``_inequality``'s ``at_point``: once per length h for a witness with
+    ``at_length`` and a dyadic q in [0,1), and at ``translate(q)`` for every
+    other sample.  A grid of more than 2**MAX_ENUMERATION_BITS samples is
+    refused before its first one; a list is checked whatever its length.
     """
     if isinstance(samples, DyadicGrid) and samples.size > 1 << MAX_ENUMERATION_BITS:
         raise PreconditionError(
             f"checking {samples.size} grid samples one by one refused (cap 2**{MAX_ENUMERATION_BITS})"
         )
     translate, at_length, weakened = witness.translate, witness.at_length, witness.weakened
-    if witness.affine is not None and not weakened:
-        return _check_each_affine(alpha, beta, witness, samples)
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
     _, bound, at_point = _inequality(alpha, beta, witness)
 
@@ -385,9 +384,9 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
     thresholds in k, one class of samples k/h, h = 2**e, at a time.
 
     A strict affine witness is one class, e = depth and every k, also past
-    1, with phi = u*k/h + v.  Inside [0,1), any other witness has one class
-    per canonical length e: odd k (k = 0 at e = 0), with phi =
-    ``at_length(e)`` or u*k/h + v and the slack 2**-e.  A class's integers
+    1, with phi = u*k/h + v.  Inside [0,1), a witness with ``at_length`` has
+    one class per canonical length e: odd k (k = 0 at e = 0), with phi =
+    ``at_length(e)`` and, when weakened, the slack 2**-e.  A class's integers
     thus grow with e, not with the depth.  Counts are closed forms (a
     ``len(range(...))`` overflows at depth 64).  ``at_length`` is called
     once per length with a checked sample, in ``lengths_in_grid_order``, so
@@ -398,14 +397,12 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
     a_den = alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
     terms, bound, _ = _inequality(alpha, beta, witness)
-    depth, at_length = grid.depth, witness.at_length
+    depth = grid.depth
     end = min(grid.size, _count_below(depth, beta.limit))  # checked: grid index < end
-    if witness.affine is not None:
-        affine = affine_integers(witness)  # u*k/h + v = (a*k + b*h) / (m*h)
-    if witness.affine is not None and not witness.weakened:
-        at_length, classes = None, [(depth, 0, 1)]  # (e, first k, step): samples k/2**e, at grid index k << (depth - e)
+    if witness.affine is not None and not witness.weakened:  # u*k/h + v = (a*k + b*h) / (m*h)
+        affine, classes = affine_integers(witness), [(depth, 0, 1)]  # (e, first k, step): samples k/2**e, at grid index k << (depth - e)
     else:
-        classes = [(l, 1 if l else 0, 2) for l in lengths_in_grid_order(depth)]
+        affine, classes = None, [(l, 1 if l else 0, 2) for l in lengths_in_grid_order(depth)]
     checked = 0
     best_num, best_den = 0, 1
     runs = []  # the report's classes
@@ -417,10 +414,10 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
             continue
         checked += count
         stop = first + count * step
-        if at_length is None:
+        if affine is not None:
             a, b, m = affine[0], affine[1] * h, affine[2] * h
         else:
-            phi = at_length(e)
+            phi = witness.at_length(e)
             if phi is None:
                 runs.append((first << shift, stop << shift, step << shift, REASON_UNDEFINED, None, None))
                 continue

@@ -22,10 +22,9 @@ ConfigError.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
-from .errors import ConfigError
+from .errors import ConfigError, LabError
 from .hyperimmunity import builtin_set
 from .machines import PrefixMachine, machine_from_dict
 from .reals import (
@@ -52,7 +51,7 @@ from .speedability import (
     identity_translation,
     linear_speedup,
 )
-from .util import parse_int, parse_rational
+from .util import parse_int, parse_rational, read_json
 
 
 # Membership patterns with exact rational limits (infinite, periodic digits).
@@ -137,7 +136,9 @@ def gallery_from_config(config) -> list[DeskReal]:
     for i, raw in enumerate(config):
         if not isinstance(raw, dict) or "kind" not in raw:
             raise ConfigError(f"gallery entry {i}: need an object with a kind")
-        names.append(str(raw.get("name", f"entry{i}")))
+        names.append(raw.get("name", f"entry{i}"))
+        if not isinstance(names[i], str):
+            raise ConfigError(f"gallery entry {i}: name must be a string, got {names[i]!r}")
         parameters = raw.get("parameters", {})
         if not isinstance(parameters, dict):
             raise ConfigError(f"gallery entry {i} ({names[i]!r}): parameters must be an object, got {parameters!r}")
@@ -145,7 +146,7 @@ def gallery_from_config(config) -> list[DeskReal]:
     for i, (raw, name) in enumerate(zip(config, names)):
         try:
             reals.append(build_real(str(raw["kind"]), raw.get("parameters", {}), name))
-        except (ConfigError, KeyError, TypeError, ValueError) as e:
+        except (LabError, KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"gallery entry {i} ({name!r}): {e}") from e
     return reals
 
@@ -181,8 +182,7 @@ def parse_real(spec: str) -> DeskReal:
     gallery_kind, names, _ = _REAL_SPECS[kind]
     parameters = dict(zip(names, fields))
     if kind == "omega":
-        with open(parameters["machine"], encoding="utf-8") as fh:
-            parameters["machine"] = json.load(fh)
+        parameters["machine"] = read_json(parameters["machine"])
     return build_real(gallery_kind, parameters, spec)
 
 

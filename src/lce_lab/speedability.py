@@ -25,7 +25,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Optional
@@ -144,37 +143,34 @@ def _below(p: Fraction, q: Fraction) -> bool:
 
 @dataclass
 class RatioTrace:
-    """Ratios along increasing indices; the running minimum is scanned from them once, and again after an ``append``."""
+    """Ratios along strictly increasing indices, with the running minimum
+    at each.  ``append`` is the one place that computes it, as each entry
+    arrives; the entries a trace is built with are appended one by one."""
 
     entries: list[tuple[int, Fraction]] = field(default_factory=list)
 
-    @cached_property
-    def running_min(self) -> Optional[Fraction]:
-        best = None
-        for _, value in self.entries:
-            if best is None or _below(value, best):
-                best = value
-        return best
+    def __post_init__(self):
+        entries, self.entries, self._minima = self.entries, [], []
+        for n, value in entries:
+            self.append(n, value)
 
     def append(self, n: int, value: Fraction) -> None:
         if self.entries and n <= self.entries[-1][0]:
             raise PreconditionError("trace indices must strictly increase")
+        best = self.running_min
         self.entries.append((n, value))
-        self.__dict__.pop("running_min", None)
+        self._minima.append(value if best is None or _below(value, best) else best)
+
+    @property
+    def running_min(self) -> Optional[Fraction]:
+        return self._minima[-1] if self._minima else None
 
     def evidence_at(self, rho: Fraction) -> bool:
         best = self.running_min
         return best is not None and best <= rho
 
     def csv_rows(self) -> list[tuple[int, int, int, int, int]]:
-        rows = []
-        best: Optional[Fraction] = None
-        for n, value in self.entries:
-            best = value if best is None or _below(value, best) else best
-            rows.append(
-                (n, value.numerator, value.denominator, best.numerator, best.denominator)
-            )
-        return rows
+        return [(n, *_pair(value), *_pair(best)) for (n, value), best in zip(self.entries, self._minima)]
 
     def to_csv(self) -> str:
         """The header, then ``csv_rows``, as CSV text with CRLF line ends."""

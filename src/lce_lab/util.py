@@ -6,11 +6,13 @@ a violation class's from ``fraction_texts``, and every report table is a
 on input we also accept bare integers, integer strings, and {"num": ...,
 "den": ...} objects so gallery files written by hand stay readable.
 ``dump_json`` is the one JSON writer and takes only the lab's own document
-types.  A report file is replaced atomically, and only when its bytes
-change, encoded 64 Ki characters at a time."""
+types; ``read_json`` is the one reader of an input file.  A report file is
+replaced atomically, and only when its bytes change, encoded 64 Ki
+characters at a time."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from fractions import Fraction
@@ -311,6 +313,12 @@ def _json_table(columns: dict, indent: str) -> list:
         pieces[2 * j + 1 :: width] = column
     pieces.append(text)
     return pieces
+
+
+def read_json(path: str):
+    """The JSON document in an input file, read as UTF-8 whatever the locale."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -704,6 +704,22 @@ class TestMachines:
         assert "--c sets the identity witness's constant" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", [None, ["x"], 5, True, {"n": "x"}])
+    def test_machine_name_that_is_not_a_string_is_usage_error(self, name, tmp_path, three_code_file, capsys):
+        # the name is written into the report as it is, so it must be text
+        source = tmp_path / "named.json"
+        source.write_text(json.dumps({"name": name, "entries": [{"code": "0", "output": "1"}, {"code": "1", "output": "0"}]}))
+        message = f"name must be a string, got {name!r}\n"
+        for argv in (
+            ["cmm-build", "--B", str(source), "--witness", "identity"],
+            ["cmm-check", "--A", three_code_file, "--B", str(source), "--alpha", "set:evens", "--beta", "set:evens"],
+            ["check-witness", "--alpha", f"omega:{source}", "--beta", "geometric:1", "--witness", "identity"],
+        ):
+            out = tmp_path / "out.json"
+            assert main([*argv, "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", message)
+            assert not out.exists()
+
     @pytest.mark.parametrize("c", ["1", "3", "7"])
     def test_identity_constant_sets_the_pad(self, c, tmp_path, three_code_file):
         out = tmp_path / "A.json"
@@ -831,6 +847,23 @@ class TestGallery:
         out = tmp_path / "report.json"
         assert main(["gallery", "--config", str(config), "--out", str(out)]) == 2
         assert "entry 0 ('e'): set_real supports the infinite periodic sets" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", [None, ["x"], 7, False])
+    def test_entry_name_that_is_not_a_string_is_usage_error(self, name, tmp_path, capsys):
+        # the name is written into the report as it is, so it must be text
+        config = tmp_path / "gallery.json"
+        config.write_text(json.dumps([{"name": "g", "kind": "geometric", "parameters": {"limit": "1"}},
+                                      {"name": name, "kind": "geometric", "parameters": {"limit": "1"}}]))
+        out = tmp_path / "report.json"
+        assert main(["gallery", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"gallery entry 1: name must be a string, got {name!r}\n")
+        assert not out.exists()
+        # a machine's name inside an entry is named with its entry
+        machine = {"name": name, "entries": [{"code": "0", "output": "1"}]}
+        config.write_text(json.dumps([{"name": "o", "kind": "omega_toy", "parameters": {"machine": machine}}]))
+        assert main(["gallery", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"gallery entry 0 ('o'): name must be a string, got {name!r}\n")
         assert not out.exists()
 
     def test_bad_config_reports_entry(self, tmp_path, capsys):

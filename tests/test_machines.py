@@ -692,6 +692,15 @@ class TestMachineFiles:
                 {"entries": [{"code": "0", "output": "1"}, {"code": "01", "output": "1"}]}
             )
 
+    def test_name_must_be_a_string(self):
+        entries = [{"code": "0", "output": "1"}]
+        assert machine_from_dict({"entries": entries}).name == "machine"
+        assert machine_from_dict({"name": "", "entries": entries}).name == ""
+        for name in (None, ["x"], 1, False):
+            with pytest.raises(MachineFormatError) as err:
+                machine_from_dict({"name": name, "entries": entries})
+            assert str(err.value) == f"name must be a string, got {name!r}"
+
     def test_malformed_documents_rejected(self):
         for doc in ({}, {"entries": "x"}, {"entries": [{"code": "0"}]}):
             with pytest.raises(MachineFormatError):

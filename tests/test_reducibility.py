@@ -807,6 +807,66 @@ class TestIntegerKernelAgainstFractionLoop:
         assert peak < 1 << 20
 
 
+DISPATCH_WITNESSES = {
+    # alpha = beta = 3/2, or 1 on the schedule: each kind passes some samples and fails others
+    "strict affine": affine_witness("affine", Fraction(3, 4), Fraction(1, 8), Fraction(1)),
+    "weakened affine": dataclasses.replace(affine_witness("affine", Fraction(3, 4), Fraction(1, 8), Fraction(1)), weakened=True),
+    "strict per-length": per_length_witness("keyed", length_keyed(Fraction(1, 2), Fraction(3, 4)), Fraction(1)),
+    "weakened per-length": per_length_witness("keyed", length_keyed(Fraction(1, 2), Fraction(3, 4)), Fraction(1), weakened=True),
+    "opaque": TranslationWitness("opaque", lambda q: q / 2 + Fraction(1, 8), Fraction(1)),
+}
+EACH, EACH_AFFINE, GRID = "_check_each", "_check_each_affine", "_check_grid"
+SHAPES = ("grid inside [0,1)", "grid past 1", "list", "schedule")
+DISPATCH = {  # witness kind -> for each of SHAPES, (the deciders in order, the callables that run)
+    "strict affine": [([GRID], set()), ([GRID], set()), ([EACH_AFFINE], set()), ([GRID, EACH_AFFINE], set())],
+    "weakened affine": [([EACH], {"translate"}), ([EACH], {"translate"}), ([EACH], {"translate"}), ([EACH, EACH], {"translate"})],
+    "strict per-length": [([GRID], {"at_length"}), ([EACH], {"at_length", "translate"}), ([EACH], {"at_length"}), ([GRID, EACH], {"at_length"})],
+    "weakened per-length": [([GRID], {"at_length"}), ([EACH], {"at_length", "translate"}), ([EACH], {"at_length"}), ([GRID, EACH], {"at_length"})],
+    "opaque": [([EACH], {"translate"}), ([EACH], {"translate"}), ([EACH], {"translate"}), ([EACH, EACH], {"translate"})],
+}
+
+
+class TestDispatch:
+    """``check_witness`` alone picks each part's decider, by the witness's
+    kind and the part's shape; a decider runs only the callables its kind
+    allows, and every pair reports as the Fraction loop does."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kind", list(DISPATCH))
+    def test_each_kind_and_shape_takes_its_decider(self, kind, shape, monkeypatch):
+        (deciders, allowed), witness = DISPATCH[kind][SHAPES.index(shape)], DISPATCH_WITNESSES[kind]
+        ran, decided = set(), []
+
+        def guarded(name, fn):
+            def call(x):
+                if name not in allowed:
+                    raise AssertionError(f"{name}({x}) called")
+                ran.add(name)
+                return fn(x)
+
+            return call
+
+        for name in (GRID, EACH_AFFINE, EACH):
+            decide = getattr(reducibility, name)
+            monkeypatch.setattr(reducibility, name, lambda *args, decide=decide, name=name: decided.append(name) or decide(*args))
+        guarded_witness = dataclasses.replace(
+            witness, translate=guarded("translate", witness.translate), at_length=witness.at_length and guarded("at_length", witness.at_length)
+        )
+        alpha, beta = real("3/2", "a"), real("3/2", "b")
+        samples = {
+            "grid inside [0,1)": DyadicGrid(4, 16),
+            "grid past 1": DyadicGrid(2, 8),  # 0 to 7/4: 1 and 5/4 checked, 3/2 and 7/4 skipped
+            "list": [Fraction(3, 8), Fraction(1, 16), Fraction(2), Fraction(7, 8), Fraction(1, 2)],
+        }.get(shape)
+        if samples is None:  # beta's approximation points 1 - (3/4)**n leave the depth-3 grid from n = 2 on
+            alpha, beta = real("1", "a"), geometric(Fraction(1), Fraction(3, 4), name="b")
+            samples = default_samples(beta, witness, 3)
+            assert samples.points
+        got = _outcome(check_witness, alpha, beta, guarded_witness, samples)
+        assert decided == deciders and ran == allowed
+        assert got == _outcome(reference_check_witness, alpha, beta, witness, sorted(samples))
+
+
 class TestDepth13Reports:
     """Reports at the size of the sweep-violations benchmark, against the
     Fraction loop on the same samples: phi columns with the odd periods 3, 5
@@ -1024,22 +1084,24 @@ class TestAffineGrid:
             with pytest.raises(PreconditionError, match=rf"^listing {size} violation rows refused \(cap 2\*\*3\)$"):
                 check_witness(alpha, real("1"), w, DyadicGrid(depth, size))
 
-    def test_weakened_affine_is_decided_per_length(self):
-        # Past the per-sample loop's 2**20 cap: each of the 22 lengths is one
-        # class with the slack 2**-l, so nothing is translated.
+    def test_weakened_affine_is_decided_per_sample(self):
+        # No constructor builds a weakened affine witness, and no decider
+        # keeps a closed form for one: like any weakened witness without
+        # at_length it runs the per-sample loop, which refuses a grid past
+        # its 2**20 cap before the first sample.
         def translate(q):
             raise AssertionError(f"translate({q}) called")
 
         w = dataclasses.replace(identity_witness(Fraction(2)), weakened=True, translate=translate)
-        report = check_witness(real("1"), real("1"), w, DyadicGrid(21, 1 << 21))
-        assert report.passed and report.samples_checked == 1 << 21 and report.max_ratio_seen == 1
-        # alpha = 7/4 fails the gap bound at q >= 1/4 + 2**-|q|: interleaved rows of lengths 2 to 10.
+        with pytest.raises(PreconditionError, match=r"^checking 2097152 grid samples one by one refused \(cap 2\*\*20\)$"):
+            check_witness(real("1"), real("1"), w, DyadicGrid(21, 1 << 21))
+        # alpha = 7/4 fails the gap bound at q >= 1/4 + 2**-|q|: rows of lengths 2 to 10.
         w = dataclasses.replace(identity_witness(Fraction(2)), weakened=True)
         grid = DyadicGrid(10, 1 << 10)
         expect = reference_check_witness(real("7/4"), real("1"), w, list(grid))
         report = check_witness(real("7/4"), real("1"), w, grid)
         assert report.to_json_dict() == expect.to_json_dict() and report.violations == expect.violations
-        assert report.rows == [] and len(report.classes) == 9
+        assert report.classes == () and len(report.rows) == len(expect.rows) > 0
 
     def test_points_split_interleaved_classes_like_the_oracle(self):
         # beta's approximation points 1 - (3/4)**n are dyadic and off a
@@ -1047,7 +1109,10 @@ class TestAffineGrid:
         # classes of several lengths, where the readers merge them in.
         beta = geometric(Fraction(1), Fraction(3, 4), name="b")
         witnesses = [
+            # a weakened affine witness has no classes, only rows: it runs the per-sample loop
             (real("7/4"), dataclasses.replace(identity_witness(Fraction(2)), weakened=True)),
+            # weakened per length: 5/4 >= (1 - q) + 2**-|q| at every sample but 0
+            (real("7/4"), per_length_witness("half", lambda length: Fraction(1, 2), Fraction(1), weakened=True)),
             (real("1"), per_length_witness("keyed", length_keyed(Fraction(1, 2), Fraction(3, 4)), Fraction(1, 4))),
             # not below alpha, undefined and gap bound by turns
             (real("5/8"), per_length_witness("table", lambda length: [Fraction(5, 8), None, Fraction(1, 2)][length % 3], Fraction(1))),
@@ -1073,7 +1138,7 @@ class TestAffineGrid:
                 sum(lo < Fraction(k * h, d) < hi - step for lo, hi, step, *_ in report.classes) > 1 for k, d, *_ in report.rows
             )
             samples.append([str(v.sample) for v in report.violations])
-        assert inside == 125
+        assert inside == 128
         assert samples[-5:] == [
             ["3/8", "1/2"], ["1/4", "1/2", "5/8", "7/8"], ["1/4", "1/2", "1/2", "3/4"], ["1/3", "2/3"], []
         ]
