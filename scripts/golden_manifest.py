@@ -7,6 +7,10 @@ The cases are the CLI commands whose bytes the golden test pins:
 - every check-witness command in .github/workflows/tests.yml;
 - every sweep of the sweep-violations benchmark plan for seeds 41-60, once
   each, as check-witness --samples 8192, the benchmark's depth-13 grid;
+- every sweep of the sweep-pass benchmark plan for seeds 1-4, once each, as
+  check-witness --witness least --grid-depth 14, the default schedule, with
+  the plan named where the beta is an omega real, so that its machine file
+  is rebuilt;
 - acceptance criterion 8 (--samples 64) and a few default schedules whose
   off-grid points fail;
 - the refusals that README documents (exit 2, nothing written), and
@@ -34,6 +38,7 @@ from test_golden import MANIFEST, files_digest, load_manifest, make_plan, plan_f
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 SESSION_SEEDS = range(1, 13)
 SWEEP_SEEDS = range(41, 61)
+PASS_SEEDS = range(1, 5)
 
 FILES = {
     "gallery.json": '[{"name": "g", "kind": "geometric", "parameters": {"limit": "1"}}]',
@@ -135,6 +140,24 @@ def sweep_cases() -> list:
     return named
 
 
+def least_cases() -> list:
+    """Each sweep of the sweep-pass plans once, as a check-witness command
+    on the default schedule of the benchmark's depth.  An omega beta reads
+    the plan's machine file, which differs by seed, so its case names the
+    plan and is kept once per seed."""
+    named, seen = [], []
+    for seed in PASS_SEEDS:
+        for op in make_plan("sweep-pass", seed)["ops"]:
+            argv = ["check-witness", "--alpha", op["alpha"], "--beta", op["beta"], "--witness", op["witness"]]
+            argv += ["--grid-depth", str(op["length"])]
+            plan = f"sweep-pass/{seed}" if op["beta"].startswith("omega:") else None
+            if (argv, plan) not in seen:
+                seen.append((argv, plan))
+                case = {"name": f"sweep-pass-{seed}-{op['id']}", "argv": argv}
+                named.append(case if plan is None else {**case, "plan": plan})
+    return named
+
+
 def cases() -> list:
     named = []
     for seed in SESSION_SEEDS:
@@ -143,7 +166,7 @@ def cases() -> list:
                 named.append({"name": f"session-{seed}-{op['id']}", "plan": f"session/{seed}", "argv": op["argv"]})
     named += [{"name": "workflow " + shlex.join(argv[1:]), "argv": argv} for argv in workflow_argvs()]
     named += [{"name": name, "argv": shlex.split(args)} for name, args in EXTRA.items()]
-    return named + sweep_cases()
+    return named + sweep_cases() + least_cases()
 
 
 def manifest_text(manifest: dict) -> str:

@@ -32,6 +32,7 @@ from lce_lab import (
 from lce_lab.dyadic import canonical_length
 from lce_lab.errors import ConfigError, LabError, PreconditionError, WitnessDegenerateError
 from lce_lab.hyperimmunity import NaturalSet, _next_member
+from lce_lab.registry import parse_real
 
 
 def brute_members(a, count):
@@ -268,6 +269,30 @@ class TestKBoundFromWitness:
         for n in range(9):
             expect = self._outcome(enumerated, self.alpha, n)
             assert self._outcome(keyed, self.alpha, n) == expect, n
+
+    # (set, a, b, n, bound) of g(n) = a*n + b against the set's own real:
+    # the k_bound ops of the session benchmark plans for seeds 1-12.
+    SESSION_BOUNDS = [
+        ("odds", 1, 0, 14, 17), ("odds", 2, 1, 14, 33), ("odds", 1, 2, 14, 19), ("odds", 2, 0, 14, 31),
+        ("odds", 1, 0, 14, 17), ("odds", 2, 0, 14, 31), ("evens", 1, 2, 14, 20), ("odds", 1, 0, 14, 17),
+        ("odds", 1, 2, 14, 19), ("odds", 2, 1, 14, 33), ("evens", 1, 2, 14, 20), ("evens", 1, 0, 14, 18),
+    ]
+    # The bounds at n = 0..20 of two majorizers against the set's own real.
+    BOUNDS_BY_N = {
+        ("evens", 1, 3): [6, 8, 8, 10, 10, 12, 12, 14, 14, 16, 16, 18, 18, 20, 20, 22, 22, 24, 24, 26, 26],
+        ("odds", 2, 1): [5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 33, 35, 37, 39, 41, 43, 45],
+    }
+
+    def test_pinned_bounds(self):
+        # The per-length path at every pinned n, the enumeration up to n = 10.
+        cases = [(kind, a, b, n, bound) for kind, a, b, n, bound in self.SESSION_BOUNDS]
+        cases += [(*key, n, bound) for key, bounds in self.BOUNDS_BY_N.items() for n, bound in enumerate(bounds)]
+        for kind, a, b, n, bound in cases:
+            w = total_witness_from_majorizer(builtin_set(kind), lambda m: a * m + b)
+            alpha = parse_real(f"set:{kind}")
+            assert k_bound_from_witness(w, alpha, n) == bound, (kind, a, b, n)
+            if n <= 10:
+                assert k_bound_from_witness(dataclasses.replace(w, at_length=None), alpha, n) == bound, (kind, a, b, n)
 
     def test_bad_majorizer_value_raises_at_the_same_length(self):
         g = lambda n: -1 if n in (3, 6) else n + 2
