@@ -48,6 +48,7 @@ FILES = {
     "gallery-no-set.json": '[{"name": "e", "kind": "set_real", "parameters": {}}]',
     "gallery-float.json": '[{"name": "g", "kind": "geometric", "parameters": {"limit": 0.5}}]',
     "not-json.json": '{"entries": [',
+    "m.json": '{"entries": [{"code": "0", "output": "1"}, {"code": "10", "output": "10"}, {"code": "110", "output": "110"}]}',
     "two-codes.json": '{"entries": [{"code": "0", "output": "1"}, {"code": "10", "output": "10"}]}',
     "bad-code.json": '{"entries": [{"code": "0", "output": "1"}, {"code": "0_1", "output": "1"}]}',
     "prefix.json": '{"entries": [{"code": "0", "output": "1"}, {"code": "01", "output": "1"}]}',
