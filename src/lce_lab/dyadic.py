@@ -95,6 +95,17 @@ def truncate(x: Fraction, n: int) -> int:
     return (x.numerator << n) // x.denominator
 
 
+def set_prefix(membership: Callable[[int], bool], n_bits: int) -> int:
+    """The first n_bits digits of 0.A(0)A(1)... as an int, digit i =
+    membership(i): the numerator of ``real_from_set`` over 2**n_bits."""
+    acc = 0
+    for i in range(n_bits):
+        acc <<= 1
+        if membership(i):
+            acc |= 1
+    return acc
+
+
 def real_from_set(membership: Callable[[int], bool], n_bits: int) -> Fraction:
     """Partial sum of the binary expansion whose i-th digit is membership(i).
 
@@ -103,9 +114,4 @@ def real_from_set(membership: Callable[[int], bool], n_bits: int) -> Fraction:
     """
     if n_bits < 0:
         raise DomainError(f"real_from_set needs n_bits >= 0, got {n_bits}")
-    acc = 0
-    for i in range(n_bits):
-        acc <<= 1
-        if membership(i):
-            acc |= 1
-    return Fraction(acc, 1 << n_bits) if n_bits else _ZERO
+    return Fraction(set_prefix(membership, n_bits), 1 << n_bits) if n_bits else _ZERO

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
-from .dyadic import lengths_in_grid_order, real_from_set
+from .dyadic import lengths_in_grid_order, set_prefix
 from .dyadic import truncate  # noqa: F401  module attribute that perfbench/tracer.py wraps
 from .errors import ConfigError, PreconditionError, WitnessDegenerateError
 from .reals import DeskReal
@@ -222,14 +222,16 @@ def total_witness_from_majorizer(a: NaturalSet, g: Callable[[int], int]) -> Tran
     0.A(0)A(1)...; the extra bit keeps the miss strictly under 2**-g(|q|),
     which in turn is at most the target's distance above q whenever g
     majorizes that target's gap function.  Infinitude of the set keeps the
-    answer strictly below the source real.
+    answer strictly below the source real.  Each length's value is the
+    integer pair (bits, 2**(g(|q|)+1)); a value of g that is not an int, or
+    is a bool or negative, is refused.
     """
 
-    def at_length(length: int) -> Fraction:
+    def at_length(length: int) -> tuple[int, int]:
         depth = g(length)
-        if not isinstance(depth, int) or depth < 0:
+        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
             raise PreconditionError(f"majorizer value g({length}) = {depth!r} is not a natural")
-        return real_from_set(a.contains, depth + 1)
+        return set_prefix(a.contains, depth + 1), 2 << depth
 
     return per_length_witness(f"bits({a.name})/majorized", at_length, _ONE)
 
@@ -252,7 +254,9 @@ def k_bound_from_witness(
     the minimum is taken over the lengths 0..n instead of the 2**n strings.
     They are visited in ``lengths_in_grid_order``, the order ascending k
     first reaches them, so errors match the full enumeration's.  That path
-    is O(n), so ``MAX_ENUMERATION_BITS`` caps only the enumeration.
+    is O(n), so ``MAX_ENUMERATION_BITS`` caps only the enumeration.  Both
+    paths compare residuals as integer pairs, by cross-products, and build
+    one ``Fraction``, for the final ``ceil_log2``.
     """
     if n < 0:
         raise PreconditionError(f"n must be >= 0, got {n}")
@@ -264,23 +268,25 @@ def k_bound_from_witness(
         raise PreconditionError("k-bound extraction needs a total witness")
     if d is None:
         d = ceil_log2(witness.constant) + 1
-    a = alpha.limit
+    a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
     if witness.at_length is None:
-        values = ((k, witness.translate(Fraction(k, 1 << n))) for k in range(1 << n))
+        phis = ((k, witness.translate(Fraction(k, 1 << n))) for k in range(1 << n))
+        values = ((k, None if phi is None else (phi.numerator, phi.denominator)) for k, phi in phis)
     else:  # k = 2**(n - length) is the first sample of each length
         values = (
             ((1 << (n - length)) if length else 0, witness.at_length(length))
             for length in lengths_in_grid_order(n)
         )
-    best: Optional[Fraction] = None
-    for k, phi in values:
-        if phi is None:
+    best_num, best_den = 0, 1  # the least positive residual alpha - phi; none while 0
+    for k, pair in values:
+        if pair is None:
             raise PreconditionError(f"total witness undefined at {Fraction(k, 1 << n)}")
-        residual = a - phi
-        if residual > 0 and (best is None or residual < best):
-            best = residual
-    if best is None:
+        num, den = pair
+        r_num, r_den = a_num * den - num * a_den, a_den * den
+        if r_num > 0 and (not best_num or r_num * best_den < best_num * r_den):
+            best_num, best_den = r_num, r_den
+    if not best_num:
         raise WitnessDegenerateError(
             f"witness {witness.name} leaves no positive residual at length {n}"
         )
-    return d + ceil_log2(1 / best)
+    return d + ceil_log2(Fraction(best_den, best_num))

@@ -125,10 +125,10 @@ def periodic_limit(prefix: str, period: str) -> Fraction:
         raise ConfigError(f"bad periodic pattern ({prefix!r}, {period!r})")
     if "1" not in period:
         raise ConfigError("period must contain a 1 (terminating expansions attain)")
-    m, p = len(prefix), len(period)
-    head = Fraction(int(prefix, 2) if prefix else 0, 1 << m)
-    tail = Fraction(int(period, 2), (1 << p) - 1) / (1 << m)
-    return head + tail
+    # prefix/2**m + period/((2**p - 1) * 2**m), m and p the two lengths,
+    # over their common denominator
+    m, ones = len(prefix), (1 << len(period)) - 1
+    return Fraction((int(prefix, 2) if prefix else 0) * ones + int(period, 2), ones << m)
 
 
 def set_real(

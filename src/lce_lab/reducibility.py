@@ -48,7 +48,9 @@ class TranslationWitness:
 
     ``at_length`` is set by ``per_length_witness``, on witnesses whose value
     at a dyadic q in [0,1) is ``at_length(|q|)`` by construction; the checker
-    then translates once per length instead of once per sample.  ``affine``
+    then translates once per length instead of once per sample.  It answers
+    an integer pair (num, den), den > 0 and not necessarily in lowest terms,
+    for the value num/den, or None where the witness is undefined.  ``affine``
     is set by ``affine_witness``, on witnesses with phi(q) = u*q + v and
     u > 0; the checker then decides a strict one without translating at all.
     """
@@ -58,7 +60,7 @@ class TranslationWitness:
     constant: Fraction
     total: bool = True
     weakened: bool = False
-    at_length: Optional[Callable[[int], Optional[Fraction]]] = None
+    at_length: Optional[Callable[[int], Optional[tuple[int, int]]]] = None
     affine: Optional[tuple[Fraction, Fraction]] = None
 
     def __post_init__(self):
@@ -199,11 +201,11 @@ def _inequality(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness):
     (room - B*a*k)*D*h / (B*m*(C*h - D*k)) rises in k where D*room > B*a*C*h
     and falls where it is below.  ``terms(a, b, m, h, length)`` returns
     (room, slope, lack); ``bound(h, length)`` a gap-bound row's bound as
-    (bound_0, bound_k, bound_den) = (P*C*h + s, P*D, Q*D*h).  ``at_point(phi,
-    h)`` states a sample k/h of its own in one call, by ``terms(0, b, m, h,
-    log2 h)`` (a = 0, phi = b/m, slack 1/h when weakened): (b, m, reason,
-    slope, lack, room*D*h, B*m), a row when k*slope >= lack, with 0s where
-    no gap bound is tested (and for b, m where phi is undefined).
+    (bound_0, bound_k, bound_den) = (P*C*h + s, P*D, Q*D*h).  ``at_point(b,
+    m, h)`` states a sample k/h of its own in one call, with phi = b/m in any
+    terms, m > 0, or undefined where m = 0, by ``terms(0, b, m, h, log2 h)``
+    (a = 0, slack 1/h when weakened): (b, m, reason, slope, lack, room*D*h,
+    B*m), a row when k*slope >= lack, with 0s where no gap bound is tested.
     """
     a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
@@ -219,10 +221,9 @@ def _inequality(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness):
     def bound(h: int, length: int) -> tuple[int, int, int]:
         return pc * h + (qd * h >> length if weakened else 0), c_num * b_den, qd * h
 
-    def at_point(phi: Optional[Fraction], h: int) -> tuple:
-        if phi is None:
+    def at_point(b: int, m: int, h: int) -> tuple:
+        if not m:
             return 0, 0, REASON_UNDEFINED, 0, 0, 0, 0
-        b, m = phi.numerator, phi.denominator
         room, slope, lack = terms(0, b, m, h, h.bit_length() - 1)
         if room <= 0:
             return b, m, REASON_NOT_BELOW_ALPHA, 0, 0, 0, 0
@@ -289,9 +290,10 @@ def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, sa
 
     Each sample q = k/h in lowest terms is a class of its own, stated by
     ``_inequality``'s ``at_point``: once per length h for a witness with
-    ``at_length`` and a dyadic q in [0,1), and at ``translate(q)`` for every
-    other sample.  A grid of more than 2**MAX_ENUMERATION_BITS samples is
-    refused before its first one; a list is checked whatever its length.
+    ``at_length`` and a dyadic q in [0,1), from its integer pair, and at
+    ``translate(q)`` for every other sample.  A grid of more than
+    2**MAX_ENUMERATION_BITS samples is refused before its first one; a list
+    is checked whatever its length.
     """
     if isinstance(samples, DyadicGrid) and samples.size > 1 << MAX_ENUMERATION_BITS:
         raise PreconditionError(
@@ -315,9 +317,11 @@ def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, sa
         if at_length is not None and not h & (h - 1) and 0 <= k < h:
             tested = by_length.get(h)
             if tested is None:
-                tested = by_length[h] = at_point(at_length(h.bit_length() - 1), h)
+                pair = at_length(h.bit_length() - 1)
+                tested = by_length[h] = at_point(0, 0, h) if pair is None else at_point(*pair, h)
         else:
-            tested = at_point(translate(q), h)
+            phi = translate(q)
+            tested = at_point(0, 0, h) if phi is None else at_point(phi.numerator, phi.denominator, h)
             if weakened and tested[3] and (h & (h - 1) or k < 0 or k >= h):
                 dyadic_length(q)  # raises the proper domain error
         phi_num, phi_den, reason, slope, lack, room_dh, bm = tested
@@ -385,12 +389,12 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
 
     A strict affine witness is one class, e = depth and every k, also past
     1, with phi = u*k/h + v.  Inside [0,1), a witness with ``at_length`` has
-    one class per canonical length e: odd k (k = 0 at e = 0), with phi =
-    ``at_length(e)`` and, when weakened, the slack 2**-e.  A class's integers
-    thus grow with e, not with the depth.  Counts are closed forms (a
-    ``len(range(...))`` overflows at depth 64).  ``at_length`` is called
-    once per length with a checked sample, in ``lengths_in_grid_order``, so
-    an error it raises is the loop's.  Rows past the cap are refused before
+    one class per canonical length e: odd k (k = 0 at e = 0), with phi the
+    integer pair ``at_length(e)`` and, when weakened, the slack 2**-e.  A
+    class's integers thus grow with e, not with the depth.  Counts are
+    closed forms (a ``len(range(...))`` overflows at depth 64).
+    ``at_length`` is called once per length with a checked sample, in
+    ``lengths_in_grid_order``, so an error it raises is the loop's.  Rows past the cap are refused before
     the first is built; the others stay the report's ``classes``, at grid
     indices k << (depth - e).
     """
@@ -417,11 +421,11 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
         if affine is not None:
             a, b, m = affine[0], affine[1] * h, affine[2] * h
         else:
-            phi = witness.at_length(e)
-            if phi is None:
+            pair = witness.at_length(e)
+            if pair is None:
                 runs.append((first << shift, stop << shift, step << shift, REASON_UNDEFINED, None, None))
                 continue
-            a, b, m = 0, phi.numerator, phi.denominator
+            a, (b, m) = 0, pair
         room, slope, lack = terms(a, b, m, h, e)
         if a:  # phi < alpha: k < below
             below = _at_or_above(-(-room // (a_den * a)), first, stop, step)
@@ -518,13 +522,21 @@ def compose_witnesses(outer: TranslationWitness, inner: TranslationWitness) -> T
 
 
 def per_length_witness(
-    name: str, at_length: Callable[[int], Optional[Fraction]], constant: Fraction, weakened: bool = False
+    name: str, at_length: Callable[[int], Optional[tuple[int, int]]], constant: Fraction, weakened: bool = False
 ) -> TranslationWitness:
-    """The witness q -> at_length(|q|), with ``at_length`` cached.  Its
-    ``translate`` is derived here and nowhere else, so the contract that
-    ``check_witness`` and ``k_bound_from_witness`` rely on holds by construction."""
+    """The witness q -> at_length(|q|), with ``at_length`` cached.  It
+    answers an integer pair (num, den), den > 0 and in any terms, or None
+    where the witness is undefined.  Its ``translate`` is derived here and
+    nowhere else, and is the one place a per-length value becomes a
+    ``Fraction``, so the contract that ``check_witness`` and
+    ``k_bound_from_witness`` rely on holds by construction."""
     at_length = cache(at_length)
-    return TranslationWitness(name, lambda q: at_length(canonical_length(q)), constant, weakened=weakened, at_length=at_length)
+
+    def translate(q: Fraction) -> Optional[Fraction]:
+        pair = at_length(canonical_length(q))
+        return None if pair is None else Fraction(*pair)
+
+    return TranslationWitness(name, translate, constant, weakened=weakened, at_length=at_length)
 
 
 def computable_least_witness(alpha: DeskReal) -> TranslationWitness:
@@ -540,13 +552,13 @@ def computable_least_witness(alpha: DeskReal) -> TranslationWitness:
     whole, rem = divmod(num, den)  # alpha = whole + rem/den with 0 <= rem/den < 1
     dyadic_alpha = not den & (den - 1)
 
-    # One Fraction per length, straight from the integers: the truncation
-    # floor(rem * 2**n / den) needs no range check on rem/den.
-    def at_length(length: int) -> Fraction:
+    # One integer pair per length: the truncation floor(rem * 2**n / den)
+    # needs no range check on rem/den.
+    def at_length(length: int) -> tuple[int, int]:
         if dyadic_alpha:
-            return Fraction((num << (length + 2)) - den, den << (length + 2))
+            return (num << (length + 2)) - den, den << (length + 2)
         n = length + 1
-        return Fraction((whole << n) + ((rem << n) // den), 1 << n)
+        return (whole << n) + ((rem << n) // den), 1 << n
 
     return per_length_witness(f"least({alpha.name})", at_length, _ONE, weakened=True)
 

@@ -188,7 +188,9 @@ class TestTotalWitnessFromMajorizer:
         a = builtin_set(kind)
         w = total_witness_from_majorizer(a, lambda n: n + b)
         length = canonical_length(q)
-        assert w.translate(q) == w.at_length(length) == real_from_set(a.contains, length + b + 1)
+        num, den = w.at_length(length)
+        assert den == 1 << (length + b + 1)
+        assert w.translate(q) == Fraction(num, den) == real_from_set(a.contains, length + b + 1)
 
     def test_non_dyadic_inputs_get_truncated(self):
         w = total_witness_from_majorizer(evens(), lambda n: n + 1)
@@ -257,10 +259,10 @@ class TestKBoundFromWitness:
     @pytest.mark.parametrize(
         "at_length",
         [
-            lambda j: None if j in (2, 5) else Fraction(1, 4),  # undefined at 1/4 or 1/32
-            lambda j: None if j == 0 else Fraction(1, 4),  # undefined at 0
-            lambda j: Fraction(1, 2),  # no positive residual below 1/3
-            lambda j: Fraction(1, 3) - Fraction(j + 1, 1 << (2 * j + 3)),
+            lambda j: None if j in (2, 5) else (1, 4),  # undefined at 1/4 or 1/32
+            lambda j: None if j == 0 else (2, 8),  # undefined at 0
+            lambda j: (1, 2),  # no positive residual below 1/3
+            lambda j: ((1 << (2 * j + 3)) - 3 * (j + 1), 3 << (2 * j + 3)),  # 1/3 - (j+1) * 2**-(2j+3)
         ],
     )
     def test_per_length_errors_match_full_enumeration(self, at_length):
@@ -301,6 +303,19 @@ class TestKBoundFromWitness:
         expect = "majorizer value g(6) = -1 is not a natural"
         assert self._outcome(keyed, self.alpha, 8) == ("PreconditionError", expect)
         assert self._outcome(enumerated, self.alpha, 8) == ("PreconditionError", expect)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0])
+    def test_bool_or_float_majorizer_value_is_refused(self, bad):
+        # A bool is an int to isinstance, but no natural: refused like 2.0, on both paths.
+        g = lambda n: bad if n == 3 else n + 2
+        keyed = total_witness_from_majorizer(evens(), g)
+        enumerated = dataclasses.replace(total_witness_from_majorizer(evens(), g), at_length=None)
+        expect = ("PreconditionError", f"majorizer value g(3) = {bad!r} is not a natural")
+        for n in (3, 8):
+            assert self._outcome(keyed, self.alpha, n) == expect
+            assert self._outcome(enumerated, self.alpha, n) == expect
+        with pytest.raises(PreconditionError, match=rf"^majorizer value g\(3\) = {bad!r} is not a natural$"):
+            keyed.at_length(3)
 
     @staticmethod
     def _outcome(witness, alpha, n):

@@ -25,6 +25,7 @@ from lce_lab import (
     evens,
     geometric,
     identity_witness,
+    k_bound_from_witness,
     per_length_witness,
     scale,
     scaling_witness,
@@ -343,19 +344,23 @@ class TestLeastWitness:
     def test_translate_is_at_length_of_canonical_length(self, limit, q):
         w = computable_least_witness(geometric(limit, gap0=Fraction(1)))
         length = canonical_length(q)
-        assert w.translate(q) == w.at_length(length)
+        assert w.translate(q) == Fraction(*w.at_length(length))
 
     @given(LIMITS, st.integers(0, 96))
     def test_at_length_is_the_plain_truncation(self, limit, length):
         # Lengths past 64, the cap of canonical_length, are reached through
-        # at_length alone.
+        # at_length alone.  The pair is over 2**(length+1), or over limit's
+        # denominator times 2**(length+2) when limit is dyadic.
         w = computable_least_witness(geometric(limit, gap0=Fraction(1)))
         if is_dyadic(limit):
             plain = limit - Fraction(1, 2 ** (length + 2))
+            den = limit.denominator << (length + 2)
         else:
             whole = limit.numerator // limit.denominator
             plain = whole + Fraction(truncate(limit - whole, length + 1), 2 ** (length + 1))
-        assert w.at_length(length) == plain < limit
+            den = 1 << (length + 1)
+        num, got_den = w.at_length(length)
+        assert got_den == den and Fraction(num, den) == plain < limit
 
     @pytest.mark.parametrize("a", ["7/3", "5/4"])
     @pytest.mark.parametrize("b", ["1", "10/11"])
@@ -370,9 +375,14 @@ class TestLeastWitness:
 
 
 class TestPerLengthWitness:
-    # One value per length, undefined ones included; a drawn q is a dyadic in
-    # [0,1), a non-dyadic rational, or a rational outside [0,1).
-    VALUES = st.none() | st.fractions(min_value=-1, max_value=3, max_denominator=48)
+    # One integer pair per length, in any terms, undefined ones included; a
+    # drawn q is a dyadic in [0,1), a non-dyadic rational, or a rational
+    # outside [0,1).
+    VALUES = st.none() | st.builds(
+        lambda f, t: (f.numerator * t, f.denominator * t),
+        st.fractions(min_value=-1, max_value=3, max_denominator=48),
+        st.integers(1, 5),
+    )
     SAMPLES = st.one_of(
         st.builds(Fraction, st.integers(0, 1023), st.sampled_from([1, 2, 4, 64, 1024])),
         st.fractions(min_value=-2, max_value=3, max_denominator=50),
@@ -388,19 +398,22 @@ class TestPerLengthWitness:
             assert length == dyadic_length(q)
         else:
             assert 0 <= length <= 64
-        assert w.translate(q) == lookup(length) == w.at_length(length)
+        pair = lookup(length)
+        assert w.at_length(length) == pair
+        assert w.translate(q) == (None if pair is None else Fraction(*pair))
 
     def test_fields_and_one_call_per_length(self):
         calls = []
 
         def lookup(length):
             calls.append(length)
-            return Fraction(1, 3) if length else None
+            return (2, 6) if length else None
 
         w = per_length_witness("keyed", lookup, Fraction(5), weakened=True)
         assert (w.name, w.constant, w.total, w.weakened) == ("keyed", 5, True, True)
-        values = [w.translate(Fraction(k, 8)) for k in range(8)] + [w.at_length(3), w.translate(Fraction(1, 3))]
-        assert values == [None] + [Fraction(1, 3)] * 9
+        values = [w.translate(Fraction(k, 8)) for k in range(8)] + [w.translate(Fraction(1, 3))]
+        assert values == [None] + [Fraction(1, 3)] * 8
+        assert type(values[1]) is Fraction and w.at_length(3) == (2, 6)
         assert calls == [0, 3, 2, 1, 64]
 
 
@@ -603,12 +616,20 @@ class TestCheckerAgainstReference:
 
 
 def length_keyed(u, v):
-    """A length-keyed translation that is undefined on every third length."""
+    """A length-keyed translation u + v * 2**-length, undefined on every
+    third length, as an integer pair that is not in lowest terms in general."""
+
+    (un, ud), (vn, vd) = u.as_integer_ratio(), v.as_integer_ratio()
 
     def at_length(length):
-        return None if length % 3 == 2 else u + v * Fraction(1, 1 << length)
+        return None if length % 3 == 2 else ((un * vd << length) + vn * ud, ud * vd << length)
 
     return at_length
+
+
+def as_pairs(table):
+    """Each per-length value of a table of ``Fraction``s or None as its integer pair."""
+    return [None if value is None else (value.numerator, value.denominator) for value in table]
 
 
 @st.composite
@@ -625,7 +646,7 @@ def witnesses(draw, alpha, constant, u, v):
     # A drawn value per length: undefined lengths, and values at or above
     # alpha, so that whole lengths fail not_below_alpha.
     value = st.none() | st.just(alpha.limit) | st.fractions(min_value=-1, max_value=3, max_denominator=48)
-    table = draw(st.lists(value, min_size=1, max_size=12))
+    table = as_pairs(draw(st.lists(value, min_size=1, max_size=12)))
     at_table = lambda length: table[length % len(table)]
     return draw(
         st.sampled_from(
@@ -784,7 +805,7 @@ class TestIntegerKernelAgainstFractionLoop:
         cap = 1 << MAX_ENUMERATION_BITS
         # Without at_length any grid runs the loop; with it, a grid reaching
         # past 1 does (at depth 10, the sample 1 is translated).
-        for witness, depth in [(w, 40), (dataclasses.replace(w, at_length=lambda length: Fraction(0)), 10)]:
+        for witness, depth in [(w, 40), (dataclasses.replace(w, at_length=lambda length: (0, 1)), 10)]:
             with pytest.raises(AssertionError, match="translated"):
                 check_witness(real("1"), real("2"), witness, DyadicGrid(depth, cap))
             message = rf"^checking {cap + 1} grid samples one by one refused \(cap 2\*\*20\)$"
@@ -805,6 +826,63 @@ class TestIntegerKernelAgainstFractionLoop:
             tracemalloc.stop()
         assert report.passed and report.samples_checked == 1 << 16
         assert peak < 1 << 20
+
+
+@st.composite
+def scaled_pair_cases(draw):
+    """Random limits and constant, and two per-length witnesses over one
+    drawn table, undefined at random lengths: one answers each value as its
+    lowest-terms pair, the other as that pair times its own t >= 1."""
+    limit = st.fractions(min_value="1/16", max_value=3, max_denominator=48)
+    alpha, beta = geometric(draw(limit), name="a"), geometric(draw(limit), name="b")
+    constant = draw(st.just(Fraction(1)) | st.fractions(min_value="1/8", max_value=8, max_denominator=48))
+    value = st.none() | st.just(alpha.limit) | st.fractions(min_value=-1, max_value=3, max_denominator=48)
+    table = as_pairs(draw(st.lists(value, min_size=1, max_size=12)))
+    scales = draw(st.lists(st.integers(1, 6) | st.integers(1, 1 << 64), min_size=len(table), max_size=len(table)))
+    scaled = [None if pair is None else (pair[0] * t, pair[1] * t) for pair, t in zip(table, scales)]
+    weakened = draw(st.booleans())
+    lowest, multiplied = (
+        per_length_witness("table", lambda length, values=values: values[length % len(values)], constant, weakened=weakened)
+        for values in (table, scaled)
+    )
+    return alpha, beta, lowest, multiplied
+
+
+def _report_bytes(checker, *args):
+    got = _outcome(checker, *args)
+    return dump_json(got) if isinstance(got, dict) else got
+
+
+def _k_bound(witness, alpha, n):
+    try:
+        return k_bound_from_witness(witness, alpha, n)
+    except LabError as e:
+        return (type(e).__name__, str(e))
+
+
+class TestPairContract:
+    """``at_length`` answers an integer pair in any terms: scaling each pair
+    by its own t >= 1 moves no report byte and no k-bound."""
+
+    DYADICS = st.lists(st.builds(lambda k, e: Fraction(k % (1 << e), 1 << e), st.integers(0, 1 << 12), st.integers(0, 12)), max_size=30)
+
+    @settings(max_examples=200)
+    @given(scaled_pair_cases(), st.integers(0, 10), st.data())
+    def test_report_bytes_match_lowest_terms_and_the_fraction_loop(self, case, depth, data):
+        alpha, beta, lowest, scaled = case
+        grid = DyadicGrid(depth, data.draw(st.integers(0, 1 << depth)))  # inside [0,1)
+        for samples in (grid, data.draw(self.DYADICS), default_samples(beta, scaled, depth)):
+            got = _report_bytes(check_witness, alpha, beta, scaled, samples)
+            assert got == _report_bytes(check_witness, alpha, beta, lowest, samples)
+            assert got == _report_bytes(reference_check_witness, alpha, beta, lowest, sorted(samples))
+
+    @settings(max_examples=50)
+    @given(scaled_pair_cases())
+    def test_k_bound_matches_the_full_enumeration(self, case):
+        alpha, _, lowest, scaled = case
+        enumerated = dataclasses.replace(scaled, at_length=None)
+        for n in range(11):
+            assert _k_bound(scaled, alpha, n) == _k_bound(lowest, alpha, n) == _k_bound(enumerated, alpha, n), n
 
 
 DISPATCH_WITNESSES = {
@@ -1050,7 +1128,7 @@ class TestAffineGrid:
         report = check_witness(alpha, beta, w, grid)
         assert report.rows == [] and (report.depth, report.classes) == (12, ((1 << 10, 1 << 12, 1, REASON_GAP_BOUND, (1, 0, 1 << 12), (2 << 12, 2, 1 << 12)),))
         # A per-length value 2 is not below alpha = 1 at any sample: one class per length.
-        high = per_length_witness("high", lambda length: Fraction(2), Fraction(1))
+        high = per_length_witness("high", lambda length: (2, 1), Fraction(1))
         per_length = (check_witness(real("1"), beta, high, grid), check_witness(real("1"), beta, high, list(grid)))
         classes = per_length[0].classes
         assert len(classes) == 13 and {c[3] for c in classes} == {REASON_NOT_BELOW_ALPHA}
@@ -1076,7 +1154,7 @@ class TestAffineGrid:
         monkeypatch.setattr(reducibility, "MAX_ENUMERATION_BITS", 3)
         deciders = [
             (real("2"), identity_witness()),
-            (real("1"), per_length_witness("high", lambda length: Fraction(2), Fraction(1))),
+            (real("1"), per_length_witness("high", lambda length: (2, 1), Fraction(1))),
         ]
         for alpha, w in deciders:
             grid = DyadicGrid(depth, 8)
@@ -1112,10 +1190,10 @@ class TestAffineGrid:
             # a weakened affine witness has no classes, only rows: it runs the per-sample loop
             (real("7/4"), dataclasses.replace(identity_witness(Fraction(2)), weakened=True)),
             # weakened per length: 5/4 >= (1 - q) + 2**-|q| at every sample but 0
-            (real("7/4"), per_length_witness("half", lambda length: Fraction(1, 2), Fraction(1), weakened=True)),
+            (real("7/4"), per_length_witness("half", lambda length: (1, 2), Fraction(1), weakened=True)),
             (real("1"), per_length_witness("keyed", length_keyed(Fraction(1, 2), Fraction(3, 4)), Fraction(1, 4))),
             # not below alpha, undefined and gap bound by turns
-            (real("5/8"), per_length_witness("table", lambda length: [Fraction(5, 8), None, Fraction(1, 2)][length % 3], Fraction(1))),
+            (real("5/8"), per_length_witness("table", lambda length: [(5, 8), None, (2, 4)][length % 3], Fraction(1))),
         ]
         cases = [(alpha, w, default_samples(beta, w, depth)) for depth in range(9) for alpha, w in witnesses]
         # identity against alpha = 7/4 fails the gap bound at every q >= 1/4
@@ -1148,7 +1226,7 @@ class TestAffineGrid:
         # never formatted, so they check the one reader's round trip: every
         # row, and every field of it, over grid classes and points alike.
         beta = geometric(Fraction(1), Fraction(3, 4), name="b")
-        table = per_length_witness("table", lambda length: [Fraction(5, 8), None, Fraction(1, 2)][length % 3], Fraction(1))
+        table = per_length_witness("table", lambda length: [(5, 8), None, (2, 4)][length % 3], Fraction(1))
         cases = [
             (real("7/4"), dataclasses.replace(identity_witness(Fraction(2)), weakened=True), default_samples(beta, identity_witness(), 6)),
             (real("5/8"), table, default_samples(beta, table, 5)),
