@@ -4,7 +4,8 @@
 The cases are the CLI commands whose bytes the golden test pins:
 - every CLI op of the session benchmark plan for seeds 1-12, all seven
   commands, with the plan named so that its input files are rebuilt;
-- every check-witness command in .github/workflows/tests.yml;
+- every check-witness, speed-trace, speed-check and convert command in
+  .github/workflows/tests.yml (none reads an input file);
 - every sweep of the sweep-violations benchmark plan for seeds 41-60, once
   each, as check-witness --samples 8192, the benchmark's depth-13 grid;
 - every sweep of the sweep-pass benchmark plan for seeds 1-4, once each, as
@@ -66,6 +67,7 @@ EXTRA = {
     "points-identity-c3-not-below": "check-witness --alpha geometric:1/4 --beta geometric:1:1/2 --witness identity --c 3 --grid-depth 2",
     "refused-c-on-scaling": f"check-witness --alpha geometric:1 --beta geometric:1 --witness scaling:1/2:forward --c 2 {REFUSED}",
     "refused-zero-samples": f"check-witness --alpha geometric:1 --beta geometric:1 --witness identity --samples 0 {REFUSED}",
+    "refused-samples-past-the-depth-bound": f"check-witness --alpha geometric:5/8 --beta geometric:1 --witness least --samples {2**4097} {REFUSED}",
     # README's speed-check on a map that is not a speed-up candidate
     "speed-check-not-a-candidate": "speed-check --real geometric:2 --translation identity --rho 1/1000000 --horizon 4",
     # README's refusals, by command
@@ -109,12 +111,14 @@ EXTRA = {
 
 
 def workflow_argvs() -> list:
-    """The argv of each check-witness command in the workflow, up to its
-    first redirection, pipe or list operator; an --out file goes to {out}."""
+    """The argv of each check-witness, speed-trace, speed-check and convert
+    command in the workflow, up to its first redirection, pipe or list
+    operator; an --out file goes to {out}.  A command with a shell
+    expansion ($) is left out, since only the shell knows its argv."""
     found = []
     for line in WORKFLOW.read_text(encoding="utf-8").splitlines():
-        match = re.search(r"python -m lce_lab (check-witness .*?)(?= [12]?>| \|\||\)|$)", line)
-        if match:
+        match = re.search(r"python -m lce_lab ((?:check-witness|speed-trace|speed-check|convert) .*?)(?= [12]?>| \|\||\)|$)", line)
+        if match and "$" not in match.group(1):
             argv = shlex.split(match.group(1))
             if "--out" in argv:
                 i = argv.index("--out") + 1

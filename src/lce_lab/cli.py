@@ -63,11 +63,13 @@ def _cmd_check_witness(args) -> tuple:
     alpha = registry.parse_real(args.alpha)
     beta = registry.parse_real(args.beta)
     witness = _witness(args, Fraction(2), alpha)
+    # The horizon's bound on either grid: one of depth d is decided in up to d + 1
+    # classes of d-bit integers, as a trace of horizon d holds d + 1 exact ratios.
     if args.samples is not None:
-        samples = dyadic_samples(beta.limit, args.samples)
+        samples = dyadic_samples(beta.limit, args.samples)  # lazy: no sample is built yet
+        if samples.depth > MAX_HORIZON:
+            raise ConfigError(f"sample grid depth must be <= {MAX_HORIZON}, got {samples.depth}")
     elif args.grid_depth > MAX_HORIZON:
-        # The horizon's bound: a grid of depth d is decided in up to d + 1
-        # classes of d-bit integers, as a trace of horizon d holds d + 1 exact ratios.
         raise ConfigError(f"grid depth must be <= {MAX_HORIZON}, got {args.grid_depth}")
     else:
         samples = default_samples(beta, witness, args.grid_depth)

@@ -52,7 +52,7 @@ class TranslationWitness:
     an integer pair (num, den), den > 0 and not necessarily in lowest terms,
     for the value num/den, or None where the witness is undefined.  ``affine``
     is set by ``affine_witness``, on witnesses with phi(q) = u*q + v and
-    u > 0; the checker then decides a strict one without translating at all.
+    u > 0; the checker then decides one without translating at all.
     """
 
     name: str
@@ -182,54 +182,42 @@ class ViolationReport:
 
 
 def _inequality(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness):
-    """The witness inequality on one class of samples, stated once in integers.
+    """The witness inequality, stated once in integers and free of the sample.
 
-    With alpha = A/B, beta = C/D and c = P/Q, a class is samples q = k/h, h
-    fixed, with phi(q) = (a*k + b)/m, a >= 0 and m > 0, and one weakened
-    slack 2**-|q| = 2**-length, written s/(Q*D*h) (s = 0 when strict).  Then
-    (alpha - phi) * B*m = room - B*a*k with room = A*m - B*b, and (beta - q)
-    * D*h = C*h - D*k; a sample with C*h - D*k <= 0 is skipped.  A checked
-    sample is a violation row when
+    With alpha = A/B, beta = C/D and c = P/Q, a statement is a value phi(k/h)
+    = (a*k + b*h) / (m*h), a >= 0 and m > 0, at samples q = k/h in lowest
+    terms: an affine witness's integers at every sample, or (0, b, m) for a
+    value b/m in any terms.  Then (alpha - phi) * B*m*h = h*room - B*a*k with
+    room = A*m - B*b, and (beta - q) * D*h = C*h - D*k; a sample with C*h -
+    D*k <= 0 is skipped.  A checked sample is a violation row when
 
         undefined        phi is None
-        not below alpha  B*a*k >= room
-        gap bound        alpha - phi >= c*(beta - q) + s/(Q*D*h), that is
-                         k * slope >= lack,  slope = B*D*(P*m - a*Q*h),
-                                             lack = B*m*(P*C*h + s) - room*Q*D*h
+        not below alpha  k*B*a >= h*room
+        gap bound        alpha - phi >= c*(beta - q) + s, that is
+                         k*slope >= h*lack + w,  slope = B*D*(P*m - Q*a),
+                                                 lack = B*m*P*C - Q*D*room
 
-    so each is one threshold in k.  The ratio (alpha - phi) / (beta - q) =
-    (room - B*a*k)*D*h / (B*m*(C*h - D*k)) rises in k where D*room > B*a*C*h
-    and falls where it is below.  ``terms(a, b, m, h, length)`` returns
-    (room, slope, lack); ``bound(h, length)`` a gap-bound row's bound as
-    (bound_0, bound_k, bound_den) = (P*C*h + s, P*D, Q*D*h).  ``at_point(b,
-    m, h)`` states a sample k/h of its own in one call, with phi = b/m in any
-    terms, m > 0, or undefined where m = 0, by ``terms(0, b, m, h, log2 h)``
-    (a = 0, slack 1/h when weakened): (b, m, reason, slope, lack, room*D*h,
-    B*m), a row when k*slope >= lack, with 0s where no gap bound is tested.
+    with w = B*m*Q*D for a weakened witness and 0 otherwise: every weakened
+    sample is k/2**|q|, so its slack s = 2**-|q| is 1/h.  For h fixed each
+    is one threshold in k, and off a grid one in q.  The ratio (alpha -
+    phi) / (beta - q) = (h*room - B*a*k)*D / (B*m*(C*h - D*k)) rises in q
+    where D*room > B*a*C and falls where it is below.
+    ``statement(a, b, m)`` returns (B*a, room, slope, lack, w, B*m), and
+    ``bound`` is (P*C, P*D, Q*D, s0): a gap-bound row's bound c*(beta - q)
+    + s is (P*C*h + s0 - P*D*k) / (Q*D*h), s0 = Q*D when weakened and 0
+    otherwise.
     """
     a_num, a_den = alpha.limit.numerator, alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
     c_num, c_den = witness.constant.numerator, witness.constant.denominator
     qd, pc, ad_bd = c_den * b_den, c_num * b_num, a_den * b_den  # Q*D, P*C, B*D
-    weakened = witness.weakened
+    slack = qd if witness.weakened else 0  # s0
 
-    def terms(a: int, b: int, m: int, h: int, length: int) -> tuple[int, int, int]:
-        room, qdh = a_num * m - a_den * b, qd * h
-        slack = qdh >> length if weakened else 0  # s
-        return room, ad_bd * (c_num * m - a * c_den * h), a_den * m * (pc * h + slack) - room * qdh
+    def statement(a: int, b: int, m: int) -> tuple:
+        room, bm = a_num * m - a_den * b, a_den * m
+        return a_den * a, room, ad_bd * (c_num * m - c_den * a), bm * pc - qd * room, bm * slack, bm
 
-    def bound(h: int, length: int) -> tuple[int, int, int]:
-        return pc * h + (qd * h >> length if weakened else 0), c_num * b_den, qd * h
-
-    def at_point(b: int, m: int, h: int) -> tuple:
-        if not m:
-            return 0, 0, REASON_UNDEFINED, 0, 0, 0, 0
-        room, slope, lack = terms(0, b, m, h, h.bit_length() - 1)
-        if room <= 0:
-            return b, m, REASON_NOT_BELOW_ALPHA, 0, 0, 0, 0
-        return b, m, REASON_GAP_BOUND, slope, lack, room * b_den * h, a_den * m
-
-    return terms, bound, at_point
+    return statement, (pc, c_num * b_den, qd, slack)
 
 
 def check_witness(
@@ -245,16 +233,16 @@ def check_witness(
     ``Schedule`` is decided one part at a time, grid then points, and this
     is the one place that picks each part's decider:
 
-        _check_grid         a DyadicGrid, for a strict witness with ``affine``,
-                            or for one with ``at_length`` on a grid inside [0,1)
-        _check_each_affine  any other part of a strict witness with ``affine``
-        _check_each         everything else, one sample at a time
+        _check_grid   a DyadicGrid, for a strict witness with ``affine``,
+                      or for one with ``at_length`` on a grid inside [0,1)
+        _check_each   everything else, one sample at a time
 
-    Each returns a tally: checked, skipped, rows (the report's ``classes``
-    from the first, integer rows in input order from the others) and the
-    largest ratio (alpha - phi) / (beta - q) as an integer pair.  The rows
-    are sorted here, by integer cross-products, unless they already ascend;
-    the report merges the two row sequences by sample when it is read.
+    Both read ``_inequality``'s statement.  Each returns a tally: checked,
+    skipped, rows (the report's ``classes`` from the first, integer rows in
+    input order from the second) and the largest ratio (alpha - phi) /
+    (beta - q) as an integer pair.  The rows are sorted here, by integer
+    cross-products, unless they already ascend; the report merges the two
+    row sequences by sample when it is read.
     """
     parts = (samples.grid, samples.points) if isinstance(samples, Schedule) else (samples,)
     strict_affine = witness.affine is not None and not witness.weakened
@@ -266,8 +254,7 @@ def check_witness(
             part_checked, part_skipped, classes, (num, den) = _check_grid(alpha, beta, witness, part)
             depth = part.depth
         else:
-            decide = _check_each_affine if strict_affine else _check_each
-            part_checked, part_skipped, part_rows, (num, den) = decide(alpha, beta, witness, part)
+            part_checked, part_skipped, part_rows, (num, den) = _check_each(alpha, beta, witness, part)
             rows += part_rows
         checked += part_checked
         skipped += part_skipped
@@ -282,18 +269,21 @@ def check_witness(
 
 
 _by_sample = cmp_to_key(lambda row, other: row[0] * other[1] - other[0] * row[1])  # rows by k/h, exactly
+_UNDEFINED = (0,) * 9  # an undefined phi's (a, b, m) and statement: m = 0
 
 
 def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, samples: Iterable[Fraction]) -> tuple:
     """The tally of a sample list decided one sample at a time, with rows
     in input order for ``check_witness`` to sort.
 
-    Each sample q = k/h in lowest terms is a class of its own, stated by
-    ``_inequality``'s ``at_point``: once per length h for a witness with
-    ``at_length`` and a dyadic q in [0,1), from its integer pair, and at
-    ``translate(q)`` for every other sample.  A grid of more than
-    2**MAX_ENUMERATION_BITS samples is refused before its first one; a list
-    is checked whatever its length.
+    Each checked sample q = k/h in lowest terms reads one ``_inequality``
+    statement: a witness with ``affine`` has one for all its samples, from
+    its integers; a witness with ``at_length`` one per length h at a dyadic
+    q in [0,1), from its integer pair; every other sample one from
+    ``translate(q)``.  So no affine witness translates.  A weakened sample
+    below alpha that is not a dyadic in [0,1) raises the domain error there.
+    A grid of more than 2**MAX_ENUMERATION_BITS samples is refused before
+    its first one; a list is checked whatever its length.
     """
     if isinstance(samples, DyadicGrid) and samples.size > 1 << MAX_ENUMERATION_BITS:
         raise PreconditionError(
@@ -301,11 +291,16 @@ def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, sa
         )
     translate, at_length, weakened = witness.translate, witness.at_length, witness.weakened
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
-    _, bound, at_point = _inequality(alpha, beta, witness)
+    statement, (pc, pd, qd, slack) = _inequality(alpha, beta, witness)
 
-    by_length: dict[int, tuple] = {}  # h -> at_point(at_length(log2(h)), h)
+    def stated(abm: Optional[tuple[int, int, int]]) -> tuple:  # phi's (a, b, m) and statement, or undefined
+        return _UNDEFINED if abm is None else (*abm, *statement(*abm))
+
+    affine = None if witness.affine is None else stated(affine_integers(witness))
+    by_length: dict[int, tuple] = {}  # h -> stated((0, *at_length(log2(h))))
     checked = skipped = 0
     rows: list[tuple] = []
+    append = rows.append
     best_num, best_den = 0, 1
     for q in samples:
         k, h = q.numerator, q.denominator
@@ -314,96 +309,55 @@ def _check_each(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, sa
             skipped += 1
             continue
         checked += 1
-        if at_length is not None and not h & (h - 1) and 0 <= k < h:
-            tested = by_length.get(h)
-            if tested is None:
-                pair = at_length(h.bit_length() - 1)
-                tested = by_length[h] = at_point(0, 0, h) if pair is None else at_point(*pair, h)
-        else:
-            phi = translate(q)
-            tested = at_point(0, 0, h) if phi is None else at_point(phi.numerator, phi.denominator, h)
-            if weakened and tested[3] and (h & (h - 1) or k < 0 or k >= h):
-                dyadic_length(q)  # raises the proper domain error
-        phi_num, phi_den, reason, slope, lack, room_dh, bm = tested
-        margin_bm = margin * bm
-        if room_dh * best_den > best_num * margin_bm:
-            best_num, best_den = room_dh, margin_bm
-        if k * slope >= lack:
-            b0, bk, bd = bound(h, h.bit_length() - 1) if slope else (0, 0, 0)
-            rows.append((k, h, reason, phi_num, phi_den, b0 - bk * k, bd))
-    return checked, skipped, rows, (best_num, best_den)
-
-
-def _check_each_affine(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, samples: Iterable[Fraction]) -> tuple:
-    """``_check_each``'s tally for a strict witness with phi(q) = (a*q + b)/m,
-    a > 0 (``affine_integers``), from two thresholds in q stated once.
-
-    ``_check_grid`` states the class of samples k/h with phi = (a*k +
-    b*h)/(m*h) by ``terms(a, b*h, m*h, h, .)``, which is (h*room, h*slope,
-    h*h*lack) for (room, slope, lack) = ``terms(a, b, m, 1, 0)``.  So a
-    checked sample k/h (k*D < C*h) is
-
-        not below alpha  when k*B*a >= h*room   (q >= (alpha - v)/u)
-        a gap-bound row  when k*slope >= h*lack, below that threshold,
-
-    with phi = (a*k + b*h, m*h) and bound = (P*C*h - P*D*k, Q*D*h) as
-    integer pairs: a few integer products per sample, and no ``translate``,
-    ``at_point`` or ``Fraction``.  The ratio (alpha - phi)/(beta - q) =
-    (h*room - B*a*k)*D / (B*m*(C*h - D*k)) is monotone in q, rising where
-    D*room > B*a*C, so it is read once, at the largest checked sample below
-    alpha where it rises and at the smallest where it does not.
-    """
-    a_den = alpha.limit.denominator
-    b_num, b_den = beta.limit.numerator, beta.limit.denominator
-    terms, bound, _ = _inequality(alpha, beta, witness)
-    a, b, m = affine_integers(witness)
-    room, slope, lack = terms(a, b, m, 1, 0)
-    bm, ba = a_den * m, a_den * a
-    b0, bk, bd = bound(1, 0)
-    sign = 1 if b_den * room > ba * b_num else -1  # which end of the samples below alpha holds the largest ratio
-    checked = skipped = 0
-    rows: list[tuple] = []
-    append = rows.append
-    end_k, end_h = 0, 0  # the checked sample below alpha at that end; none yet
-    for q in samples:
-        k, h = q.numerator, q.denominator
-        if b_num * h <= k * b_den:
-            skipped += 1
+        phi = affine
+        if phi is None:
+            if at_length is not None and not h & (h - 1) and 0 <= k < h:
+                phi = by_length.get(h)
+                if phi is None:
+                    pair = at_length(h.bit_length() - 1)
+                    phi = by_length[h] = stated(None if pair is None else (0, *pair))
+            else:
+                image = translate(q)
+                phi = stated(None if image is None else (0, *image.as_integer_ratio()))
+        a, b, m, ba, room, slope, lack, w, bm = phi
+        if not m:
+            append((k, h, REASON_UNDEFINED, 0, 0, 0, 0))
             continue
-        checked += 1
         if k * ba >= h * room:
             append((k, h, REASON_NOT_BELOW_ALPHA, a * k + b * h, m * h, 0, 0))
             continue
-        if k * slope >= h * lack:
-            append((k, h, REASON_GAP_BOUND, a * k + b * h, m * h, b0 * h - bk * k, bd * h))
-        if not end_h or (k * end_h - end_k * h) * sign > 0:
-            end_k, end_h = k, h
-    if not end_h:
-        return checked, skipped, rows, (0, 1)
-    return checked, skipped, rows, ((end_h * room - ba * end_k) * b_den, bm * (b_num * end_h - b_den * end_k))
+        if weakened and (h & (h - 1) or k < 0 or k >= h):
+            dyadic_length(q)  # raises the proper domain error
+        num, den = (h * room - ba * k) * b_den, bm * margin
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+        if k * slope >= h * lack + w:
+            append((k, h, REASON_GAP_BOUND, a * k + b * h, m * h, pc * h + slack - pd * k, qd * h))
+    return checked, skipped, rows, (best_num, best_den)
 
 
 def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, grid: DyadicGrid) -> tuple:
     """The tally ``_check_each`` would return, from ``_inequality``'s
-    thresholds in k, one class of samples k/h, h = 2**e, at a time.
+    statement, one class of samples k/h, h = 2**e, at a time: with h fixed,
+    each test is a threshold in k.
 
     A strict affine witness is one class, e = depth and every k, also past
-    1, with phi = u*k/h + v.  Inside [0,1), a witness with ``at_length`` has
-    one class per canonical length e: odd k (k = 0 at e = 0), with phi the
-    integer pair ``at_length(e)`` and, when weakened, the slack 2**-e.  A
-    class's integers thus grow with e, not with the depth.  Counts are
-    closed forms (a ``len(range(...))`` overflows at depth 64).
-    ``at_length`` is called once per length with a checked sample, in
-    ``lengths_in_grid_order``, so an error it raises is the loop's.  Rows past the cap are refused before
-    the first is built; the others stay the report's ``classes``, at grid
-    indices k << (depth - e).
+    1, stated once from its integers.  Inside [0,1), a witness with
+    ``at_length`` has one class per canonical length e: odd k (k = 0 at e =
+    0), stated by the integer pair ``at_length(e)`` as (0, b, m), with the
+    weakened slack 2**-e = 1/h.  A class's integers thus grow with e, not
+    with the depth.  Counts are closed forms (a ``len(range(...))``
+    overflows at depth 64).  ``at_length`` is called once per length with a
+    checked sample, in ``lengths_in_grid_order``, so an error it raises is
+    the loop's.  Rows past the cap are refused before the first is built;
+    the others stay the report's ``classes``, at grid indices k << (depth -
+    e), where phi = (a*k + b*2**depth) / (m*2**depth).
     """
-    a_den = alpha.limit.denominator
     b_num, b_den = beta.limit.numerator, beta.limit.denominator
-    terms, bound, _ = _inequality(alpha, beta, witness)
-    depth = grid.depth
+    statement, (pc, pd, qd, slack) = _inequality(alpha, beta, witness)
+    depth, grid_h = grid.depth, grid.denominator
     end = min(grid.size, _count_below(depth, beta.limit))  # checked: grid index < end
-    if witness.affine is not None and not witness.weakened:  # u*k/h + v = (a*k + b*h) / (m*h)
+    if witness.affine is not None and not witness.weakened:
         affine, classes = affine_integers(witness), [(depth, 0, 1)]  # (e, first k, step): samples k/2**e, at grid index k << (depth - e)
     else:
         affine, classes = None, [(l, 1 if l else 0, 2) for l in lengths_in_grid_order(depth)]
@@ -419,16 +373,17 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
         checked += count
         stop = first + count * step
         if affine is not None:
-            a, b, m = affine[0], affine[1] * h, affine[2] * h
+            a, b, m = affine
         else:
             pair = witness.at_length(e)
             if pair is None:
                 runs.append((first << shift, stop << shift, step << shift, REASON_UNDEFINED, None, None))
                 continue
             a, (b, m) = 0, pair
-        room, slope, lack = terms(a, b, m, h, e)
+        ba, room, slope, lack, w, bm = statement(a, b, m)
+        room, lack = h * room, h * lack + w  # the class's thresholds in k
         if a:  # phi < alpha: k < below
-            below = _at_or_above(-(-room // (a_den * a)), first, stop, step)
+            below = _at_or_above(-(-room // ba), first, stop, step)
         else:
             below = stop if room > 0 else first
         if slope > 0:
@@ -440,12 +395,12 @@ def _check_grid(alpha: DeskReal, beta: DeskReal, witness: TranslationWitness, gr
         if lo < hi and lo < top:  # rows at the class's checked k in [lo, hi)
             lo, hi = _at_or_above(lo, first, below, step), _at_or_above(hi, first, below, step)
             if lo < hi:  # a row class is kept over grid indices k << shift
-                runs.append((lo << shift, hi << shift, step << shift, REASON_GAP_BOUND, (a, b << shift, m << shift), bound(grid.denominator, e)))
+                runs.append((lo << shift, hi << shift, step << shift, REASON_GAP_BOUND, (a, b << depth, m << depth), (pc * grid_h + (slack << shift), pd, qd * grid_h)))
         if below < stop:
-            runs.append((below << shift, stop << shift, step << shift, REASON_NOT_BELOW_ALPHA, (a, b << shift, m << shift), None))
+            runs.append((below << shift, stop << shift, step << shift, REASON_NOT_BELOW_ALPHA, (a, b << depth, m << depth), None))
         if first < below:
-            k = first if b_den * room < a_den * a * b_num * h else below - step
-            num, den = (room - a_den * a * k) * b_den * h, a_den * m * (b_num * h - b_den * k)
+            k = first if b_den * room < ba * b_num * h else below - step
+            num, den = (room - ba * k) * b_den, bm * (b_num * h - b_den * k)
             if num * best_den > best_num * den:
                 best_num, best_den = num, den
     listed = sum((hi - lo) // step for lo, hi, step, *_ in runs)
@@ -656,9 +611,10 @@ def dyadic_samples(below: Fraction, count: int) -> DyadicGrid:
         raise ConfigError(f"sample bound must be positive, got {below}")
     if count < 1:
         raise ConfigError(f"sample count must be positive, got {count}")
-    depth = 0
-    while _count_below(depth, below) < count:
-        depth += 1
+    # the least d with num * 2**d > over, that is _count_below(d, below) >= count; bit lengths give it to within one
+    num, over = below.numerator, (count - 1) * below.denominator
+    depth = max(over.bit_length() - num.bit_length(), 0)
+    depth += num << depth <= over
     return DyadicGrid(depth, count)
 
 

@@ -270,6 +270,33 @@ class TestCheckWitness:
         # beta's points 1 - 2**-i, i <= 64, all lie on the grid
         assert json.loads(out.read_text())["samples_checked"] == 1 << MAX_HORIZON
 
+    @pytest.mark.parametrize(
+        "beta, count, depth",
+        [
+            ("geometric:1", (1 << MAX_HORIZON) + 1, MAX_HORIZON + 1),
+            ("geometric:1", 1 << 13000, 13000),
+            # 2 samples below 2**-13000 need depth 13001
+            (f"geometric:1/{1 << 13000}", 2, 13001),
+        ],
+    )
+    def test_samples_past_the_depth_bound_are_usage_error(self, beta, count, depth, tmp_path, capsys):
+        # --samples deepens its grid until it holds the count; past the
+        # --grid-depth bound it is refused before any sample is built.
+        out = tmp_path / "report.json"
+        argv = ["check-witness", "--alpha", "geometric:5/8", "--beta", beta, "--witness", "least"]
+        assert main(argv + ["--samples", str(count), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"sample grid depth must be <= 4096, got {depth}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_samples_at_the_depth_bound_are_decided(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["check-witness", "--alpha", "geometric:5/8", "--beta", "geometric:1", "--witness", "least"]
+        assert main(argv + ["--samples", str(1 << MAX_HORIZON), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["samples_checked"] == 1 << MAX_HORIZON and doc["passed"]
+
     def test_default_schedule_past_the_row_cap_is_usage_error(self, tmp_path, capsys):
         # identity fails the gap bound at every grid sample: 2 - q >= 2 * (1 - q).
         out = tmp_path / "report.json"

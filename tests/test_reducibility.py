@@ -442,6 +442,17 @@ class TestSampleSchedules:
         assert len(samples) == 10**9 and samples.depth == 30
         assert Fraction(10**9 - 1, 1 << 30) in samples and Fraction(10**9, 1 << 30) not in samples
 
+    @given(
+        st.fractions(min_value="1/1000000", max_value=1000, max_denominator=1 << 20) | st.builds(lambda e: Fraction(1, 1 << e), st.integers(0, 70)),
+        st.integers(1, 1 << 20) | st.builds(lambda e, d: max((1 << e) + d, 1), st.integers(0, 70), st.integers(-1, 1)),
+    )
+    def test_dyadic_samples_take_the_shallowest_grid(self, below, count):
+        # The reference: deepen the grid one level at a time until it holds the count.
+        depth = 0
+        while _count_below(depth, below) < count:
+            depth += 1
+        assert dyadic_samples(below, count) == DyadicGrid(depth, count)
+
     def test_default_samples_include_approximations(self):
         beta = real("1")
         samples = default_samples(beta, identity_witness(), grid_depth=4)
@@ -893,11 +904,11 @@ DISPATCH_WITNESSES = {
     "weakened per-length": per_length_witness("keyed", length_keyed(Fraction(1, 2), Fraction(3, 4)), Fraction(1), weakened=True),
     "opaque": TranslationWitness("opaque", lambda q: q / 2 + Fraction(1, 8), Fraction(1)),
 }
-EACH, EACH_AFFINE, GRID = "_check_each", "_check_each_affine", "_check_grid"
+EACH, GRID = "_check_each", "_check_grid"
 SHAPES = ("grid inside [0,1)", "grid past 1", "list", "schedule")
 DISPATCH = {  # witness kind -> for each of SHAPES, (the deciders in order, the callables that run)
-    "strict affine": [([GRID], set()), ([GRID], set()), ([EACH_AFFINE], set()), ([GRID, EACH_AFFINE], set())],
-    "weakened affine": [([EACH], {"translate"}), ([EACH], {"translate"}), ([EACH], {"translate"}), ([EACH, EACH], {"translate"})],
+    "strict affine": [([GRID], set()), ([GRID], set()), ([EACH], set()), ([GRID, EACH], set())],
+    "weakened affine": [([EACH], set()), ([EACH], set()), ([EACH], set()), ([EACH, EACH], set())],
     "strict per-length": [([GRID], {"at_length"}), ([EACH], {"at_length", "translate"}), ([EACH], {"at_length"}), ([GRID, EACH], {"at_length"})],
     "weakened per-length": [([GRID], {"at_length"}), ([EACH], {"at_length", "translate"}), ([EACH], {"at_length"}), ([GRID, EACH], {"at_length"})],
     "opaque": [([EACH], {"translate"}), ([EACH], {"translate"}), ([EACH], {"translate"}), ([EACH, EACH], {"translate"})],
@@ -905,9 +916,10 @@ DISPATCH = {  # witness kind -> for each of SHAPES, (the deciders in order, the 
 
 
 class TestDispatch:
-    """``check_witness`` alone picks each part's decider, by the witness's
-    kind and the part's shape; a decider runs only the callables its kind
-    allows, and every pair reports as the Fraction loop does."""
+    """``check_witness`` alone picks each part's decider, of two, by the
+    witness's kind and the part's shape; a decider runs only the callables
+    its kind allows (an affine witness none), and every pair reports as the
+    Fraction loop does."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("kind", list(DISPATCH))
@@ -924,7 +936,7 @@ class TestDispatch:
 
             return call
 
-        for name in (GRID, EACH_AFFINE, EACH):
+        for name in (GRID, EACH):
             decide = getattr(reducibility, name)
             monkeypatch.setattr(reducibility, name, lambda *args, decide=decide, name=name: decided.append(name) or decide(*args))
         guarded_witness = dataclasses.replace(
@@ -1163,10 +1175,10 @@ class TestAffineGrid:
                 check_witness(alpha, real("1"), w, DyadicGrid(depth, size))
 
     def test_weakened_affine_is_decided_per_sample(self):
-        # No constructor builds a weakened affine witness, and no decider
-        # keeps a closed form for one: like any weakened witness without
-        # at_length it runs the per-sample loop, which refuses a grid past
-        # its 2**20 cap before the first sample.
+        # No constructor builds a weakened affine witness, and the grid
+        # decider keeps no closed form for one: it runs the per-sample loop,
+        # from its integers, which refuses a grid past its 2**20 cap before
+        # the first sample.
         def translate(q):
             raise AssertionError(f"translate({q}) called")
 
@@ -1180,6 +1192,18 @@ class TestAffineGrid:
         report = check_witness(real("7/4"), real("1"), w, grid)
         assert report.to_json_dict() == expect.to_json_dict() and report.violations == expect.violations
         assert report.classes == () and len(report.rows) == len(expect.rows) > 0
+
+    def test_weakened_affine_raises_at_a_non_dyadic_sample_below_alpha(self):
+        # phi(q) = 2q reaches alpha = 1 at q = 1/2.  The oracle skips 5/3,
+        # takes 2/3 (not dyadic) as a not_below_alpha row, and raises at
+        # 1/3, below alpha and not dyadic, before it reaches -1/4.
+        w = dataclasses.replace(scaling_witness(Fraction(2), "forward"), weakened=True)
+        samples = [Fraction(1, 4), Fraction(5, 3), Fraction(2, 3), Fraction(1, 3), Fraction(-1, 4)]
+        with pytest.raises(DomainError) as got:
+            check_witness(real("1"), real("1"), w, samples)
+        with pytest.raises(DomainError) as expect:
+            reference_check_witness(real("1"), real("1"), w, samples)
+        assert str(got.value) == str(expect.value) == "dyadic_length needs a dyadic rational, got 1/3"
 
     def test_points_split_interleaved_classes_like_the_oracle(self):
         # beta's approximation points 1 - (3/4)**n are dyadic and off a
@@ -1338,7 +1362,12 @@ class TestStrictAffineOffTheGrid:
 
     @pytest.mark.parametrize(
         "witness",
-        [identity_witness(Fraction(1)), scaling_witness(Fraction(3, 5), "backward"), affine_witness("a", Fraction(3, 2), Fraction(-1, 4), Fraction(1))],
+        [
+            identity_witness(Fraction(1)),
+            scaling_witness(Fraction(3, 5), "backward"),
+            affine_witness("a", Fraction(3, 2), Fraction(-1, 4), Fraction(1)),
+            dataclasses.replace(identity_witness(Fraction(1)), name="weakened", weakened=True),
+        ],
         ids=lambda w: w.name,
     )
     def test_never_translates(self, witness):
@@ -1349,7 +1378,10 @@ class TestStrictAffineOffTheGrid:
         # alpha = 7/4 against beta = 1: each witness fails at some of the points 1 - (3/4)**n
         alpha, beta = real("7/4", "a"), geometric(Fraction(1), Fraction(3, 4), name="b")
         schedule = default_samples(beta, witness, 4)
-        listed = [Fraction(5, 3), Fraction(1, 3), *schedule, Fraction(-1, 2), Fraction(1, 3), Fraction(9, 7)]
+        if witness.weakened:  # dyadic samples in [0,1), and some skipped at or past beta
+            listed = [Fraction(5, 4), Fraction(1, 8), *schedule, Fraction(0), Fraction(1), Fraction(1, 8), Fraction(255, 256)]
+        else:
+            listed = [Fraction(5, 3), Fraction(1, 3), *schedule, Fraction(-1, 2), Fraction(1, 3), Fraction(9, 7)]
         for samples, oracle_samples in [(schedule, sorted(schedule)), (listed, listed)]:
             report = check_witness(alpha, beta, silent, samples)
             assert report.rows, "the off-grid samples hold rows"
